@@ -9,11 +9,13 @@ is encoded by three scalars at the point:
 
 equivalently E = |grad K|^2 / rho, F = <grad K, grad Delta K> / rho,
 G = |grad Delta K|^2 / rho at the origin.  The heat coefficients then take
-a coordinate-free shape: the same constants as the direct path, with each
-monomial image replaced by
+a coordinate-free shape: the same weights as the direct path, with each
+monomial u^(2k-2n-2s) v^(2s) replaced by
 
-    (-1)^p C(2s, p) E^(n-k+p) F^(2s-p) (EG - F^2)^(-s)
-        * Delta^k(z^(2k-2n-p) w^p) |_origin.
+    sum_p (-1)^p C(2s, p) E^(n-k+p) F^(2s-p) (EG - F^2)^(-s) z^(2k-2n-p) w^p,
+
+so that a_n is again sum_k Delta^k P_k at the origin for polynomials P_k in
+z and w, evaluated by the same Horner-nested pipeline as the direct path.
 
 Negative E powers live in the rational fraction field, so this path applies
 to concrete rational jets only.  Degeneracy (vanishing Jacobian: constant
@@ -27,9 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import (DegenerateCurvatureCoordinates, OrderExhausted,
-                     SingularFrame)
-from .heatinv import HeatInvariantResult, heat_constant
+from .errors import (DegenerateCurvatureCoordinates, IndexOutOfRange,
+                     OrderExhausted, SingularFrame)
+from .heatinv import (HeatInvariantResult, _nested_laplacian_sum,
+                      _weight_table)
 from .jets import Jet2D
 from .laplace import ConformalLaplacian, gaussian_curvature_jet
 from .rhopoly import PiScaled, RhoPoly
@@ -61,8 +64,8 @@ def _curvature_jets(rho: Jet2D):
     return lap, k, dk, k0, dk0, z, w
 
 
-def curvature_frame(rho: Jet2D) -> CurvatureFrame:
-    """E, F, G and the degeneracy predicate, all exact, at the origin."""
+def _frame_and_coordinates(rho: Jet2D):
+    """(curvature frame, its Laplacian, z jet, w jet) from one jet computation."""
     if isinstance(rho.constant_term(), RhoPoly):
         raise TypeError("curvature frames are defined for concrete jets only")
     if rho.order < FRAME_MIN_ORDER:
@@ -75,8 +78,14 @@ def curvature_frame(rho: Jet2D) -> CurvatureFrame:
     g = -Fraction(lap.apply(w * w).constant_term()) / 2
     jac = (Fraction(k.coefficient(1, 0)) * Fraction(dk.coefficient(0, 1))
            - Fraction(k.coefficient(0, 1)) * Fraction(dk.coefficient(1, 0)))
-    return CurvatureFrame(k0=k0, dk0=dk0, e=e, f=f, g=g, jacobian=jac,
-                          degenerate=jac == 0)
+    frame = CurvatureFrame(k0=k0, dk0=dk0, e=e, f=f, g=g, jacobian=jac,
+                           degenerate=jac == 0)
+    return frame, lap, z, w
+
+
+def curvature_frame(rho: Jet2D) -> CurvatureFrame:
+    """E, F, G and the degeneracy predicate, all exact, at the origin."""
+    return _frame_and_coordinates(rho)[0]
 
 
 def frame_via_identities(rho: Jet2D):
@@ -111,55 +120,45 @@ def heat_invariant_curvature_form(n: int, rho: Jet2D) -> HeatInvariantResult:
     exist; raises DegenerateCurvatureCoordinates or SingularFrame otherwise.
     """
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        raise IndexOutOfRange(
+            f"heat_invariant_curvature_form needs n >= 1, got {n}")
     required = 8 * n + 6
     if rho.order < required:
         raise OrderExhausted(
             f"curvature-form a_{n} needs a jet of order >= {required}, "
             f"got {rho.order}")
-    frame = curvature_frame(rho)
+    frame, lap, z, w = _frame_and_coordinates(rho)
     if frame.degenerate:
         raise DegenerateCurvatureCoordinates(
             "the (K, Delta K) Jacobian vanishes at the origin")
-    disc = frame.e * frame.g - frame.f ** 2
-    if not frame.e or not disc:
+    e, f = frame.e, frame.f
+    disc = e * frame.g - f ** 2
+    if not e or not disc:
         raise SingularFrame("E = 0 or EG - F^2 = 0 at the origin")
-    lap, _, _, _, _, z, w = _curvature_jets(rho)
-    total = Fraction(0)
-    for k in range(n + 1, 4 * n + 1):
-        weights = []
-        for s in range(k - n + 1):
-            q = Fraction(0)
-            for m in range(k, 4 * n + 1):
-                q += heat_constant(n, k, s, m).q
-            weights.append(q)
-        if not any(weights):
-            continue
+    weights = _weight_table(n)
+
+    def term(k):
         # Delta^k only consumes jets to order 2k, so all powers are built
         # with products capped there; z and w have valuation >= 1, keeping
         # every intermediate trusted far enough.
         cap = 2 * k
-        zt = z.truncate(min(z.order, cap))
-        wt = w.truncate(min(w.order, cap))
+        zt, wt = z.truncate(cap), w.truncate(cap)
         one = Jet2D.constant(Fraction(1), cap)
         zpow, wpow = [one], [one]
-        for _ in range(2 * k - 2 * n):
-            zpow.append(zpow[-1]._mul_capped(zt, cap))
         for _ in range(2 * (k - n)):
+            zpow.append(zpow[-1]._mul_capped(zt, cap))
             wpow.append(wpow[-1]._mul_capped(wt, cap))
-        images = []
+        p_k = Jet2D.zero(cap)
         for p in range(2 * (k - n) + 1):
-            jet = zpow[2 * k - 2 * n - p]._mul_capped(wpow[p], cap)
-            images.append(Fraction(lap.apply_power(jet, k).constant_term()))
-        for s in range(k - n + 1):
-            if not weights[s]:
-                continue
-            for p in range(2 * s + 1):
-                if not images[p]:
-                    continue
-                factor = (frame.e ** (n - k + p) * frame.f ** (2 * s - p)
-                          / disc ** s)
-                total += ((-1) ** p * comb(2 * s, p)) * weights[s] \
-                    * factor * images[p]
+            c = sum(((-1) ** p * comb(2 * s, p) * w_ks
+                     * e ** (n - k + p) * f ** (2 * s - p) / disc ** s
+                     for s, w_ks in enumerate(weights[k - n - 1])
+                     if 2 * s >= p), Fraction(0))
+            if c:
+                mono = zpow[2 * k - 2 * n - p]._mul_capped(wpow[p], cap)
+                p_k = p_k + mono * c
+        return p_k
+
+    total = _nested_laplacian_sum(lap, n, term)
     return HeatInvariantResult(n=n, form=PiScaled(total, 1),
                                truncation_order=rho.order, path="curvature")

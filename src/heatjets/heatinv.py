@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 from .errors import IndexOutOfRange, OrderExhausted
@@ -68,6 +69,34 @@ def heat_constant(n: int, k: int, s: int, m: int) -> PiScaled:
     return PiScaled(Fraction((-1) ** n, 4) * total, 1)
 
 
+@cache
+def _weight_table(n: int) -> tuple:
+    """w_ks = sum_{m=k..4n} C_nksm (the rational part), one row per k.
+
+    Row k - n - 1 holds w_ks for s = 0..k-n, k = n+1..4n.
+    """
+    return tuple(
+        tuple(sum((heat_constant(n, k, s, m).q for m in range(k, 4 * n + 1)),
+                  Fraction(0))
+              for s in range(k - n + 1))
+        for k in range(n + 1, 4 * n + 1))
+
+
+def _nested_laplacian_sum(lap: ConformalLaplacian, n: int, term):
+    """(sum_{k=n+1..4n} Delta^k P_k)(0) with P_k = term(k), a jet of order 2k.
+
+    By linearity the sum equals Delta^(n+1) Q at the origin, where
+    Q = P_(n+1) + Delta(P_(n+2) + Delta(... + Delta P_(4n))): 4n
+    applications of Delta.  Each P_k has degree 2k - 2n and order 2k, so
+    every intermediate keeps the band order - valuation <= 2n and 1/rho is
+    never needed beyond degree 2n.
+    """
+    q = term(4 * n)
+    for k in range(4 * n - 1, n, -1):
+        q = term(k) + lap.apply(q)
+    return lap.apply_power(q, n + 1).constant_term()
+
+
 def generic_rho_jet(order: int) -> Jet2D:
     """The fully generic conformal factor: every Taylor coefficient a variable."""
     coeffs = {(a, b): RhoPoly.var(a, b)
@@ -107,7 +136,8 @@ def _is_symbolic(rho: Jet2D) -> bool:
 
 def _wrap(n, total, symbolic, order, path) -> HeatInvariantResult:
     if symbolic:
-        form = ClosedForm(n=n, poly=total, pi_power=1)
+        # a vanishing constant term of a jet reads as the int 0
+        form = ClosedForm(n=n, poly=total or RhoPoly.zero(), pi_power=1)
     else:
         form = PiScaled(total, 1)
     return HeatInvariantResult(n=n, form=form, truncation_order=order,
@@ -124,46 +154,24 @@ def _require_order(n: int, rho: Jet2D) -> None:
 def heat_invariant(n: int, rho: Jet2D) -> HeatInvariantResult:
     """a_n(origin) by the direct monomial-image sum.
 
-    Terms sharing (k, s) differ only in their constant, so the m-sum is
-    collapsed into one weight per (k, s) and each Delta^k image is computed
-    once.  For the generic conformal factor the u <-> v relabeling symmetry
-    additionally identifies the s and k-n-s images, halving the work; that
-    shortcut is unsound for concrete jets and is only taken symbolically.
+    Terms sharing k are collected into one polynomial
+    P_k = sum_s w_ks rho_0^(k-n) u^(2k-2n-2s) v^(2s), whose weight w_ks
+    collapses the m-sum, and sum_k Delta^k P_k is evaluated by Horner
+    nesting: 4n Laplacian applications in all.
     """
     if n < 1:
         raise IndexOutOfRange(f"heat_invariant needs n >= 1, got {n}")
     _require_order(n, rho)
-    symbolic = _is_symbolic(rho)
-    lap = ConformalLaplacian(rho)
     rho0 = rho.constant_term()
-    parts = []
-    for k in range(n + 1, 4 * n + 1):
-        smax = k - n
-        weights = []
-        for s in range(smax + 1):
-            q = Fraction(0)
-            for m in range(k, 4 * n + 1):
-                q += heat_constant(n, k, s, m).q
-            weights.append(q)
-        images = {}
-        for s in range(smax + 1):
-            if s in images:
-                continue
-            mono = Jet2D.monomial(2 * k - 2 * n - 2 * s, 2 * s, order=2 * k)
-            img = lap.apply_power(mono, k).constant_term()
-            images[s] = img
-            mirror = smax - s
-            if symbolic and mirror != s:
-                images[mirror] = img.swap_uv() if img else img
-        for s in range(smax + 1):
-            img = images[s]
-            if weights[s] and img:
-                parts.append((rho0 ** (k - n) * img) * weights[s])
-    if symbolic:
-        total = RhoPoly.sum(parts)
-    else:
-        total = sum(parts, Fraction(0))
-    return _wrap(n, total, symbolic, rho.order, "eq311")
+    weights = _weight_table(n)
+
+    def term(k):
+        scale = rho0 ** (k - n)
+        return Jet2D({(2 * k - 2 * n - 2 * s, 2 * s): scale * w
+                      for s, w in enumerate(weights[k - n - 1])}, 2 * k)
+
+    total = _nested_laplacian_sum(ConformalLaplacian(rho), n, term)
+    return _wrap(n, total, _is_symbolic(rho), rho.order, "eq311")
 
 
 def heat_invariant_via_frozen(n: int, rho: Jet2D) -> HeatInvariantResult:

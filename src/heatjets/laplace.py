@@ -9,47 +9,34 @@ Both act on Jet2D values over any exact coefficient ring and lower the jet
 order by two per application.
 
 The reciprocal 1/rho is expensive for a fully generic conformal factor, but
-the pipelines here never need it far: applying Delta repeatedly to a monomial
-keeps the band order - valuation of every intermediate jet bounded, so the
-product (1/rho) * (f_uu + f_vv) only consumes the reciprocal up to degree
-order(result) - valuation(f_uu + f_vv).  ``ConformalLaplacian`` therefore
-computes the reciprocal lazily, Newton step by Newton step, and caches the
-longest prefix obtained so far.
+the pipelines here never need it far: applying Delta repeatedly to a
+homogeneous polynomial keeps the band order - valuation of every
+intermediate jet bounded, so the product (1/rho) * (f_uu + f_vv) only
+consumes the reciprocal up to degree order(result) - valuation(f_uu + f_vv).
+``ConformalLaplacian`` therefore inverts rho only to the largest degree asked
+for so far (by ``Jet2D.inverse``) and truncates that jet for smaller requests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import OrderExhausted
 from .jets import Jet2D, invert_coefficient
 
 
 class ConformalLaplacian:
-    """Delta f = -(1/rho)(f_uu + f_vv) with a lazily extended 1/rho jet."""
+    """Delta f = -(1/rho)(f_uu + f_vv) with a cached 1/rho jet."""
 
     def __init__(self, rho: Jet2D):
         self.rho = rho
         invert_coefficient(rho.constant_term())  # fail fast if degenerate
-        self._inv = None  # longest reciprocal prefix computed so far
+        self._inv = None  # 1/rho to the largest order requested so far
 
     def inverse_factor(self, order: int) -> Jet2D:
-        """The jet of 1/rho trusted to `order`, extending the cache as needed."""
-        if order > self.rho.order:
-            raise OrderExhausted(
-                f"need 1/rho to degree {order} but the conformal factor jet "
-                f"has order {self.rho.order}")
-        x = self._inv
-        if x is None:
-            x = Jet2D.constant(invert_coefficient(self.rho.constant_term()), 0)
-        while x.order < order:
-            m = min(2 * x.order + 1, order)
-            rho_m = self.rho.truncate(m)
-            correction = Jet2D.constant(2, m) - rho_m._mul_capped(x, m)
-            x = x._mul_capped(correction, m)
-        if self._inv is None or x.order > self._inv.order:
-            self._inv = x
-        return x if x.order == order else x.truncate(order)
+        """The jet of 1/rho trusted to `order`, recomputed only to go higher."""
+        if self._inv is None or self._inv.order < order:
+            self._inv = self.rho.inverse(order)
+        return self._inv.truncate(order)
 
     def apply(self, f: Jet2D) -> Jet2D:
         s = f.diff(2, 0) + f.diff(0, 2)

@@ -69,7 +69,10 @@ def _reject_extras(doc, allowed):
 def parse_metric_spec(source) -> MetricSpec:
     """Parse a JSON document (text, bytes, or dict) into a MetricSpec."""
     if isinstance(source, (bytes, bytearray)):
-        source = source.decode("utf-8")
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError("<document>", f"not valid UTF-8: {exc}")
     if isinstance(source, str):
         try:
             doc = json.loads(source)
@@ -138,7 +141,7 @@ def parse_metric_spec(source) -> MetricSpec:
 
 
 def load_metric_spec(path) -> MetricSpec:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return parse_metric_spec(fh.read())
 
 

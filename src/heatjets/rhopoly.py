@@ -259,14 +259,6 @@ class RhoPoly:
         """Iterate (monomial, coefficient) pairs of the numerator."""
         return self.num.items()
 
-    def swap_uv(self):
-        """Relabel every variable rho_ab -> rho_ba (the u <-> v reflection)."""
-        out = {}
-        for mono, c in self.num.items():
-            swapped = tuple(sorted(((b, a), e) for (a, b), e in mono))
-            out[swapped] = c
-        return RhoPoly(out, self.den, _canonical=True)
-
     def substitute(self, values):
         """Evaluate at concrete rational Taylor coefficients.
 

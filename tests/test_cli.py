@@ -122,6 +122,20 @@ def test_schema_error_exit_and_json_object(capsys, metric_file):
     assert doc["error"]["path"] == "coeffs[0][2]"
 
 
+def test_non_utf8_metric_is_schema_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe" + FLAT.encode())
+    argv = ["compute", "--n", "1", "--metric", str(bad)]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert "UTF-8" in err
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"]["type"] == "SchemaError"
+    assert doc["error"]["path"] == "<document>"
+
+
 def test_missing_file_is_input_error(capsys, tmp_path):
     code, _, err = run(capsys, ["compute", "--n", "1",
                                 "--metric", str(tmp_path / "nope.json")])

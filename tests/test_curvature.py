@@ -8,9 +8,10 @@ import pytest
 from heatjets.curvature import (CurvatureFrame, curvature_frame,
                                 frame_via_identities,
                                 heat_invariant_curvature_form, frame_conformal_factor)
-from heatjets.errors import (DegenerateCurvatureCoordinates, OrderExhausted,
-                             SingularFrame)
-from heatjets.heatinv import generic_rho_jet, heat_invariant
+from heatjets.errors import (DegenerateCurvatureCoordinates, IndexOutOfRange,
+                             OrderExhausted, SingularFrame)
+from heatjets.heatinv import (generic_rho_jet, heat_invariant,
+                              heat_invariant_via_frozen)
 from heatjets.jets import Jet2D
 
 
@@ -101,8 +102,10 @@ def test_curvature_path_matches_direct_path_n1():
 
 def test_curvature_path_matches_direct_path_n2():
     rho = random_jet(random.Random(31), order=22)
-    assert heat_invariant_curvature_form(2, rho).form \
-        == heat_invariant(2, rho).form
+    value = heat_invariant_curvature_form(2, rho).form
+    assert value == heat_invariant(2, rho).form
+    # eq310 shares no pipeline with the two nested routes
+    assert value == heat_invariant_via_frozen(2, rho.truncate(16)).form
 
 
 def test_frame_conformal_factor_values():
@@ -122,6 +125,8 @@ def test_order_requirements():
         curvature_frame(random_jet(rng, order=7))
     with pytest.raises(OrderExhausted):
         heat_invariant_curvature_form(1, random_jet(rng, order=13))
+    with pytest.raises(IndexOutOfRange):
+        heat_invariant_curvature_form(0, random_jet(rng, order=14))
 
 
 def test_symbolic_input_rejected():

@@ -13,6 +13,7 @@ from heatjets.heatinv import (WEYL_A0, gamma_half_rational, generic_rho_jet,
                               parse_closed_form_json, render_closed_form,
                               render_pi_scaled, symbolic_heat_invariant)
 from heatjets.jets import Jet2D
+from heatjets.laplace import ConformalLaplacian
 from heatjets.rhopoly import PiScaled, RhoPoly, mono_degree
 
 GOLDEN_A1_PLAIN = "(rho_u^2 + rho_v^2 - rho*rho_uu - rho*rho_vv) / (24*pi*rho^3)"
@@ -68,6 +69,8 @@ def test_symbolic_a1_matches_golden_formula():
 def test_symbolic_a1_via_frozen_matches_golden():
     cf = symbolic_heat_invariant(1, via_frozen=True).form
     assert cf.poly == golden_a1_poly()
+    assert symbolic_heat_invariant(2).form.poly == \
+        symbolic_heat_invariant(2, via_frozen=True).form.poly
 
 
 def test_render_plain_golden_string():
@@ -117,6 +120,16 @@ def test_sphere_a1_scales_with_curvature():
     assert heat_invariant(1, rho).form == PiScaled(Fraction(1, 48), 1)
 
 
+def test_sphere_higher_coefficients_exact():
+    # a_n = c_n / (pi R^(2n)) from the sphere heat trace
+    radius = Fraction(3, 2)
+    rho = sphere_rho(radius, 40)
+    for n, c in ((3, Fraction(1, 315)), (4, Fraction(1, 1260)),
+                 (5, Fraction(1, 3465))):
+        assert heat_invariant(n, rho.truncate(8 * n)).form == \
+            PiScaled(c / radius ** (2 * n), 1)
+
+
 def test_cross_path_equality_random_jets():
     rng = random.Random(20240817)
     for _ in range(3):
@@ -124,6 +137,24 @@ def test_cross_path_equality_random_jets():
         for n in (1, 2):
             assert heat_invariant(n, rho).form == \
                 heat_invariant_via_frozen(n, rho).form
+    rho = random_metric_jet(rng, order=24)
+    assert heat_invariant(3, rho).form == heat_invariant_via_frozen(3, rho).form
+
+
+def test_eq311_uses_4n_laplacian_applications(monkeypatch):
+    calls = []
+    apply = ConformalLaplacian.apply
+
+    def counted(self, f):
+        calls.append(f)
+        return apply(self, f)
+
+    monkeypatch.setattr(ConformalLaplacian, "apply", counted)
+    rng = random.Random(4)
+    for n in (1, 2, 3):
+        calls.clear()
+        heat_invariant(n, random_metric_jet(rng, order=8 * n))
+        assert len(calls) == 4 * n
 
 
 def test_scaling_covariance():

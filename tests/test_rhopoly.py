@@ -108,14 +108,6 @@ def test_substitute_is_a_homomorphism(p, q, vals):
     assert (p * q).substitute(vals) == p.substitute(vals) * q.substitute(vals)
 
 
-@settings(max_examples=40)
-@given(rho_polys(), rho_polys())
-def test_swap_uv_is_an_involutive_homomorphism(p, q):
-    assert p.swap_uv().swap_uv() == p
-    assert (p * q).swap_uv() == p.swap_uv() * q.swap_uv()
-    assert (p + q).swap_uv() == p.swap_uv() + q.swap_uv()
-
-
 def test_sum_matches_pairwise_addition():
     parts = [RhoPoly.var(a, b) * RhoPoly({(): 1}, den=d)
              for (a, b, d) in [(0, 0, 0), (1, 0, 2), (0, 1, 1), (2, 0, 0)]]
