@@ -15,25 +15,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
-from fractions import Fraction
 
-from .commutator import (
-    RationalMatrix,
-    filtration_vectors,
-    x_operator_by_sum,
-    x_operator_closed,
-    x_operator_recurrence,
-)
 from .curvature import (
     curvature_frame,
     heat_invariant_curvature_form,
 )
 from .errors import (
     DegenerateCurvatureCoordinates,
-    HeatjetsError,
     IllConditionedFit,
     IndexOutOfRange,
     InvalidMetric,
@@ -226,158 +216,24 @@ def _cmd_curvature(args) -> int:
 
 # -- verify ------------------------------------------------------------------
 
-def _random_jet(rng: random.Random, order: int = 16) -> Jet2D:
-    coeffs = {}
-    for a in range(order + 1):
-        for b in range(order + 1 - a):
-            coeffs[(a, b)] = Fraction(rng.randint(-40, 40),
-                                      rng.randint(1, 12))
-    coeffs[(0, 0)] = abs(coeffs[(0, 0)]) + 1
-    return Jet2D(coeffs, order=order)
-
-
-def _sphere_jet(order: int) -> Jet2D:
-    base = Jet2D({(0, 0): Fraction(1), (2, 0): Fraction(1),
-                  (0, 2): Fraction(1)}, order=order)
-    return (base * base).inverse() * 4
-
-
-def _check_a1_golden():
-    from .oracle import golden_a1
-    poly, pi_power = golden_a1()
-    form = symbolic_heat_invariant(1).form
-    if form.poly != poly or form.pi_power != pi_power:
-        return "symbolic a_1 differs from the classical closed form"
-
-
-def _check_flat_zero(n_values, constants):
-    for c in constants:
-        rho = Jet2D.constant(Fraction(c), 8 * max(n_values))
-        for n in n_values:
-            got = heat_invariant(n, rho.truncate(8 * n)).form
-            if got.q != 0:
-                return f"a_{n}(rho={c}) = {got.q}, expected 0"
-
-
-def _check_sphere_a1():
-    got = heat_invariant(1, _sphere_jet(8)).form
-    if got != PiScaled(Fraction(1, 12), 1):
-        return f"sphere a_1 = {got.q}/pi^{got.pi_power}, expected 1/(12*pi)"
-
-
-def _check_cross_path():
-    rng = random.Random(20240901)
-    for _ in range(3):
-        rho = _random_jet(rng)
-        for n in (1, 2):
-            a = heat_invariant(n, rho.truncate(8 * n)).form
-            b = heat_invariant_via_frozen(n, rho.truncate(8 * n)).form
-            if a != b:
-                return f"paths disagree at n={n}"
-
-
-def _check_curvature_path():
-    rng = random.Random(20240902)
-    found = 0
-    while found < 2:
-        rho = _random_jet(rng)
-        if curvature_frame(rho).degenerate:
-            continue
-        found += 1
-        a = heat_invariant(1, rho.truncate(8)).form
-        b = heat_invariant_curvature_form(1, rho.truncate(14)).form
-        if a != b:
-            return "curvature-coordinate value disagrees with direct path"
-    try:
-        heat_invariant_curvature_form(1, _sphere_jet(14))
-    except DegenerateCurvatureCoordinates:
-        return None
-    return "degenerate sphere jet was not rejected"
-
-
-def _check_commutator():
-    rng = random.Random(20240903)
-    x = RationalMatrix.random(4, rng)
-    a = RationalMatrix.random(4, rng)
-    for m in range(1, 6):
-        by_sum = x_operator_by_sum(x, a, m)
-        rec = x_operator_recurrence(x, a, m)
-        closed = x_operator_closed(x, a, m)
-        if not (by_sum == rec == closed):
-            return f"X_{m} mismatch across definitions"
-    for m in range(6, 9):
-        if x_operator_recurrence(x, a, m) != x_operator_closed(x, a, m):
-            return f"X_{m} recurrence/closed mismatch"
-    for m in range(1, 11):
-        if len(list(filtration_vectors(m))) != 2 ** (m - 1):
-            return f"|V_{m}| != 2^{m - 1}"
-
-
-def _check_scaling_and_rotation():
-    rng = random.Random(20240904)
-    rho = _random_jet(rng, order=8)
-    base = heat_invariant(1, rho).form
-    for c in (Fraction(2), Fraction(3, 5)):
-        scaled = heat_invariant(1, rho * c).form
-        if scaled != base * Fraction(1, c):
-            return f"a_1({c} rho) != {c}^-1 a_1(rho)"
-    rotated = rho.compose_linear(Fraction(3, 5), Fraction(-4, 5),
-                                 Fraction(4, 5), Fraction(3, 5))
-    if heat_invariant(1, rotated).form != base:
-        return "a_1 moved under a Pythagorean rotation"
-    form = symbolic_heat_invariant(1).form
-    if form.poly.weights() != {2}:
-        return "symbolic a_1 is not 2-homogeneous in derivative order"
-
-
-def _check_flat_zero_n3():
-    return _check_flat_zero([3], [Fraction(7, 3)])
-
-
-def _check_sphere_a2_spectral():
-    import mpmath
-    from .oracle import SphereSpectrum, fit_diagonal_coefficients
-    exact = heat_invariant(2, _sphere_jet(16)).form
-    fit = fit_diagonal_coefficients(SphereSpectrum(Fraction(1)), n_terms=3)
-    with mpmath.workdps(40):
-        target = (mpmath.mpf(exact.q.numerator) / exact.q.denominator
-                  / mpmath.pi ** exact.pi_power)
-        rel = abs(fit.coefficients[2] - target) / abs(target)
-        if rel > mpmath.mpf(10) ** -6:
-            return f"spectral a_2 off by {mpmath.nstr(rel, 3)} relative"
-
-
-QUICK_CHECKS = [
-    ("a1-closed-form-identity", _check_a1_golden),
-    ("flat-zeros-n1-n2", lambda: _check_flat_zero([1, 2],
-                                                  [1, Fraction(7, 3)])),
-    ("sphere-a1-exact", _check_sphere_a1),
-    ("cross-path-equality", _check_cross_path),
-    ("curvature-path-equality", _check_curvature_path),
-    ("commutator-three-way", _check_commutator),
-    ("scaling-rotation-homogeneity", _check_scaling_and_rotation),
-]
-
-FULL_CHECKS = QUICK_CHECKS + [
-    ("flat-zero-n3", _check_flat_zero_n3),
-    ("sphere-a2-spectral-fit", _check_sphere_a2_spectral),
-]
-
-
 def _cmd_verify(args) -> int:
-    checks = FULL_CHECKS if args.level == "full" else QUICK_CHECKS
+    from .acceptance import CRITERIA
+    # quick leaves out criterion 4, the one floating-point check
+    criteria = [c for c in CRITERIA if args.level == "full" or c.number != 4]
     failures = 0
-    for name, check in checks:
+    for criterion in criteria:
+        start = time.perf_counter()
         try:
-            detail = check()
+            detail = criterion.check()
         except Exception as exc:  # a crash is a failure, not an abort
             detail = f"{type(exc).__name__}: {exc}"
+        elapsed = f"({time.perf_counter() - start:.2f}s)"
         if detail is None:
-            print(f"PASS {name}")
+            print(f"PASS {criterion.name} {elapsed}")
         else:
             failures += 1
-            print(f"FAIL {name}: {detail}")
-    print(f"{len(checks) - failures}/{len(checks)} criteria passed")
+            print(f"FAIL {criterion.name} {elapsed}: {detail}")
+    print(f"{len(criteria) - failures}/{len(criteria)} criteria passed")
     return 4 if failures else 0
 
 

@@ -5,12 +5,16 @@ has nonvanishing Jacobian, the shifted functions z = K - K(0) and
 w = Delta K - (Delta K)(0) serve as coordinates, and the frozen Laplacian
 is encoded by three scalars at the point:
 
-    2E = -Delta(z^2),   2F = -Delta(z w),   2G = -Delta(w^2),
+    2E = -Delta(z^2),   2F = -Delta(z w),   2G = -Delta(w^2).
 
-equivalently E = |grad K|^2 / rho, F = <grad K, grad Delta K> / rho,
-G = |grad Delta K|^2 / rho at the origin.  The heat coefficients then take
-a coordinate-free shape: the same weights as the direct path, with each
-monomial u^(2k-2n-2s) v^(2s) replaced by
+Since z and w vanish at the origin, these are gradients there:
+E = |grad K|^2 / rho, F = <grad K, grad Delta K> / rho and
+G = |grad Delta K|^2 / rho, read off the first-order coefficients of the K
+and Delta K jets.  ``frame_via_identities`` recomputes E, F and G from the
+expanded product-rule identities as an independent check.
+
+The heat coefficients then take a coordinate-free shape: the same weights
+as the direct path, with each monomial u^(2k-2n-2s) v^(2s) replaced by
 
     sum_p (-1)^p C(2s, p) E^(n-k+p) F^(2s-p) (EG - F^2)^(-s) z^(2k-2n-p) w^p,
 
@@ -53,15 +57,10 @@ class CurvatureFrame:
 
 
 def _curvature_jets(rho: Jet2D):
-    """(K jet, Delta K jet, shifted z and w jets) for a concrete metric."""
+    """(Laplacian of rho, K jet, Delta K jet) for a concrete metric."""
     lap = ConformalLaplacian(rho)
     k = gaussian_curvature_jet(rho)
-    dk = lap.apply(k)
-    k0 = Fraction(k.constant_term())
-    dk0 = Fraction(dk.constant_term())
-    z = k - Jet2D.constant(k0, k.order)
-    w = dk - Jet2D.constant(dk0, dk.order)
-    return lap, k, dk, k0, dk0, z, w
+    return lap, k, lap.apply(k)
 
 
 def _frame_and_coordinates(rho: Jet2D):
@@ -72,30 +71,42 @@ def _frame_and_coordinates(rho: Jet2D):
         raise OrderExhausted(
             f"curvature frame needs a jet of order >= {FRAME_MIN_ORDER}, "
             f"got {rho.order}")
-    lap, k, dk, k0, dk0, z, w = _curvature_jets(rho)
-    e = -Fraction(lap.apply(z * z).constant_term()) / 2
-    f = -Fraction(lap.apply(z * w).constant_term()) / 2
-    g = -Fraction(lap.apply(w * w).constant_term()) / 2
-    jac = (Fraction(k.coefficient(1, 0)) * Fraction(dk.coefficient(0, 1))
-           - Fraction(k.coefficient(0, 1)) * Fraction(dk.coefficient(1, 0)))
-    frame = CurvatureFrame(k0=k0, dk0=dk0, e=e, f=f, g=g, jacobian=jac,
+    lap, k, dk = _curvature_jets(rho)
+    k0 = Fraction(k.constant_term())
+    dk0 = Fraction(dk.constant_term())
+    ku, kv = Fraction(k.coefficient(1, 0)), Fraction(k.coefficient(0, 1))
+    du, dv = Fraction(dk.coefficient(1, 0)), Fraction(dk.coefficient(0, 1))
+    rho0 = Fraction(rho.constant_term())
+    jac = ku * dv - kv * du
+    frame = CurvatureFrame(k0=k0, dk0=dk0, e=(ku * ku + kv * kv) / rho0,
+                           f=(ku * du + kv * dv) / rho0,
+                           g=(du * du + dv * dv) / rho0, jacobian=jac,
                            degenerate=jac == 0)
+    z = k - Jet2D.constant(k0, k.order)
+    w = dk - Jet2D.constant(dk0, dk.order)
     return frame, lap, z, w
 
 
 def curvature_frame(rho: Jet2D) -> CurvatureFrame:
-    """E, F, G and the degeneracy predicate, all exact, at the origin."""
-    return _frame_and_coordinates(rho)[0]
+    """E, F, G and the degeneracy predicate, all exact, at the origin.
+
+    The frame reads K and Delta K to first order only, so it is computed
+    from rho truncated to FRAME_MIN_ORDER whatever the order of the input.
+    """
+    return _frame_and_coordinates(
+        rho.truncate(min(rho.order, FRAME_MIN_ORDER)))[0]
 
 
 def frame_via_identities(rho: Jet2D):
     """(E, F, G) recomputed from the expanded product-rule identities.
 
     2E = 2 K DK - Delta(K^2), 2F = K D^2K + (DK)^2 - Delta(K DK),
-    2G = 2 DK D^2K - Delta((DK)^2), all at the origin; used to verify the
-    defining route term by term.
+    2G = 2 DK D^2K - Delta((DK)^2), all at the origin; an independent check
+    of the gradient formulas of the frame, which share only K and DK.
     """
-    lap, k, dk, k0, dk0, _, _ = _curvature_jets(rho)
+    lap, k, dk = _curvature_jets(rho)
+    k0 = Fraction(k.constant_term())
+    dk0 = Fraction(dk.constant_term())
     d2k0 = Fraction(lap.apply(dk).constant_term())
     e = (2 * k0 * dk0 - Fraction(lap.apply(k * k).constant_term())) / 2
     f = (k0 * d2k0 + dk0 ** 2

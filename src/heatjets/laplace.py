@@ -70,6 +70,20 @@ class FrozenLaplacian:
 
 
 def gaussian_curvature_jet(rho: Jet2D) -> Jet2D:
-    """Jet of the Gaussian curvature K = (1/2) Delta log rho; order drops by 2."""
-    lap = ConformalLaplacian(rho)
-    return lap.apply(rho.log_nonconstant()) * Fraction(1, 2)
+    """Jet of the Gaussian curvature K = (1/2) Delta log rho; order drops by 2.
+
+    Computed without a log series as
+
+        K = (rho_u^2 + rho_v^2 - rho (rho_uu + rho_vv)) / (2 rho^3),
+
+    with every product capped at the order of the result, so one Newton
+    inverse of rho is all it needs.
+    """
+    ru, rv = rho.diff(1, 0), rho.diff(0, 1)
+    flat = rho.diff(2, 0) + rho.diff(0, 2)
+    cap = flat.order
+    num = (ru._mul_capped(ru, cap) + rv._mul_capped(rv, cap)
+           - rho._mul_capped(flat, cap))
+    inv = rho.inverse(cap)
+    inv3 = inv._mul_capped(inv, cap)._mul_capped(inv, cap)
+    return num._mul_capped(inv3, cap) * Fraction(1, 2)

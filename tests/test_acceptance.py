@@ -1,184 +1,32 @@
-"""Acceptance criteria for the package, one test per criterion.
+"""The acceptance criteria of ``heatjets.acceptance``, one test each.
 
 Each test prints a single CRITERION line (PASS or FAIL) and enforces its
-runtime budget.  Everything except the spectral fit is exact arithmetic.
+runtime budget.  ``heatinv verify`` runs the same registry.
 """
 
-import functools
-import random
 import time
-from fractions import Fraction
 
 import pytest
 
 from conftest import emit
 
-from heatjets.commutator import (
-    RationalMatrix,
-    filtration_vectors,
-    x_operator_by_sum,
-    x_operator_closed,
-    x_operator_recurrence,
-)
-from heatjets.curvature import curvature_frame, heat_invariant_curvature_form
-from heatjets.errors import DegenerateCurvatureCoordinates
-from heatjets.heatinv import (
-    heat_invariant,
-    heat_invariant_via_frozen,
-    render_closed_form,
-    render_pi_scaled,
-    symbolic_heat_invariant,
-)
-from heatjets.jets import Jet2D
-from heatjets.metrics import expand_metric, parse_metric_spec
-from heatjets.oracle import SphereSpectrum, fit_diagonal_coefficients, golden_a1
-from heatjets.rhopoly import PiScaled, mono_degree, mono_weight
-
-UNIT_SPHERE = '{"kind":"sphereStereographic","R":"1"}'
+from heatjets.acceptance import CRITERIA
 
 
-def criterion(number, name, budget_seconds):
-    """Wrap a test: report one PASS/FAIL line and enforce the time budget."""
-    def wrap(fn):
-        @functools.wraps(fn)
-        def inner(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                fn(*args, **kwargs)
-                elapsed = time.perf_counter() - start
-                assert elapsed < budget_seconds, \
-                    f"budget {budget_seconds}s exceeded: {elapsed:.2f}s"
-            except BaseException:
-                emit(f"CRITERION {number} [{name}]: FAIL")
-                raise
-            emit(f"CRITERION {number} [{name}]: PASS "
-                 f"({elapsed:.2f}s / {budget_seconds}s)")
-        return inner
-    return wrap
-
-
-def random_jet(rng, order=16):
-    coeffs = {}
-    for a in range(order + 1):
-        for b in range(order + 1 - a):
-            coeffs[(a, b)] = Fraction(rng.randint(-30, 30),
-                                      rng.randint(1, 10))
-    coeffs[(0, 0)] = abs(coeffs[(0, 0)]) + 1
-    return Jet2D(coeffs, order=order)
-
-
-def sphere_jet(order):
-    rho = expand_metric(parse_metric_spec(UNIT_SPHERE), order)
-    assert rho.coefficient(0, 0) == 4
-    return rho
-
-
-@criterion(1, "a1 closed form equals the classical formula", 1.0)
-def test_criterion_1_a1_golden_identity():
-    poly, pi_power = golden_a1()
-    form = symbolic_heat_invariant(1).form
-    assert form.pi_power == pi_power
-    assert form.poly == poly
-    assert render_closed_form(form) == \
-        "(rho_u^2 + rho_v^2 - rho*rho_uu - rho*rho_vv) / (24*pi*rho^3)"
-
-
-@criterion(2, "flat metrics have vanishing invariants", 10.0)
-def test_criterion_2_flat_zeros():
-    for c in (Fraction(1), Fraction(7, 3)):
-        for n in (1, 2, 3):
-            rho = Jet2D.constant(c, 8 * n)
-            value = heat_invariant(n, rho).form
-            assert value == PiScaled(Fraction(0)), (n, c)
-
-
-@criterion(3, "unit sphere a1 = 1/(12 pi) exactly", 5.0)
-def test_criterion_3_sphere_a1():
-    value = heat_invariant(1, sphere_jet(8)).form
-    assert value == PiScaled(Fraction(1, 12), 1)
-    assert render_pi_scaled(value) == "1/(12*pi)"
-
-
-@criterion(4, "sphere a2 matches the spectral fit to 1e-6", 120.0)
-def test_criterion_4_sphere_a2_spectral():
-    import mpmath
-
-    exact = heat_invariant(2, sphere_jet(16)).form
-    fit = fit_diagonal_coefficients(SphereSpectrum(Fraction(1)), n_terms=3)
-    with mpmath.workdps(40):
-        target = (mpmath.mpf(exact.q.numerator) / exact.q.denominator
-                  / mpmath.pi ** exact.pi_power)
-        rel = abs(fit.coefficients[2] - target) / abs(target)
-        assert rel < mpmath.mpf(10) ** -6, mpmath.nstr(rel, 5)
-
-
-@criterion(5, "direct and frozen-operator paths agree on 20 random jets",
-           300.0)
-def test_criterion_5_cross_path_equality():
-    rng = random.Random(5001)
-    for _ in range(20):
-        rho = random_jet(rng, order=16)
-        for n in (1, 2):
-            work = rho.truncate(8 * n)
-            assert heat_invariant(n, work).form == \
-                heat_invariant_via_frozen(n, work).form
-
-
-@criterion(6, "curvature-coordinate path agrees and rejects degeneracy",
-           120.0)
-def test_criterion_6_curvature_form():
-    rng = random.Random(6001)
-    checked = 0
-    while checked < 5:
-        rho = random_jet(rng, order=14)
-        if curvature_frame(rho).degenerate:
-            continue
-        checked += 1
-        assert heat_invariant_curvature_form(1, rho).form == \
-            heat_invariant(1, rho.truncate(8)).form
-    with pytest.raises(DegenerateCurvatureCoordinates):
-        heat_invariant_curvature_form(1, sphere_jet(14))
-
-
-@criterion(7, "commutator operator definitions are equivalent", 30.0)
-def test_criterion_7_commutator_three_way():
-    rng = random.Random(7001)
-    b = RationalMatrix.random(4, rng)
-    a = RationalMatrix.random(4, rng)
-    for m in range(1, 6):
-        by_sum = x_operator_by_sum(b, a, m)
-        rec = x_operator_recurrence(b, a, m)
-        closed = x_operator_closed(b, a, m)
-        assert by_sum == rec == closed, m
-    for m in range(6, 9):
-        assert x_operator_recurrence(b, a, m) == \
-            x_operator_closed(b, a, m), m
-    for m in range(1, 11):
-        assert len(set(filtration_vectors(m))) == 2 ** (m - 1), m
-
-
-@criterion(8, "scaling covariance, rotation invariance, 2n-homogeneity",
-           300.0)
-def test_criterion_8_structural_properties():
-    rng = random.Random(8001)
-    for n in (1, 2):
-        rho = random_jet(rng, order=8 * n)
-        base = heat_invariant(n, rho).form
-        for c in (Fraction(2), Fraction(3, 5)):
-            scaled = heat_invariant(n, rho * c).form
-            assert scaled == base * (Fraction(1) / c ** n), (n, c)
-        rotated = rho.compose_linear(Fraction(3, 5), Fraction(-4, 5),
-                                     Fraction(4, 5), Fraction(3, 5))
-        assert heat_invariant(n, rotated).form == base, n
-        form = symbolic_heat_invariant(n).form
-        weights = {mono_weight(m) for m in form.poly.num}
-        degrees = {form.poly.den - mono_degree(m) for m in form.poly.num}
-        assert weights == {2 * n}, n
-        assert degrees == {n}, n
-
-
-@criterion(9, "symbolic a2 for a generic metric", 60.0)
-def test_criterion_9_symbolic_a2_performance():
-    form = symbolic_heat_invariant(2).form
-    assert form.poly.num, "a2 must be a nonzero polynomial"
-    assert {mono_weight(m) for m in form.poly.num} == {4}
+@pytest.mark.parametrize("criterion", CRITERIA,
+                         ids=lambda c: f"{c.number}-{c.name}")
+def test_criterion(criterion):
+    number, name, budget, check = criterion
+    start = time.perf_counter()
+    try:
+        detail = check()
+    except BaseException:
+        emit(f"CRITERION {number} [{name}]: FAIL")
+        raise
+    elapsed = time.perf_counter() - start
+    if detail is None and elapsed >= budget:
+        detail = f"budget {budget}s exceeded: {elapsed:.2f}s"
+    if detail is not None:
+        emit(f"CRITERION {number} [{name}]: FAIL")
+        pytest.fail(detail)
+    emit(f"CRITERION {number} [{name}]: PASS ({elapsed:.2f}s / {budget}s)")

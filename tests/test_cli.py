@@ -211,6 +211,28 @@ def test_verify_quick(capsys):
     assert lines[-1].endswith("criteria passed")
 
 
+def test_verify_failures_exit_four(capsys, monkeypatch):
+    from heatjets import acceptance
+
+    def crash():
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (
+        acceptance.Criterion(1, "passes", 1.0, lambda: None),
+        acceptance.Criterion(2, "fails", 1.0, lambda: "wrong value"),
+        acceptance.Criterion(3, "raises", 1.0, crash),
+    ))
+    code, out, _ = run(capsys, ["verify", "--level", "full"])
+    assert code == 4
+    passed, failed, crashed, summary = out.splitlines()
+    assert passed.startswith("PASS passes (") and passed.endswith("s)")
+    assert failed.startswith("FAIL fails (")
+    assert failed.endswith("): wrong value")
+    assert crashed.startswith("FAIL raises (")
+    assert crashed.endswith("): ZeroDivisionError: boom")
+    assert summary == "1/3 criteria passed"
+
+
 def test_missing_n_flag_exits_two(metric_file):
     with pytest.raises(SystemExit) as err:
         main(["compute", "--metric", metric_file(SPHERE)])

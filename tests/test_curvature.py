@@ -1,6 +1,7 @@
 """Curvature frames, degeneracy detection, and the invariant-path equality."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from heatjets.errors import (DegenerateCurvatureCoordinates, IndexOutOfRange,
 from heatjets.heatinv import (generic_rho_jet, heat_invariant,
                               heat_invariant_via_frozen)
 from heatjets.jets import Jet2D
+from heatjets.laplace import ConformalLaplacian
 
 
 def sphere_rho(radius, order):
@@ -106,6 +108,30 @@ def test_curvature_path_matches_direct_path_n2():
     assert value == heat_invariant(2, rho).form
     # eq310 shares no pipeline with the two nested routes
     assert value == heat_invariant_via_frozen(2, rho.truncate(16)).form
+
+
+def test_curvature_route_counts(monkeypatch):
+    # K needs one Newton inverse and no Laplacian, the Laplacian one more
+    # inverse; Delta K is one application and the nested a_n sum 4n.
+    calls = Counter()
+
+    def count(cls, name):
+        original = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+
+    count(Jet2D, "inverse")
+    count(Jet2D, "log_nonconstant")
+    count(ConformalLaplacian, "apply")
+    rng = random.Random(2024)
+    for n in (1, 2):
+        calls.clear()
+        heat_invariant_curvature_form(n, random_jet(rng, order=8 * n + 6))
+        assert calls == {"inverse": 2, "apply": 1 + 4 * n}
+        assert calls["log_nonconstant"] == 0
 
 
 def test_frame_conformal_factor_values():
