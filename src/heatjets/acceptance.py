@@ -185,7 +185,7 @@ def _curvature_closed_forms():
         rho = _random_jet(rng, order=24)
         low = rho.truncate(6)
         lap = ConformalLaplacian(low)
-        k = gaussian_curvature_jet(low)
+        k = gaussian_curvature_jet(low, lap)
         dk = lap.apply(k)
         k0, dk0 = Fraction(k.constant_term()), Fraction(dk.constant_term())
         d2k0 = Fraction(lap.apply(dk).constant_term())

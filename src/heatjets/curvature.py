@@ -13,13 +13,13 @@ G = |grad Delta K|^2 / rho, read off the first-order coefficients of the K
 and Delta K jets.  ``frame_via_identities`` recomputes E, F and G from the
 expanded product-rule identities as an independent check.
 
-The heat coefficients then take a coordinate-free shape: the same weights
-as the direct path, with each monomial u^(2k-2n-2s) v^(2s) replaced by
+The heat coefficients then take a coordinate-free shape.  With
+rho_0 = 1/E, the polynomials P_k of the direct path pulled back along
 
-    sum_p (-1)^p C(2s, p) E^(n-k+p) F^(2s-p) (EG - F^2)^(-s) z^(2k-2n-p) w^p,
+    u^2 -> z^2,   v^2 -> (F z - E w)^2 / (EG - F^2)
 
-so that a_n is again sum_k Delta^k P_k at the origin for polynomials P_k in
-z and w, evaluated by the same Horner-nested pipeline as the direct path.
+give a_n = sum_k Delta^k P_k at the origin again, now polynomials in z and
+w, evaluated by the same Horner-nested pipeline as the direct path.
 
 Negative E powers live in the rational fraction field, so this path applies
 to concrete rational jets only.  Degeneracy (vanishing Jacobian: constant
@@ -31,12 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .errors import (DegenerateCurvatureCoordinates, IndexOutOfRange,
                      OrderExhausted, SingularFrame)
-from .heatinv import (HeatInvariantResult, _nested_laplacian_sum,
-                      _weight_table)
+from .heatinv import (HeatInvariantResult, _monomial_terms,
+                      _nested_laplacian_sum)
 from .jets import Jet2D
 from .laplace import ConformalLaplacian, gaussian_curvature_jet
 from .rhopoly import PiScaled, RhoPoly
@@ -59,7 +58,7 @@ class CurvatureFrame:
 def _curvature_jets(rho: Jet2D):
     """(Laplacian of rho, K jet, Delta K jet) for a concrete metric."""
     lap = ConformalLaplacian(rho)
-    k = gaussian_curvature_jet(rho)
+    k = gaussian_curvature_jet(rho, lap)
     return lap, k, lap.apply(k)
 
 
@@ -138,7 +137,8 @@ def heat_invariant_curvature_form(n: int, rho: Jet2D) -> HeatInvariantResult:
         raise OrderExhausted(
             f"curvature-form a_{n} needs a jet of order >= {required}, "
             f"got {rho.order}")
-    frame, lap, z, w = _frame_and_coordinates(rho)
+    # z and w are read to degree 8n only: K to order 8n + 2, rho to 8n + 4.
+    frame, lap, z, w = _frame_and_coordinates(rho.truncate(8 * n + 4))
     if frame.degenerate:
         raise DegenerateCurvatureCoordinates(
             "the (K, Delta K) Jacobian vanishes at the origin")
@@ -146,28 +146,24 @@ def heat_invariant_curvature_form(n: int, rho: Jet2D) -> HeatInvariantResult:
     disc = e * frame.g - f ** 2
     if not e or not disc:
         raise SingularFrame("E = 0 or EG - F^2 = 0 at the origin")
-    weights = _weight_table(n)
+    monomials = _monomial_terms(n, 1 / e)
+    # Powers (u^2)^j and (v^2)^j, j <= 3n, pulled back; Delta^k only consumes
+    # P_k to order 2k <= 8n, and z, x have valuation >= 1.
+    cap = 8 * n
+    z, x = z.truncate(cap), z * f - w * e
+    u_sq = [Jet2D.constant(Fraction(1), cap), z._mul_capped(z, cap)]
+    v_sq = [u_sq[0], x._mul_capped(x, cap) * (1 / disc)]
+    for _ in range(3 * n - 1):
+        u_sq.append(u_sq[-1]._mul_capped(u_sq[1], cap))
+        v_sq.append(v_sq[-1]._mul_capped(v_sq[1], cap))
 
     def term(k):
-        # Delta^k only consumes jets to order 2k, so all powers are built
-        # with products capped there; z and w have valuation >= 1, keeping
-        # every intermediate trusted far enough.
         cap = 2 * k
-        zt, wt = z.truncate(cap), w.truncate(cap)
-        one = Jet2D.constant(Fraction(1), cap)
-        zpow, wpow = [one], [one]
-        for _ in range(2 * (k - n)):
-            zpow.append(zpow[-1]._mul_capped(zt, cap))
-            wpow.append(wpow[-1]._mul_capped(wt, cap))
         p_k = Jet2D.zero(cap)
-        for p in range(2 * (k - n) + 1):
-            c = sum(((-1) ** p * comb(2 * s, p) * w_ks
-                     * e ** (n - k + p) * f ** (2 * s - p) / disc ** s
-                     for s, w_ks in enumerate(weights[k - n - 1])
-                     if 2 * s >= p), Fraction(0))
-            if c:
-                mono = zpow[2 * k - 2 * n - p]._mul_capped(wpow[p], cap)
-                p_k = p_k + mono * c
+        for (a, b), c in monomials(k).coeffs.items():
+            mono = u_sq[a // 2].truncate(cap)._mul_capped(
+                v_sq[b // 2].truncate(cap), cap)
+            p_k = p_k + mono * c
         return p_k
 
     total = _nested_laplacian_sum(lap, n, term)

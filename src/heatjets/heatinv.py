@@ -82,12 +82,27 @@ def _weight_table(n: int) -> tuple:
         for k in range(n + 1, 4 * n + 1))
 
 
+def _monomial_terms(n: int, rho0):
+    """k -> P_k = sum_s w_ks rho0^(k-n) u^(2k-2n-2s) v^(2s), a jet of order 2k.
+
+    The polynomials that eq311 feeds to ``_nested_laplacian_sum``; the
+    curvature route pulls the same P_k back to curvature coordinates.
+    """
+    weights = _weight_table(n)
+
+    def term(k):
+        scale = rho0 ** (k - n)
+        return Jet2D({(2 * k - 2 * n - 2 * s, 2 * s): scale * w
+                      for s, w in enumerate(weights[k - n - 1])}, 2 * k)
+    return term
+
+
 def _nested_laplacian_sum(lap: ConformalLaplacian, n: int, term):
     """(sum_{k=n+1..4n} Delta^k P_k)(0) with P_k = term(k), a jet of order 2k.
 
     By linearity the sum equals Delta^(n+1) Q at the origin, where
     Q = P_(n+1) + Delta(P_(n+2) + Delta(... + Delta P_(4n))): 4n
-    applications of Delta.  Each P_k has degree 2k - 2n and order 2k, so
+    applications of Delta.  Each P_k has valuation >= 2k - 2n and order 2k, so
     every intermediate keeps the band order - valuation <= 2n and 1/rho is
     never needed beyond degree 2n.
     """
@@ -162,14 +177,7 @@ def heat_invariant(n: int, rho: Jet2D) -> HeatInvariantResult:
     if n < 1:
         raise IndexOutOfRange(f"heat_invariant needs n >= 1, got {n}")
     _require_order(n, rho)
-    rho0 = rho.constant_term()
-    weights = _weight_table(n)
-
-    def term(k):
-        scale = rho0 ** (k - n)
-        return Jet2D({(2 * k - 2 * n - 2 * s, 2 * s): scale * w
-                      for s, w in enumerate(weights[k - n - 1])}, 2 * k)
-
+    term = _monomial_terms(n, rho.constant_term())
     total = _nested_laplacian_sum(ConformalLaplacian(rho), n, term)
     return _wrap(n, total, _is_symbolic(rho), rho.order, "eq311")
 

@@ -15,6 +15,8 @@ intermediate jet bounded, so the product (1/rho) * (f_uu + f_vv) only
 consumes the reciprocal up to degree order(result) - valuation(f_uu + f_vv).
 ``ConformalLaplacian`` therefore inverts rho only to the largest degree asked
 for so far (by ``Jet2D.inverse``) and truncates that jet for smaller requests.
+``gaussian_curvature_jet`` can borrow that cache, so a caller that needs K and
+Delta K inverts rho once.
 """
 
 from __future__ import annotations
@@ -69,21 +71,22 @@ class FrozenLaplacian:
         return f
 
 
-def gaussian_curvature_jet(rho: Jet2D) -> Jet2D:
+def gaussian_curvature_jet(rho: Jet2D,
+                           lap: ConformalLaplacian | None = None) -> Jet2D:
     """Jet of the Gaussian curvature K = (1/2) Delta log rho; order drops by 2.
 
-    Computed without a log series as
+    Computed without a log series in divergence form,
 
-        K = (rho_u^2 + rho_v^2 - rho (rho_uu + rho_vv)) / (2 rho^3),
+        K = -(1/(2 rho)) (d_u(rho_u / rho) + d_v(rho_v / rho)),
 
-    with every product capped at the order of the result, so one Newton
-    inverse of rho is all it needs.
+    with three products, each capped at the order of its result.  1/rho is
+    taken from `lap`, a Laplacian of the same rho, so that a caller which
+    also applies Delta inverts rho once; without `lap` a fresh one is built.
     """
     ru, rv = rho.diff(1, 0), rho.diff(0, 1)
-    flat = rho.diff(2, 0) + rho.diff(0, 2)
-    cap = flat.order
-    num = (ru._mul_capped(ru, cap) + rv._mul_capped(rv, cap)
-           - rho._mul_capped(flat, cap))
-    inv = rho.inverse(cap)
-    inv3 = inv._mul_capped(inv, cap)._mul_capped(inv, cap)
-    return num._mul_capped(inv3, cap) * Fraction(1, 2)
+    cap = ru.order
+    inv = (lap or ConformalLaplacian(rho)).inverse_factor(cap)
+    div = (ru._mul_capped(inv, cap).diff(1, 0)
+           + rv._mul_capped(inv, cap).diff(0, 1))
+    cap = div.order
+    return inv.truncate(cap)._mul_capped(div, cap) * Fraction(-1, 2)

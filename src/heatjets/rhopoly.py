@@ -128,9 +128,6 @@ class RhoPoly:
     def one(cls):
         return cls.const(1)
 
-    def one_like(self):
-        return RhoPoly.one()
-
     # -- ring structure ----------------------------------------------------
 
     @staticmethod

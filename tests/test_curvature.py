@@ -111,8 +111,10 @@ def test_curvature_path_matches_direct_path_n2():
 
 
 def test_curvature_route_counts(monkeypatch):
-    # K needs one Newton inverse and no Laplacian, the Laplacian one more
-    # inverse; Delta K is one application and the nested a_n sum 4n.
+    # K and the Laplacian share one Newton inverse; Delta K is one
+    # application and the nested a_n sum 4n.  The jet products are those of
+    # the inverse, K, the power table of the two pulled-back images, the
+    # pulled-back monomials and the applications.
     calls = Counter()
 
     def count(cls, name):
@@ -125,12 +127,14 @@ def test_curvature_route_counts(monkeypatch):
 
     count(Jet2D, "inverse")
     count(Jet2D, "log_nonconstant")
+    count(Jet2D, "_mul_capped")
     count(ConformalLaplacian, "apply")
     rng = random.Random(2024)
-    for n in (1, 2):
+    for n, products in ((1, 31), (2, 61)):
         calls.clear()
         heat_invariant_curvature_form(n, random_jet(rng, order=8 * n + 6))
-        assert calls == {"inverse": 2, "apply": 1 + 4 * n}
+        assert calls == {"inverse": 1, "apply": 1 + 4 * n,
+                         "_mul_capped": products}
         assert calls["log_nonconstant"] == 0
 
 

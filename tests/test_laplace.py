@@ -1,5 +1,6 @@
 """Conformal and frozen Laplacian behavior on exact jets."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -116,3 +117,23 @@ def test_reciprocal_linear_curvature():
     k = gaussian_curvature_jet(rho)
     expected = ell.inverse(order=4) * Fraction(-34, 2)
     assert k == expected
+
+
+def test_curvature_matches_its_definition():
+    # K = (1/2) Delta log rho, with the log series as the reference
+    rng = random.Random(88)
+    for order in (2, 3, 5, 8, 14):
+        coeffs = {(a, b): Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                  for a in range(order + 1) for b in range(order + 1 - a)}
+        coeffs[(0, 0)] = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        rho = Jet2D(coeffs, order)
+        lap = ConformalLaplacian(rho)
+        k = gaussian_curvature_jet(rho)
+        assert k == lap.apply(rho.log_nonconstant()) * Fraction(1, 2)
+        assert gaussian_curvature_jet(rho, lap) == k
+
+
+def test_curvature_needs_order_two():
+    for order in (0, 1):
+        with pytest.raises(OrderExhausted):
+            gaussian_curvature_jet(Jet2D.constant(Fraction(2), order))
