@@ -18,6 +18,7 @@ from heatjets import (
     heat_invariant,
     parse_metric_spec,
     render_pi_scaled,
+    required_order,
 )
 
 
@@ -26,7 +27,8 @@ def exact_values(radius):
                               "R": str(radius)})
     values = [WEYL_A0]
     for n in (1, 2):
-        values.append(heat_invariant(n, expand_metric(spec, 8 * n)).form)
+        rho = expand_metric(spec, required_order(n, "eq311"))
+        values.append(heat_invariant(n, rho).form)
     return values
 
 

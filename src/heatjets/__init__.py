@@ -48,6 +48,7 @@ from .heatinv import (
     parse_closed_form_json,
     render_closed_form,
     render_pi_scaled,
+    required_order,
     symbolic_heat_invariant,
 )
 from .jets import Jet2D
@@ -109,6 +110,7 @@ __all__ = [
     "parse_metric_spec",
     "render_closed_form",
     "render_pi_scaled",
+    "required_order",
     "sphere_heat_trace",
     "symbolic_heat_invariant",
     "x_operator_by_sum",

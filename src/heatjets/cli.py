@@ -19,6 +19,7 @@ import sys
 import time
 
 from .curvature import (
+    FRAME_MIN_ORDER,
     curvature_frame,
     heat_invariant_curvature_form,
 )
@@ -35,12 +36,13 @@ from .errors import (
 )
 from .heatinv import (
     WEYL_A0,
+    generic_rho_jet,
     heat_invariant,
     heat_invariant_via_frozen,
     render_closed_form,
     render_pi_scaled,
     closed_form_to_json,
-    symbolic_heat_invariant,
+    required_order,
 )
 from .jets import Jet2D
 from .metrics import expand_metric, load_metric_spec
@@ -72,8 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", dest="ns", action="append", type=int,
                    required=True, metavar="N",
                    help="coefficient index; repeatable")
-    c.add_argument("--mode", choices=("symbolic", "numeric"),
-                   help="default: numeric with --metric, else symbolic")
     c.add_argument("--path", choices=("eq311", "eq310", "curvature"),
                    default="eq311",
                    help="evaluation route (default eq311)")
@@ -100,12 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 # -- compute -----------------------------------------------------------------
 
-def _needed_order(n: int, path: str) -> int:
-    if n == 0:
-        return 0
-    return 8 * n + (6 if path == "curvature" else 0)
-
-
 def _expand_for(args, needed: int) -> Jet2D:
     spec = load_metric_spec(args.metric)
     if args.jet_order is not None:
@@ -129,45 +123,37 @@ def _cmd_compute(args) -> int:
     ns = args.ns
     if any(n < 0 for n in ns):
         raise UsageError("--n must be nonnegative")
-    mode = args.mode or ("numeric" if args.metric else "symbolic")
+    mode = "numeric" if args.metric else "symbolic"
     if mode == "symbolic":
-        if args.metric:
-            raise UsageError(
-                "symbolic mode takes no --metric; the conformal factor "
-                "is fully generic")
         if args.path == "curvature":
             raise UsageError("the curvature path needs a concrete metric")
         if args.approx is not None:
             raise UsageError("--approx applies to numeric results only")
         if args.jet_order is not None:
             raise UsageError("--jet-order applies to concrete metrics only")
-    else:
-        if not args.metric:
-            raise UsageError("numeric mode requires --metric")
     if args.approx is not None and args.approx < 1:
         raise UsageError("--approx needs at least one digit")
 
-    rho = None
-    if mode == "numeric":
-        needed = max(_needed_order(n, args.path) for n in ns)
-        rho = _expand_for(args, needed)
+    if args.metric:
+        rho = _expand_for(args, max(required_order(n, args.path) for n in ns))
 
     results = []
     for n in ns:
         start = time.perf_counter()
         if n == 0:
             value, order = WEYL_A0, 0
-        elif mode == "symbolic":
-            res = symbolic_heat_invariant(n, via_frozen=args.path == "eq310")
-            value, order = res.form, res.truncation_order
         else:
-            work = rho.truncate(min(_needed_order(n, args.path), rho.order))
+            order = required_order(n, args.path)
+            jet = (rho.truncate(min(order, rho.order)) if args.metric
+                   else generic_rho_jet(order))
+            # called by module-level name, so a wrapper put in place of a
+            # route sees every call
             if args.path == "eq311":
-                res = heat_invariant(n, work)
+                res = heat_invariant(n, jet)
             elif args.path == "eq310":
-                res = heat_invariant_via_frozen(n, work)
+                res = heat_invariant_via_frozen(n, jet)
             else:
-                res = heat_invariant_curvature_form(n, work)
+                res = heat_invariant_curvature_form(n, jet)
             value, order = res.form, res.truncation_order
         results.append((n, value, order, time.perf_counter() - start))
 
@@ -203,8 +189,7 @@ def _cmd_compute(args) -> int:
 # -- curvature ---------------------------------------------------------------
 
 def _cmd_curvature(args) -> int:
-    needed = 8
-    frame = curvature_frame(_expand_for(args, needed))
+    frame = curvature_frame(_expand_for(args, FRAME_MIN_ORDER))
     print(f"K0 = {frame.k0}")
     print(f"DeltaK0 = {frame.dk0}")
     print(f"E = {frame.e}")

@@ -19,7 +19,10 @@ rho_0 = 1/E, the polynomials P_k of the direct path pulled back along
     u^2 -> z^2,   v^2 -> (F z - E w)^2 / (EG - F^2)
 
 give a_n = sum_k Delta^k P_k at the origin again, now polynomials in z and
-w, evaluated by the same Horner-nested pipeline as the direct path.
+w, evaluated by the same Horner-nested pipeline as the direct path.  The
+largest P_k has order 8n, so the route reads rho to the order
+``heatinv.required_order(n, "curvature")``; the frame alone reads rho to
+order FRAME_MIN_ORDER = 5 (Delta K to first order).
 
 Negative E powers live in the rational fraction field, so this path applies
 to concrete rational jets only.  Degeneracy (vanishing Jacobian: constant
@@ -35,12 +38,12 @@ from fractions import Fraction
 from .errors import (DegenerateCurvatureCoordinates, IndexOutOfRange,
                      OrderExhausted, SingularFrame)
 from .heatinv import (HeatInvariantResult, _monomial_terms,
-                      _nested_laplacian_sum)
+                      _nested_laplacian_sum, _require_order)
 from .jets import Jet2D
 from .laplace import ConformalLaplacian, gaussian_curvature_jet
 from .rhopoly import PiScaled, RhoPoly
 
-FRAME_MIN_ORDER = 8
+FRAME_MIN_ORDER = 5
 
 
 @dataclass(frozen=True)
@@ -127,25 +130,19 @@ def heat_invariant_curvature_form(n: int, rho: Jet2D) -> HeatInvariantResult:
     """a_n(origin) evaluated through curvature coordinates.
 
     Exactly equals the direct conformal-path value whenever the coordinates
-    exist; raises DegenerateCurvatureCoordinates or SingularFrame otherwise.
+    exist; raises DegenerateCurvatureCoordinates otherwise.  A nonzero
+    Jacobian makes E and EG - F^2 = (Jacobian / rho_0)^2 nonzero.
     """
     if n < 1:
         raise IndexOutOfRange(
             f"heat_invariant_curvature_form needs n >= 1, got {n}")
-    required = 8 * n + 6
-    if rho.order < required:
-        raise OrderExhausted(
-            f"curvature-form a_{n} needs a jet of order >= {required}, "
-            f"got {rho.order}")
-    # z and w are read to degree 8n only: K to order 8n + 2, rho to 8n + 4.
-    frame, lap, z, w = _frame_and_coordinates(rho.truncate(8 * n + 4))
+    order = _require_order(n, rho, "curvature")
+    frame, lap, z, w = _frame_and_coordinates(rho.truncate(order))
     if frame.degenerate:
         raise DegenerateCurvatureCoordinates(
             "the (K, Delta K) Jacobian vanishes at the origin")
     e, f = frame.e, frame.f
     disc = e * frame.g - f ** 2
-    if not e or not disc:
-        raise SingularFrame("E = 0 or EG - F^2 = 0 at the origin")
     monomials = _monomial_terms(n, 1 / e)
     # Powers (u^2)^j and (v^2)^j, j <= 3n, pulled back; Delta^k only consumes
     # P_k to order 2k <= 8n, and z, x have valuation >= 1.
@@ -168,4 +165,4 @@ def heat_invariant_curvature_form(n: int, rho: Jet2D) -> HeatInvariantResult:
 
     total = _nested_laplacian_sum(lap, n, term)
     return HeatInvariantResult(n=n, form=PiScaled(total, 1),
-                               truncation_order=rho.order, path="curvature")
+                               truncation_order=rho.order)

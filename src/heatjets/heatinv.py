@@ -11,7 +11,8 @@ with exact constants C_nksm that are rationals times 1/pi.  Feeding the
 fully generic conformal factor (Taylor coefficients as formal variables)
 through the same pipeline yields a_n as a closed-form rational polynomial
 in the metric derivatives; feeding a concrete rational jet yields an exact
-number q/pi.
+number q/pi.  a_n is a local invariant of weight 2n, so it reads the jet of
+rho only to order 2n; ``required_order`` states the order every route reads.
 
 An equivalent second route expands the resolvent around the origin-frozen
 Laplacian Delta_0 and sums binomially weighted mixed powers
@@ -142,28 +143,44 @@ class HeatInvariantResult:
     n: int
     form: object  # ClosedForm for a symbolic run, PiScaled for a numeric one
     truncation_order: int
-    path: str
 
 
 def _is_symbolic(rho: Jet2D) -> bool:
     return isinstance(rho.constant_term(), RhoPoly)
 
 
-def _wrap(n, total, symbolic, order, path) -> HeatInvariantResult:
+def _wrap(n, total, symbolic, order) -> HeatInvariantResult:
     if symbolic:
         # a vanishing constant term of a jet reads as the int 0
         form = ClosedForm(n=n, poly=total or RhoPoly.zero(), pi_power=1)
     else:
         form = PiScaled(total, 1)
-    return HeatInvariantResult(n=n, form=form, truncation_order=order,
-                               path=path)
+    return HeatInvariantResult(n=n, form=form, truncation_order=order)
 
 
-def _require_order(n: int, rho: Jet2D) -> None:
-    if rho.order < 8 * n:
+def required_order(n: int, path: str) -> int:
+    """The order of the jet of rho that route `path` reads for a_n.
+
+    a_n is a local invariant of weight 2n: every monomial of its closed form
+    has derivative weight 2n (Gilkey, J. Diff. Geom. 10 (1975)), and the
+    eq311 and eq310 pipelines invert rho to degree 2n and no further.  The
+    curvature route reads z = K - K(0) and w = Delta K - (Delta K)(0) to
+    degree 8n, the order of its largest P_k, hence K to order 8n + 2 and
+    rho to order 8n + 4.
+    """
+    if path == "curvature":
+        return 8 * n + 4
+    return 2 * n
+
+
+def _require_order(n: int, rho: Jet2D, path: str) -> int:
+    """required_order(n, path), after checking that `rho` carries it."""
+    order = required_order(n, path)
+    if rho.order < order:
         raise OrderExhausted(
-            f"a_{n} needs a conformal factor jet of order >= {8 * n}, "
-            f"got {rho.order}")
+            f"a_{n} on the {path} route needs a conformal factor jet of "
+            f"order >= {order}, got {rho.order}")
+    return order
 
 
 def heat_invariant(n: int, rho: Jet2D) -> HeatInvariantResult:
@@ -176,10 +193,10 @@ def heat_invariant(n: int, rho: Jet2D) -> HeatInvariantResult:
     """
     if n < 1:
         raise IndexOutOfRange(f"heat_invariant needs n >= 1, got {n}")
-    _require_order(n, rho)
+    _require_order(n, rho, "eq311")
     term = _monomial_terms(n, rho.constant_term())
     total = _nested_laplacian_sum(ConformalLaplacian(rho), n, term)
-    return _wrap(n, total, _is_symbolic(rho), rho.order, "eq311")
+    return _wrap(n, total, _is_symbolic(rho), rho.order)
 
 
 def heat_invariant_via_frozen(n: int, rho: Jet2D) -> HeatInvariantResult:
@@ -194,7 +211,7 @@ def heat_invariant_via_frozen(n: int, rho: Jet2D) -> HeatInvariantResult:
     """
     if n < 1:
         raise IndexOutOfRange(f"heat_invariant needs n >= 1, got {n}")
-    _require_order(n, rho)
+    _require_order(n, rho, "eq310")
     symbolic = _is_symbolic(rho)
     lap = ConformalLaplacian(rho)
     frozen = FrozenLaplacian(rho)
@@ -224,15 +241,12 @@ def heat_invariant_via_frozen(n: int, rho: Jet2D) -> HeatInvariantResult:
         total = RhoPoly.sum(parts)
     else:
         total = sum(parts, Fraction(0))
-    return _wrap(n, total, symbolic, rho.order, "eq310")
+    return _wrap(n, total, symbolic, rho.order)
 
 
-def symbolic_heat_invariant(n: int, via_frozen: bool = False) -> HeatInvariantResult:
-    """Closed-form a_n for the fully generic conformal factor."""
-    rho = generic_rho_jet(8 * n)
-    if via_frozen:
-        return heat_invariant_via_frozen(n, rho)
-    return heat_invariant(n, rho)
+def symbolic_heat_invariant(n: int) -> HeatInvariantResult:
+    """Closed-form a_n (eq311) for the fully generic conformal factor."""
+    return heat_invariant(n, generic_rho_jet(required_order(n, "eq311")))
 
 
 # -- rendering ---------------------------------------------------------------
@@ -308,9 +322,6 @@ def _monomial_str(indexed, latex: bool) -> str:
 
 
 def render_closed_form(form: ClosedForm, fmt: str = "plain") -> str:
-    if fmt == "json":
-        return json.dumps(closed_form_to_json(form), indent=None,
-                          separators=(", ", ": "))
     latex = fmt == "latex"
     if fmt not in ("plain", "latex"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -398,10 +409,8 @@ def parse_closed_form_json(doc) -> ClosedForm:
 
 def render_pi_scaled(value: PiScaled, fmt: str = "plain") -> str:
     """Exact numeric rendering, e.g. 1/(12*pi); pi is never expanded."""
-    if fmt == "json":
-        return json.dumps({"kind": "numeric", "q": str(value.q),
-                           "piPower": value.pi_power},
-                          separators=(", ", ": "))
+    if fmt not in ("plain", "latex"):
+        raise ValueError(f"unknown format {fmt!r}")
     if not value.q:
         return "0"
     p = value.q.numerator

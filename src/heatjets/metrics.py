@@ -15,7 +15,8 @@ Supported kinds:
 
 Named families expand to any requested order; an explicit jet carries only
 its declared order and can be zero-extended on request (which reads the
-spec as a polynomial conformal factor).
+spec as a polynomial conformal factor).  Every kind must give a conformal
+factor that is positive at the base point.
 """
 
 from __future__ import annotations
@@ -109,8 +110,9 @@ def parse_metric_spec(source) -> MetricSpec:
             if name not in doc:
                 raise SchemaError(name, "missing field")
             values.append(_rational(doc[name], name))
-        if values[0] == 0:
-            raise InvalidMetric("reciprocalLinear requires a0 != 0")
+        if values[0] <= 0:
+            raise InvalidMetric("reciprocalLinear requires a0 > 0, since "
+                                "rho(0) = 1/a0 must be positive")
         return MetricSpec(kind="reciprocalLinear", linear=tuple(values))
 
     _reject_extras(doc, {"kind", "order", "coeffs"})
@@ -134,8 +136,8 @@ def parse_metric_spec(source) -> MetricSpec:
             raise InvalidMetric(
                 f"coefficient ({a}, {b}) exceeds declared order {order}")
         seen[(a, b)] = value
-    if seen.get((0, 0), Fraction(0)) == 0:
-        raise InvalidMetric("jet constant term must be nonzero")
+    if seen.get((0, 0), Fraction(0)) <= 0:
+        raise InvalidMetric("jet constant term rho(0) must be positive")
     triples = tuple(sorted((a, b, c) for (a, b), c in seen.items()))
     return MetricSpec(kind="jet", coeffs=triples, order=order)
 

@@ -32,8 +32,7 @@ def run(capsys, argv):
 
 def test_sphere_numeric(capsys, metric_file):
     code, out, _ = run(capsys, ["compute", "--n", "1",
-                                "--metric", metric_file(SPHERE),
-                                "--mode", "numeric"])
+                                "--metric", metric_file(SPHERE)])
     assert code == 0
     assert out == "a_1 = 1/(12*pi)\n"
 
@@ -97,16 +96,20 @@ def test_latex_numeric(capsys, metric_file):
 
 
 def test_jet_order_extension(capsys, metric_file):
-    jet = '{"kind":"jet","order":4,"coeffs":[[0,0,"1"],[1,0,"1/2"]]}'
-    code, _, err = run(capsys, ["compute", "--n", "1",
-                                "--metric", metric_file(jet)])
-    assert code == 3
-    assert "order >= 8" in err
-    code, out, _ = run(capsys, ["compute", "--n", "1",
-                                "--metric", metric_file(jet),
-                                "--jet-order", "8"])
+    # a_n reads the jet to order 2n: a_1 fits in order 4, a_3 needs 6
+    jet = metric_file(
+        '{"kind":"jet","order":4,"coeffs":[[0,0,"1"],[1,0,"1/2"]]}')
+    code, out, _ = run(capsys, ["compute", "--n", "1", "--metric", jet])
     assert code == 0
     assert out == "a_1 = 1/(96*pi)\n"
+    code, _, err = run(capsys, ["compute", "--n", "3", "--metric", jet])
+    assert code == 3
+    assert "order >= 6, got 4" in err
+    for order in ("6", "24"):
+        code, out, _ = run(capsys, ["compute", "--n", "3", "--metric", jet,
+                                    "--jet-order", order])
+        assert code == 0
+        assert out == "a_3 = 35/(4608*pi)\n"
 
 
 def test_schema_error_exit_and_json_object(capsys, metric_file):
@@ -152,10 +155,12 @@ def test_degenerate_curvature_path(capsys, metric_file):
 
 
 def test_usage_conflicts(capsys, metric_file):
+    # the mode follows from --metric; there is no --mode flag
+    with pytest.raises(SystemExit) as err:
+        main(["compute", "--n", "1", "--mode", "numeric"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --mode" in capsys.readouterr().err
     cases = [
-        ["compute", "--n", "1", "--metric", metric_file(SPHERE),
-         "--mode", "symbolic"],
-        ["compute", "--n", "1", "--mode", "numeric"],
         ["compute", "--n", "-1", "--metric", metric_file(SPHERE)],
         ["compute", "--n", "1", "--path", "curvature"],
         ["compute", "--n", "1", "--approx", "5"],
@@ -164,6 +169,15 @@ def test_usage_conflicts(capsys, metric_file):
         code, _, err = run(capsys, argv)
         assert code == 2, argv
         assert err.startswith("error:")
+
+
+def test_nonpositive_conformal_factor_exits_two(capsys, metric_file):
+    m = metric_file('{"kind":"reciprocalLinear","a0":"-2","a1":"3","a2":"5"}')
+    for argv in (["compute", "--n", "1", "--metric", m],
+                 ["curvature", "--metric", m]):
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert out == "" and "a0 > 0" in err
 
 
 def test_cross_paths_agree_via_cli(capsys, metric_file):
@@ -244,7 +258,7 @@ def test_installed_script(tmp_path):
     p.write_text(SPHERE)
     proc = subprocess.run(
         [sys.executable, "-m", "heatjets.cli", "compute", "--n", "1",
-         "--metric", str(p), "--mode", "numeric"],
+         "--metric", str(p)],
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "a_1 = 1/(12*pi)\n"

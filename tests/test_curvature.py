@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from heatjets.curvature import (CurvatureFrame, curvature_frame,
-                                frame_via_identities,
+from heatjets.curvature import (FRAME_MIN_ORDER, CurvatureFrame,
+                                curvature_frame, frame_via_identities,
                                 heat_invariant_curvature_form, frame_conformal_factor)
 from heatjets.errors import (DegenerateCurvatureCoordinates, IndexOutOfRange,
                              OrderExhausted, SingularFrame)
 from heatjets.heatinv import (generic_rho_jet, heat_invariant,
-                              heat_invariant_via_frozen)
+                              heat_invariant_via_frozen, required_order)
 from heatjets.jets import Jet2D
 from heatjets.laplace import ConformalLaplacian
 
@@ -150,11 +150,22 @@ def test_frame_conformal_factor_values():
 
 
 def test_order_requirements():
+    # The frame reads rho to order 5 and the route to order 8n + 4: one order
+    # less is refused, and the value at that order is the longer jet's.
     rng = random.Random(9)
+    rho = random_jet(rng, order=22)
+    assert FRAME_MIN_ORDER == 5
     with pytest.raises(OrderExhausted):
-        curvature_frame(random_jet(rng, order=7))
-    with pytest.raises(OrderExhausted):
-        heat_invariant_curvature_form(1, random_jet(rng, order=13))
+        curvature_frame(rho.truncate(4))
+    frame = curvature_frame(rho.truncate(5))
+    assert (frame.e, frame.f, frame.g) == frame_via_identities(rho)
+    for n in (1, 2):
+        order = required_order(n, "curvature")
+        assert order == 8 * n + 4
+        with pytest.raises(OrderExhausted):
+            heat_invariant_curvature_form(n, rho.truncate(order - 1))
+        assert heat_invariant_curvature_form(n, rho.truncate(order)).form \
+            == heat_invariant(n, rho).form
     with pytest.raises(IndexOutOfRange):
         heat_invariant_curvature_form(0, random_jet(rng, order=14))
 

@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 
 from heatjets.errors import IndexOutOfRange, OrderExhausted
-from heatjets.heatinv import (WEYL_A0, gamma_half_rational, generic_rho_jet,
+from heatjets.heatinv import (WEYL_A0, closed_form_to_json,
+                              gamma_half_rational, generic_rho_jet,
                               heat_constant, heat_invariant,
                               heat_invariant_via_frozen,
                               parse_closed_form_json, render_closed_form,
-                              render_pi_scaled, symbolic_heat_invariant)
+                              render_pi_scaled, required_order,
+                              symbolic_heat_invariant)
 from heatjets.jets import Jet2D
 from heatjets.laplace import ConformalLaplacian
 from heatjets.rhopoly import PiScaled, RhoPoly, mono_degree
@@ -67,10 +69,11 @@ def test_symbolic_a1_matches_golden_formula():
 
 
 def test_symbolic_a1_via_frozen_matches_golden():
-    cf = symbolic_heat_invariant(1, via_frozen=True).form
-    assert cf.poly == golden_a1_poly()
-    assert symbolic_heat_invariant(2).form.poly == \
-        symbolic_heat_invariant(2, via_frozen=True).form.poly
+    def via_frozen(n):
+        rho = generic_rho_jet(required_order(n, "eq310"))
+        return heat_invariant_via_frozen(n, rho).form
+    assert via_frozen(1).poly == golden_a1_poly()
+    assert symbolic_heat_invariant(2).form.poly == via_frozen(2).poly
 
 
 def test_render_plain_golden_string():
@@ -93,7 +96,7 @@ def test_render_zero():
 def test_json_round_trip():
     for n in (1, 2):
         cf = symbolic_heat_invariant(n).form
-        doc = json.loads(render_closed_form(cf, "json"))
+        doc = json.loads(json.dumps(closed_form_to_json(cf)))
         back = parse_closed_form_json(doc)
         assert back.poly == cf.poly
         assert back.pi_power == cf.pi_power
@@ -193,11 +196,18 @@ def test_substitution_matches_numeric_path():
 
 
 def test_order_requirement_enforced():
-    rho = Jet2D.constant(Fraction(1), 7)
-    with pytest.raises(OrderExhausted):
-        heat_invariant(1, rho)
-    with pytest.raises(OrderExhausted):
-        heat_invariant_via_frozen(2, sphere_rho(1, 15))
+    # a_n reads rho to order 2n: one order less is refused, and the value at
+    # that order is the value of the longer jet
+    rng = random.Random(12)
+    for n in (1, 2, 3):
+        rho = random_metric_jet(rng, order=8 * n)
+        for path, route in (("eq311", heat_invariant),
+                            ("eq310", heat_invariant_via_frozen)):
+            order = required_order(n, path)
+            assert order == 2 * n
+            with pytest.raises(OrderExhausted):
+                route(n, rho.truncate(order - 1))
+            assert route(n, rho.truncate(order)).form == route(n, rho).form
 
 
 def test_n_must_be_positive():
@@ -216,8 +226,8 @@ def test_pi_scaled_renderings():
     assert render_pi_scaled(PiScaled(Fraction(2, 3), 0)) == "2/3"
     assert render_pi_scaled(PiScaled(Fraction(1), 1)) == "1/pi"
     assert render_pi_scaled(PiScaled(0)) == "0"
-    assert json.loads(render_pi_scaled(PiScaled(Fraction(1, 12), 1), "json")) \
-        == {"kind": "numeric", "q": "1/12", "piPower": 1}
+    with pytest.raises(ValueError):
+        render_pi_scaled(PiScaled(Fraction(1, 12), 1), "json")
 
 
 def test_generic_rho_jet_shape():

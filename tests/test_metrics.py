@@ -93,9 +93,10 @@ def test_reciprocal_linear_curvature_value():
 
 
 def test_reciprocal_linear_requires_nonzero_a0():
-    with pytest.raises(InvalidMetric):
-        parse_metric_spec(
-            '{"kind":"reciprocalLinear","a0":"0","a1":"1","a2":"1"}')
+    for a0 in ("0", "-2"):
+        with pytest.raises(InvalidMetric):
+            parse_metric_spec('{"kind":"reciprocalLinear","a0":"%s",'
+                              '"a1":"1","a2":"1"}' % a0)
     with pytest.raises(SchemaError) as err:
         parse_metric_spec('{"kind":"reciprocalLinear","a0":"1","a1":"1"}')
     assert err.value.path == "a2"
@@ -138,6 +139,8 @@ def test_jet_invariants():
         parse_metric_spec('{"kind":"jet","order":2,"coeffs":[[1,0,"1"]]}')
     with pytest.raises(InvalidMetric):
         parse_metric_spec('{"kind":"jet","order":2,"coeffs":[[0,0,"0"]]}')
+    with pytest.raises(InvalidMetric):
+        parse_metric_spec('{"kind":"jet","order":2,"coeffs":[[0,0,"-1/3"]]}')
     with pytest.raises(InvalidMetric):
         parse_metric_spec(
             '{"kind":"jet","order":2,"coeffs":[[0,0,"1"],[3,0,"1"]]}')
