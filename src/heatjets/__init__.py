@@ -35,6 +35,7 @@ from .errors import (
     SchemaError,
     SingularFrame,
     TailNotConverged,
+    ValueTooLong,
 )
 from .heatinv import (
     WEYL_A0,
@@ -88,6 +89,7 @@ __all__ = [
     "SingularFrame",
     "SphereSpectrum",
     "TailNotConverged",
+    "ValueTooLong",
     "WEYL_A0",
     "closed_form_to_json",
     "commutator",

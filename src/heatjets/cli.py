@@ -33,6 +33,7 @@ from .errors import (
     SchemaError,
     SingularFrame,
     TailNotConverged,
+    ValueTooLong,
 )
 from .heatinv import (
     WEYL_A0,
@@ -51,7 +52,8 @@ from .rhopoly import PiScaled
 INPUT_ERRORS = (SchemaError, InvalidMetric)
 PRECONDITION_ERRORS = (OrderExhausted, NonInvertibleConstantTerm,
                        DegenerateCurvatureCoordinates, SingularFrame,
-                       IndexOutOfRange, TailNotConverged, IllConditionedFit)
+                       IndexOutOfRange, TailNotConverged, IllConditionedFit,
+                       ValueTooLong)
 
 
 class UsageError(Exception):
@@ -101,14 +103,24 @@ def build_parser() -> argparse.ArgumentParser:
 # -- compute -----------------------------------------------------------------
 
 def _expand_for(args, needed: int) -> Jet2D:
+    """The metric's jet; a named family is expanded no further than read."""
     spec = load_metric_spec(args.metric)
-    if args.jet_order is not None:
-        if args.jet_order < 0:
-            raise UsageError("--jet-order must be nonnegative")
-        return expand_metric(spec, args.jet_order, extend=True)
+    order = args.jet_order
+    if order is None:
+        order = spec.order if spec.kind == "jet" else needed
+    elif order < 0:
+        raise UsageError("--jet-order must be nonnegative")
     if spec.kind == "jet":
-        return expand_metric(spec, spec.order)
-    return expand_metric(spec, needed)
+        return expand_metric(spec, order, extend=True)
+    return expand_metric(spec, min(order, needed))
+
+
+def _check_printable(what: str, values) -> None:
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and any(max(abs(q.numerator), q.denominator) >= 10 ** limit
+                     for q in values):
+        raise ValueTooLong(f"{what} has more than {limit} digits, more "
+                           "than Python converts to text")
 
 
 def _approx_string(value: PiScaled, digits: int) -> str:
@@ -156,6 +168,8 @@ def _cmd_compute(args) -> int:
                 res = heat_invariant_curvature_form(n, jet)
             value, order = res.form, res.truncation_order
         results.append((n, value, order, time.perf_counter() - start))
+        if isinstance(value, PiScaled):
+            _check_printable(f"a_{n}", [value.q])
 
     if args.fmt == "json":
         payload = []
@@ -190,11 +204,11 @@ def _cmd_compute(args) -> int:
 
 def _cmd_curvature(args) -> int:
     frame = curvature_frame(_expand_for(args, FRAME_MIN_ORDER))
-    print(f"K0 = {frame.k0}")
-    print(f"DeltaK0 = {frame.dk0}")
-    print(f"E = {frame.e}")
-    print(f"F = {frame.f}")
-    print(f"G = {frame.g}")
+    values = {"K0": frame.k0, "DeltaK0": frame.dk0, "E": frame.e,
+              "F": frame.f, "G": frame.g}
+    _check_printable("the curvature frame", values.values())
+    for name, value in values.items():
+        print(f"{name} = {value}")
     print(f"degenerate = {'yes' if frame.degenerate else 'no'}")
     return 0
 

@@ -12,7 +12,9 @@ j more times.  Grading vectors by filtration weight |J| + r gives the level
 sets V_m, and the operator sums X_m = sum_{J in V_m} [B, A; J] admit both a
 recurrence (X_1 = B, X_m = B X_{m-1} + [X_{m-1}, A]) and a closed form
 (sum_k (-1)^k C(m,k) (A-B)^k A^(m-k)).  The three formulations are
-implemented separately so they can cross-check each other exactly.
+implemented separately so they can cross-check each other exactly.  With
+A = Delta_0 (Delta frozen at the base point) and B = Delta_0 - Delta, the
+closed form is eq310's binomial sum in ``heat_invariant_via_frozen``.
 
 Everything works over any associative algebra providing +, -, * and scalar
 multiplication by exact rationals; ``RationalMatrix`` is the concrete test

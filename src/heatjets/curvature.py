@@ -13,14 +13,15 @@ G = |grad Delta K|^2 / rho, read off the first-order coefficients of the K
 and Delta K jets.  ``frame_via_identities`` recomputes E, F and G from the
 expanded product-rule identities as an independent check.
 
-The heat coefficients then take a coordinate-free shape.  With
-rho_0 = 1/E, the polynomials P_k of the direct path pulled back along
+The heat coefficients then take a coordinate-free shape.  The polynomials
+P_k = c_nk (rho_0 (u^2 + v^2))^(k-n) of the direct path depend on u and v
+only through u^2 + v^2.  With rho_0 = 1/E and that one pull-back
 
-    u^2 -> z^2,   v^2 -> (F z - E w)^2 / (EG - F^2)
+    u^2 + v^2 -> z^2 + (F z - E w)^2 / (EG - F^2)
 
-give a_n = sum_k Delta^k P_k at the origin again, now polynomials in z and
-w, evaluated by the same Horner-nested pipeline as the direct path.  The
-largest P_k has order 8n, so the route reads rho to the order
+they give a_n = sum_k Delta^k P_k at the origin again, now polynomials in z
+and w, evaluated by the same Horner-nested pipeline as the direct path.
+The largest P_k has order 8n, so the route reads rho to the order
 ``heatinv.required_order(n, "curvature")``; the frame alone reads rho to
 order FRAME_MIN_ORDER = 5 (Delta K to first order).
 
@@ -37,8 +38,8 @@ from fractions import Fraction
 
 from .errors import (DegenerateCurvatureCoordinates, IndexOutOfRange,
                      OrderExhausted, SingularFrame)
-from .heatinv import (HeatInvariantResult, _monomial_terms,
-                      _nested_laplacian_sum, _require_order)
+from .heatinv import (HeatInvariantResult, _nested_laplacian_sum,
+                      _radial_terms, _require_order)
 from .jets import Jet2D
 from .laplace import ConformalLaplacian, gaussian_curvature_jet
 from .rhopoly import PiScaled, RhoPoly
@@ -142,27 +143,11 @@ def heat_invariant_curvature_form(n: int, rho: Jet2D) -> HeatInvariantResult:
         raise DegenerateCurvatureCoordinates(
             "the (K, Delta K) Jacobian vanishes at the origin")
     e, f = frame.e, frame.f
-    disc = e * frame.g - f ** 2
-    monomials = _monomial_terms(n, 1 / e)
-    # Powers (u^2)^j and (v^2)^j, j <= 3n, pulled back; Delta^k only consumes
-    # P_k to order 2k <= 8n, and z, x have valuation >= 1.
+    # u^2 + v^2 pulled back, to order 8n = the order of P_(4n)
     cap = 8 * n
     z, x = z.truncate(cap), z * f - w * e
-    u_sq = [Jet2D.constant(Fraction(1), cap), z._mul_capped(z, cap)]
-    v_sq = [u_sq[0], x._mul_capped(x, cap) * (1 / disc)]
-    for _ in range(3 * n - 1):
-        u_sq.append(u_sq[-1]._mul_capped(u_sq[1], cap))
-        v_sq.append(v_sq[-1]._mul_capped(v_sq[1], cap))
-
-    def term(k):
-        cap = 2 * k
-        p_k = Jet2D.zero(cap)
-        for (a, b), c in monomials(k).coeffs.items():
-            mono = u_sq[a // 2].truncate(cap)._mul_capped(
-                v_sq[b // 2].truncate(cap), cap)
-            p_k = p_k + mono * c
-        return p_k
-
-    total = _nested_laplacian_sum(lap, n, term)
+    r2 = (z._mul_capped(z, cap)
+          + x._mul_capped(x, cap) * (1 / (e * frame.g - f ** 2)))
+    total = _nested_laplacian_sum(lap, n, _radial_terms(n, 1 / e, r2))
     return HeatInvariantResult(n=n, form=PiScaled(total, 1),
                                truncation_order=rho.order)

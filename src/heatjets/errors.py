@@ -33,6 +33,10 @@ class IllConditionedFit(HeatjetsError):
     """The extrapolation ladder lost all significant digits."""
 
 
+class ValueTooLong(HeatjetsError):
+    """An exact value has more digits than Python converts to text."""
+
+
 class SchemaError(HeatjetsError):
     """Malformed metric-spec document.  `path` points at the offending field."""
 

@@ -7,12 +7,20 @@ is a finite sum of iterated-Laplacian images of monomials:
     a_n = sum_{m=n+1..4n} sum_{k=n+1..m} sum_{s=0..k-n}
           C_nksm * rho_0^(k-n) * Delta^k(u^(2k-2n-2s) v^(2s)) |_(0,0)
 
-with exact constants C_nksm that are rationals times 1/pi.  Feeding the
-fully generic conformal factor (Taylor coefficients as formal variables)
-through the same pipeline yields a_n as a closed-form rational polynomial
-in the metric derivatives; feeding a concrete rational jet yields an exact
-number q/pi.  a_n is a local invariant of weight 2n, so it reads the jet of
-rho only to order 2n; ``required_order`` states the order every route reads.
+with the paper's constants C_nksm (``heat_constant``).  By Chu-Vandermonde
+and Gamma(j + 1/2) = (2j)! sqrt(pi) / (4^j j!) these Gamma sums equal
+(-1)^n C(m-n, k-n) C(k-n, s) / (4^(k-n+1) k! (k-n)! pi); the sums over m
+(hockey stick) and s (binomial theorem) leave one radial polynomial per k,
+
+    P_k = c_nk (rho_0 (u^2 + v^2))^(k-n),
+    c_nk = (-1)^n C(3n+1, k-n+1) / (4^(k-n+1) k! (k-n)! pi),
+
+and a_n = sum_{k=n+1..4n} Delta^k P_k at the origin.  Feeding the fully
+generic conformal factor (Taylor coefficients as formal variables) through
+this sum yields a_n as a closed-form rational polynomial in the metric
+derivatives; feeding a concrete rational jet yields an exact number q/pi.
+a_n is a local invariant of weight 2n, so it reads the jet of rho only to
+order 2n; ``required_order`` states the order every route reads.
 
 An equivalent second route expands the resolvent around the origin-frozen
 Laplacian Delta_0 and sums binomially weighted mixed powers
@@ -28,7 +36,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import comb, factorial
 
 from .errors import IndexOutOfRange, OrderExhausted
@@ -57,6 +64,7 @@ def heat_constant(n: int, k: int, s: int, m: int) -> PiScaled:
              / (k! l! (m-k-l)! (2k-2n-2s)! (2s)!);
 
     the two sqrt(pi) factors combine so the value is rational times 1/pi.
+    The paper's constant; the routes use its m-sum in closed form instead.
     """
     if not (n >= 1 and n + 1 <= k <= m <= 4 * n and 0 <= s <= k - n):
         raise IndexOutOfRange(
@@ -70,31 +78,21 @@ def heat_constant(n: int, k: int, s: int, m: int) -> PiScaled:
     return PiScaled(Fraction((-1) ** n, 4) * total, 1)
 
 
-@cache
-def _weight_table(n: int) -> tuple:
-    """w_ks = sum_{m=k..4n} C_nksm (the rational part), one row per k.
+def _radial_terms(n: int, scale, r2: Jet2D):
+    """k -> P_k = c_nk scale^(k-n) r2^(k-n) to order 2k; r2 has order >= 8n.
 
-    Row k - n - 1 holds w_ks for s = 0..k-n, k = n+1..4n.
+    eq311 passes scale = rho_0 and r2 = u^2 + v^2, the curvature route 1/E
+    and the pull-back of u^2 + v^2.
     """
-    return tuple(
-        tuple(sum((heat_constant(n, k, s, m).q for m in range(k, 4 * n + 1)),
-                  Fraction(0))
-              for s in range(k - n + 1))
-        for k in range(n + 1, 4 * n + 1))
-
-
-def _monomial_terms(n: int, rho0):
-    """k -> P_k = sum_s w_ks rho0^(k-n) u^(2k-2n-2s) v^(2s), a jet of order 2k.
-
-    The polynomials that eq311 feeds to ``_nested_laplacian_sum``; the
-    curvature route pulls the same P_k back to curvature coordinates.
-    """
-    weights = _weight_table(n)
+    powers = [r2]  # r2^j, j = 1..3n
+    for _ in range(3 * n - 1):
+        powers.append(powers[-1]._mul_capped(r2, 8 * n))
 
     def term(k):
-        scale = rho0 ** (k - n)
-        return Jet2D({(2 * k - 2 * n - 2 * s, 2 * s): scale * w
-                      for s, w in enumerate(weights[k - n - 1])}, 2 * k)
+        j = k - n
+        c = Fraction((-1) ** n * comb(3 * n + 1, j + 1),
+                     4 ** (j + 1) * factorial(k) * factorial(j))
+        return powers[j - 1].truncate(2 * k) * (scale ** j * c)
     return term
 
 
@@ -186,15 +184,16 @@ def _require_order(n: int, rho: Jet2D, path: str) -> int:
 def heat_invariant(n: int, rho: Jet2D) -> HeatInvariantResult:
     """a_n(origin) by the direct monomial-image sum.
 
-    Terms sharing k are collected into one polynomial
-    P_k = sum_s w_ks rho_0^(k-n) u^(2k-2n-2s) v^(2s), whose weight w_ks
-    collapses the m-sum, and sum_k Delta^k P_k is evaluated by Horner
-    nesting: 4n Laplacian applications in all.
+    Terms sharing k are collected into the radial polynomial
+    P_k = c_nk (rho_0 (u^2 + v^2))^(k-n) of the module docstring, and
+    sum_k Delta^k P_k is evaluated by Horner nesting: 4n Laplacian
+    applications in all.
     """
     if n < 1:
         raise IndexOutOfRange(f"heat_invariant needs n >= 1, got {n}")
     _require_order(n, rho, "eq311")
-    term = _monomial_terms(n, rho.constant_term())
+    term = _radial_terms(n, rho.constant_term(),
+                         Jet2D({(2, 0): 1, (0, 2): 1}, 8 * n))
     total = _nested_laplacian_sum(ConformalLaplacian(rho), n, term)
     return _wrap(n, total, _is_symbolic(rho), rho.order)
 
@@ -206,8 +205,8 @@ def heat_invariant_via_frozen(n: int, rho: Jet2D) -> HeatInvariantResult:
           sum_{k=0}^m (-1)^k C(m,k) Delta^k Delta_0^(m-k) (f_m) |_(0,0),
 
     where the seed f_m = sum_p g(m-n-p) g(p) u^(2m-2n-2p) v^(2p)
-    / ((2m-2n-2p)! (2p)!) and g is the rational Gamma(.+1/2) ratio.  No
-    constant is shared with heat_invariant beyond those ratios.
+    / ((2m-2n-2p)! (2p)!) = (u^2 + v^2)^(m-n) / (4^(m-n) (m-n)!), with g the
+    rational Gamma(.+1/2) ratio.  It shares no constant with heat_invariant.
     """
     if n < 1:
         raise IndexOutOfRange(f"heat_invariant needs n >= 1, got {n}")

@@ -2,7 +2,7 @@
 
 A metric is described by a small JSON document giving the conformal factor
 rho in isothermal coordinates, ds^2 = rho (du^2 + dv^2), with the base
-point fixed at the chart origin.  Rationals travel as strings "p/q".
+point fixed at the chart origin.  Rationals travel as strings "[-]p[/q]".
 
 Supported kinds:
 
@@ -22,6 +22,7 @@ factor that is positive at the base point.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,17 +41,21 @@ class MetricSpec:
     order: int | None = None             # declared order for jet
 
 
+#: [-]digits[/digits]: no exponent, so a value has no more digits than text
+RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _rational(value, path):
-    if isinstance(value, bool):
-        raise SchemaError(path, "expected a rational string \"p/q\"")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
+    if not isinstance(value, str):
+        raise SchemaError(path, "expected a rational string \"p/q\"")
+    if RATIONAL.fullmatch(value):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise SchemaError(path, f"not a rational \"p/q\": {value!r}")
-    raise SchemaError(path, "expected a rational string \"p/q\"")
+        except (ValueError, ZeroDivisionError):  # q = 0, or too long
+            pass
+    raise SchemaError(path, f"not a rational \"p/q\": {value!r}")
 
 
 def _index(value, path):
@@ -77,7 +82,7 @@ def parse_metric_spec(source) -> MetricSpec:
     if isinstance(source, str):
         try:
             doc = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # too long, too deep
             raise SchemaError("<document>", f"invalid JSON: {exc}")
     else:
         doc = source

@@ -171,6 +171,52 @@ def test_usage_conflicts(capsys, metric_file):
         assert err.startswith("error:")
 
 
+def test_named_family_expands_only_what_is_read(capsys, metric_file,
+                                                monkeypatch):
+    import heatjets.cli as cli
+    orders = []
+
+    def recording(spec, order, extend=False):
+        orders.append(order)
+        assert order <= 5, "refused to start a large expansion"
+        return expand(spec, order, extend)
+    expand = cli.expand_metric
+    monkeypatch.setattr(cli, "expand_metric", recording)
+    sphere = metric_file(SPHERE)
+    code, out, _ = run(capsys, ["compute", "--n", "1", "--metric", sphere,
+                                "--jet-order", "3000"])
+    assert (code, out, orders) == (0, "a_1 = 1/(12*pi)\n", [2])
+    orders.clear()
+    code, out, _ = run(capsys, ["curvature", "--metric", sphere,
+                                "--jet-order", "3000"])
+    assert (code, orders) == (0, [5])
+    assert "degenerate = yes" in out
+    orders.clear()
+    code, _, err = run(capsys, ["compute", "--n", "1", "--metric", sphere,
+                                "--jet-order", "1"])
+    assert (code, orders) == (3, [1])
+    assert "order >= 2, got 1" in err
+
+
+def test_oversized_numbers_exit_two_or_three(capsys, metric_file):
+    # an exponent is not part of the rational grammar: exit 2
+    exp = metric_file('{"kind":"sphereStereographic","R":"1e5000"}', "e.json")
+    # a value Python will not print in full: exit 3 with a message
+    big = metric_file('{"kind":"sphereStereographic","R":"%s/3"}'
+                      % ("7" * 2500))
+    for argv in (["compute", "--n", "1"], ["curvature"]):
+        code, _, err = run(capsys, argv + ["--metric", exp])
+        assert code == 2
+        assert "not a rational" in err
+        code, _, err = run(capsys, argv + ["--metric", big])
+        assert code == 3
+        assert "digits" in err
+    code, out, _ = run(capsys, ["compute", "--n", "1", "--metric", big,
+                                "--format", "json"])
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "ValueTooLong"
+
+
 def test_nonpositive_conformal_factor_exits_two(capsys, metric_file):
     m = metric_file('{"kind":"reciprocalLinear","a0":"-2","a1":"3","a2":"5"}')
     for argv in (["compute", "--n", "1", "--metric", m],

@@ -113,8 +113,8 @@ def test_curvature_path_matches_direct_path_n2():
 def test_curvature_route_counts(monkeypatch):
     # K and the Laplacian share one Newton inverse; Delta K is one
     # application and the nested a_n sum 4n.  The jet products are those of
-    # the inverse, K, the power table of the two pulled-back images, the
-    # pulled-back monomials and the applications.
+    # the inverse, K, the two squares that pull u^2 + v^2 back, its powers
+    # up to 3n and the applications.
     calls = Counter()
 
     def count(cls, name):
@@ -130,7 +130,7 @@ def test_curvature_route_counts(monkeypatch):
     count(Jet2D, "_mul_capped")
     count(ConformalLaplacian, "apply")
     rng = random.Random(2024)
-    for n, products in ((1, 31), (2, 61)):
+    for n, products in ((1, 20), (2, 29)):
         calls.clear()
         heat_invariant_curvature_form(n, random_jet(rng, order=8 * n + 6))
         assert calls == {"inverse": 1, "apply": 1 + 4 * n,

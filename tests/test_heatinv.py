@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from heatjets.errors import IndexOutOfRange, OrderExhausted
-from heatjets.heatinv import (WEYL_A0, closed_form_to_json,
+from heatjets.heatinv import (WEYL_A0, _radial_terms, closed_form_to_json,
                               gamma_half_rational, generic_rho_jet,
                               heat_constant, heat_invariant,
                               heat_invariant_via_frozen,
@@ -60,6 +60,20 @@ def test_heat_constant_range_checks():
                 (0, 1, 0, 1)]:
         with pytest.raises(IndexOutOfRange):
             heat_constant(*bad)
+
+
+def test_radial_terms_are_the_summed_heat_constants():
+    # The paper's Gamma sums C_nksm, summed over m, are the closed-form
+    # weights of P_k = c_nk scale^(k-n) (u^2 + v^2)^(k-n): exact, n = 1..8.
+    scale = Fraction(3, 2)
+    for n in range(1, 9):
+        term = _radial_terms(n, scale, Jet2D({(2, 0): 1, (0, 2): 1}, 8 * n))
+        for k in range(n + 1, 4 * n + 1):
+            expected = {
+                (2 * (k - n - s), 2 * s): scale ** (k - n) * sum(
+                    heat_constant(n, k, s, m).q for m in range(k, 4 * n + 1))
+                for s in range(k - n + 1)}
+            assert term(k) == Jet2D(expected, 2 * k), (n, k)
 
 
 def test_symbolic_a1_matches_golden_formula():

@@ -69,6 +69,25 @@ def test_sphere_schema_errors():
         parse_metric_spec('{"kind":"sphereStereographic","R":"-2"}')
 
 
+def test_rational_grammar():
+    # only [-]digits[/digits]: an exponent would turn a few bytes into
+    # thousands of digits
+    for bad in ("1e5000", "1.5", " 1", "+1", "1_0", "1/-2", "0x10"):
+        with pytest.raises(SchemaError) as err:
+            parse_metric_spec({"kind": "sphereStereographic", "R": bad})
+        assert err.value.path == "R"
+    spec = parse_metric_spec('{"kind":"reciprocalLinear",'
+                             '"a0":"2","a1":"-3/7","a2":4}')
+    assert spec.linear == (2, Fraction(-3, 7), 4)
+
+
+def test_unreadable_json_is_schema_error():
+    for doc in ('{"kind":"flat","R":' + "7" * 5000 + "}", "[" * 100000):
+        with pytest.raises(SchemaError) as err:
+            parse_metric_spec(doc)
+        assert err.value.path == "<document>"
+
+
 def test_reciprocal_linear_expansion():
     spec = parse_metric_spec(
         '{"kind":"reciprocalLinear","a0":"2","a1":"3","a2":"5"}')
