@@ -54,7 +54,7 @@ def main():
             print(f"     exact  {mpmath.nstr(target, 20)}"
                   f"  ({render_pi_scaled(value)})")
             print(f"     relative error {mpmath.nstr(rel, 3)}, "
-                  f"reported estimate {mpmath.nstr(est, 3)}")
+                  f"relative estimate {mpmath.nstr(est / abs(target), 3)}")
 
 
 if __name__ == "__main__":

@@ -21,9 +21,9 @@ only through u^2 + v^2.  With rho_0 = 1/E and that one pull-back
 
 they give a_n = sum_k Delta^k P_k at the origin again, now polynomials in z
 and w, evaluated by the same Horner-nested pipeline as the direct path.
-The largest P_k has order 8n, so the route reads rho to the order
-``heatinv.required_order(n, "curvature")``; the frame alone reads rho to
-order FRAME_MIN_ORDER = 5 (Delta K to first order).
+The pull-back is read to order 2n + 2, so z and w to order 2n + 1 and rho
+to order 2n + 5 = ``heatinv.required_order(n, "curvature")``; the frame
+alone reads rho to order FRAME_MIN_ORDER = 5 (Delta K to first order).
 
 Negative E powers live in the rational fraction field, so this path applies
 to concrete rational jets only.  Degeneracy (vanishing Jacobian: constant
@@ -143,11 +143,9 @@ def heat_invariant_curvature_form(n: int, rho: Jet2D) -> HeatInvariantResult:
         raise DegenerateCurvatureCoordinates(
             "the (K, Delta K) Jacobian vanishes at the origin")
     e, f = frame.e, frame.f
-    # u^2 + v^2 pulled back, to order 8n = the order of P_(4n)
-    cap = 8 * n
-    z, x = z.truncate(cap), z * f - w * e
-    r2 = (z._mul_capped(z, cap)
-          + x._mul_capped(x, cap) * (1 / (e * frame.g - f ** 2)))
+    # u^2 + v^2 pulled back to the curvature coordinates
+    x = z * f - w * e
+    r2 = z * z + x * x * (1 / (e * frame.g - f ** 2))
     total = _nested_laplacian_sum(lap, n, _radial_terms(n, 1 / e, r2))
     return HeatInvariantResult(n=n, form=PiScaled(total, 1),
                                truncation_order=rho.order)

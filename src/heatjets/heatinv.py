@@ -79,20 +79,22 @@ def heat_constant(n: int, k: int, s: int, m: int) -> PiScaled:
 
 
 def _radial_terms(n: int, scale, r2: Jet2D):
-    """k -> P_k = c_nk scale^(k-n) r2^(k-n) to order 2k; r2 has order >= 8n.
+    """k -> P_k = c_nk scale^(k-n) r2^(k-n) to order 2k; r2 is read to 2n + 2.
 
     eq311 passes scale = rho_0 and r2 = u^2 + v^2, the curvature route 1/E
-    and the pull-back of u^2 + v^2.
+    and the pull-back of u^2 + v^2.  r2 has valuation 2, so the product's
+    valuation rule gives r2^j the order 2n + 2j = 2k by itself.
     """
+    r2 = r2.truncate(2 * n + 2)
     powers = [r2]  # r2^j, j = 1..3n
     for _ in range(3 * n - 1):
-        powers.append(powers[-1]._mul_capped(r2, 8 * n))
+        powers.append(powers[-1] * r2)
 
     def term(k):
         j = k - n
         c = Fraction((-1) ** n * comb(3 * n + 1, j + 1),
                      4 ** (j + 1) * factorial(k) * factorial(j))
-        return powers[j - 1].truncate(2 * k) * (scale ** j * c)
+        return powers[j - 1] * (scale ** j * c)
     return term
 
 
@@ -162,12 +164,12 @@ def required_order(n: int, path: str) -> int:
     a_n is a local invariant of weight 2n: every monomial of its closed form
     has derivative weight 2n (Gilkey, J. Diff. Geom. 10 (1975)), and the
     eq311 and eq310 pipelines invert rho to degree 2n and no further.  The
-    curvature route reads z = K - K(0) and w = Delta K - (Delta K)(0) to
-    degree 8n, the order of its largest P_k, hence K to order 8n + 2 and
-    rho to order 8n + 4.
+    curvature route reads the pull-back r2 of u^2 + v^2 to order 2n + 2, so
+    z = K - K(0) and w = Delta K - (Delta K)(0) to order 2n + 1 (r2 is
+    quadratic in them), hence K to order 2n + 3 and rho to order 2n + 5.
     """
     if path == "curvature":
-        return 8 * n + 4
+        return 2 * n + 5
     return 2 * n
 
 
@@ -193,7 +195,7 @@ def heat_invariant(n: int, rho: Jet2D) -> HeatInvariantResult:
         raise IndexOutOfRange(f"heat_invariant needs n >= 1, got {n}")
     _require_order(n, rho, "eq311")
     term = _radial_terms(n, rho.constant_term(),
-                         Jet2D({(2, 0): 1, (0, 2): 1}, 8 * n))
+                         Jet2D({(2, 0): 1, (0, 2): 1}, 2 * n + 2))
     total = _nested_laplacian_sum(ConformalLaplacian(rho), n, term)
     return _wrap(n, total, _is_symbolic(rho), rho.order)
 

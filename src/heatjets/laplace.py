@@ -79,14 +79,11 @@ def gaussian_curvature_jet(rho: Jet2D,
 
         K = -(1/(2 rho)) (d_u(rho_u / rho) + d_v(rho_v / rho)),
 
-    with three products, each capped at the order of its result.  1/rho is
-    taken from `lap`, a Laplacian of the same rho, so that a caller which
-    also applies Delta inverts rho once; without `lap` a fresh one is built.
+    with three products.  1/rho is taken from `lap`, a Laplacian of the same
+    rho, so that a caller which also applies Delta inverts rho once; without
+    `lap` a fresh one is built.
     """
     ru, rv = rho.diff(1, 0), rho.diff(0, 1)
-    cap = ru.order
-    inv = (lap or ConformalLaplacian(rho)).inverse_factor(cap)
-    div = (ru._mul_capped(inv, cap).diff(1, 0)
-           + rv._mul_capped(inv, cap).diff(0, 1))
-    cap = div.order
-    return inv.truncate(cap)._mul_capped(div, cap) * Fraction(-1, 2)
+    inv = (lap or ConformalLaplacian(rho)).inverse_factor(ru.order)
+    div = (ru * inv).diff(1, 0) + (rv * inv).diff(0, 1)
+    return inv * div * Fraction(-1, 2)

@@ -154,6 +154,25 @@ def test_degenerate_curvature_path(capsys, metric_file):
     assert "Jacobian" in err
 
 
+def test_curvature_path_reads_order_2n_plus_5(capsys, metric_file):
+    coeffs = '[[0,0,"1"],[1,0,"1/2"],[0,3,"1/3"]]'
+    values = {}
+    for path in ("eq311", "curvature"):
+        jet = metric_file('{"kind":"jet","order":7,"coeffs":%s}' % coeffs)
+        code, out, _ = run(capsys, ["compute", "--n", "1", "--metric", jet,
+                                    "--path", path, "--format", "json"])
+        assert code == 0, path
+        result = json.loads(out)["results"][0]
+        values[path] = result["value"]
+    assert result["truncationOrder"] == 7
+    assert values["curvature"] == values["eq311"]
+    jet = metric_file('{"kind":"jet","order":6,"coeffs":%s}' % coeffs)
+    code, _, err = run(capsys, ["compute", "--n", "1", "--metric", jet,
+                                "--path", "curvature"])
+    assert code == 3
+    assert "order >= 7, got 6" in err
+
+
 def test_usage_conflicts(capsys, metric_file):
     # the mode follows from --metric; there is no --mode flag
     with pytest.raises(SystemExit) as err:

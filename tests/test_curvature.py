@@ -111,11 +111,13 @@ def test_curvature_path_matches_direct_path_n2():
 
 
 def test_curvature_route_counts(monkeypatch):
-    # K and the Laplacian share one Newton inverse; Delta K is one
-    # application and the nested a_n sum 4n.  The jet products are those of
-    # the inverse, K, the two squares that pull u^2 + v^2 back, its powers
-    # up to 3n and the applications.
+    # K and the Laplacian share one Newton inverse, to order 2n + 4 (the
+    # first derivatives of rho); Delta K is one application and the nested
+    # a_n sum 4n.  The jet products are those of the inverse, K, the two
+    # squares that pull u^2 + v^2 back, its powers up to 3n and the
+    # applications.
     calls = Counter()
+    inverse_orders = []
 
     def count(cls, name):
         original = getattr(cls, name)
@@ -129,12 +131,20 @@ def test_curvature_route_counts(monkeypatch):
     count(Jet2D, "log_nonconstant")
     count(Jet2D, "_mul_capped")
     count(ConformalLaplacian, "apply")
+    counted_inverse = Jet2D.inverse
+
+    def inverse(self, order):
+        inverse_orders.append(order)
+        return counted_inverse(self, order)
+    monkeypatch.setattr(Jet2D, "inverse", inverse)
     rng = random.Random(2024)
-    for n, products in ((1, 20), (2, 29)):
+    for n, products in ((1, 18), (2, 27)):
         calls.clear()
+        inverse_orders.clear()
         heat_invariant_curvature_form(n, random_jet(rng, order=8 * n + 6))
         assert calls == {"inverse": 1, "apply": 1 + 4 * n,
                          "_mul_capped": products}
+        assert inverse_orders == [2 * n + 4]
         assert calls["log_nonconstant"] == 0
 
 
@@ -150,8 +160,8 @@ def test_frame_conformal_factor_values():
 
 
 def test_order_requirements():
-    # The frame reads rho to order 5 and the route to order 8n + 4: one order
-    # less is refused, and the value at that order is the longer jet's.
+    # The frame reads rho to order 5 and the route to order 2n + 5: one order
+    # less is refused, and the value at that order is eq311's.
     rng = random.Random(9)
     rho = random_jet(rng, order=22)
     assert FRAME_MIN_ORDER == 5
@@ -159,9 +169,9 @@ def test_order_requirements():
         curvature_frame(rho.truncate(4))
     frame = curvature_frame(rho.truncate(5))
     assert (frame.e, frame.f, frame.g) == frame_via_identities(rho)
-    for n in (1, 2):
+    for n in (1, 2, 3):
         order = required_order(n, "curvature")
-        assert order == 8 * n + 4
+        assert order == 2 * n + 5
         with pytest.raises(OrderExhausted):
             heat_invariant_curvature_form(n, rho.truncate(order - 1))
         assert heat_invariant_curvature_form(n, rho.truncate(order)).form \

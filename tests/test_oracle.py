@@ -1,6 +1,10 @@
 """Tests for the spectral and closed-form oracles."""
 
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -146,3 +150,20 @@ def test_golden_a1_on_sphere_jet():
     rho = Jet2D({(0, 0): Fraction(4), (2, 0): Fraction(-8),
                  (0, 2): Fraction(-8)}, order=2)
     assert form.substitute(rho) == PiScaled(Fraction(1, 12), 1)
+
+
+def test_spectral_fit_demo_script():
+    # every printed relative error is within the fit's own estimate, both
+    # relative to the exact value
+    script = Path(__file__).resolve().parents[1] / "scripts" / \
+        "spectral_fit_demo.py"
+    proc = subprocess.run([sys.executable, str(script), "--dps", "30"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert [line[:4] for line in proc.stdout.splitlines()
+            if line.startswith("a_")] == ["a_0:", "a_1:", "a_2:"]
+    pairs = re.findall(r"relative error (\S+), relative estimate (\S+)$",
+                       proc.stdout, re.M)
+    assert len(pairs) == 3
+    for error, estimate in pairs:
+        assert float(error) <= float(estimate)
