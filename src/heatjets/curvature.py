@@ -39,7 +39,7 @@ from fractions import Fraction
 from .errors import (DegenerateCurvatureCoordinates, IndexOutOfRange,
                      OrderExhausted, SingularFrame)
 from .heatinv import (HeatInvariantResult, _nested_laplacian_sum,
-                      _radial_terms, _require_order)
+                      _require_order)
 from .jets import Jet2D
 from .laplace import ConformalLaplacian, gaussian_curvature_jet
 from .rhopoly import PiScaled, RhoPoly
@@ -146,6 +146,6 @@ def heat_invariant_curvature_form(n: int, rho: Jet2D) -> HeatInvariantResult:
     # u^2 + v^2 pulled back to the curvature coordinates
     x = z * f - w * e
     r2 = z * z + x * x * (1 / (e * frame.g - f ** 2))
-    total = _nested_laplacian_sum(lap, n, _radial_terms(n, 1 / e, r2))
+    total = _nested_laplacian_sum(lap, n, 1 / e, r2)
     return HeatInvariantResult(n=n, form=PiScaled(total, 1),
-                               truncation_order=rho.order)
+                               truncation_order=order)

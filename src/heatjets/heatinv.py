@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .errors import IndexOutOfRange, OrderExhausted
 from .jets import Jet2D
@@ -79,12 +79,20 @@ def heat_constant(n: int, k: int, s: int, m: int) -> PiScaled:
 
 
 def _radial_terms(n: int, scale, r2: Jet2D):
-    """k -> P_k = c_nk scale^(k-n) r2^(k-n) to order 2k; r2 is read to 2n + 2.
+    """(D, k -> D P_k): D P_k = D c_nk scale^(k-n) r2^(k-n) to order 2k.
 
-    eq311 passes scale = rho_0 and r2 = u^2 + v^2, the curvature route 1/E
-    and the pull-back of u^2 + v^2.  r2 has valuation 2, so the product's
-    valuation rule gives r2^j the order 2n + 2j = 2k by itself.
+    D = lcm_k den(c_nk) puts every c_nk over one common denominator, so each
+    D c_nk is an integer and the pipelines stay integral wherever scale and
+    r2 are; multiplying by an integer commutes with Delta, so the sum is
+    divided by D once at the end.  eq311 passes scale = rho_0 and
+    r2 = u^2 + v^2, the curvature route 1/E and the pull-back of u^2 + v^2.
+    r2 is read to 2n + 2; it has valuation 2, so the product's valuation
+    rule gives r2^j the order 2n + 2j = 2k by itself.
     """
+    c = {k: Fraction((-1) ** n * comb(3 * n + 1, k - n + 1),
+                     4 ** (k - n + 1) * factorial(k) * factorial(k - n))
+         for k in range(n + 1, 4 * n + 1)}
+    d = lcm(*(q.denominator for q in c.values()))
     r2 = r2.truncate(2 * n + 2)
     powers = [r2]  # r2^j, j = 1..3n
     for _ in range(3 * n - 1):
@@ -92,25 +100,25 @@ def _radial_terms(n: int, scale, r2: Jet2D):
 
     def term(k):
         j = k - n
-        c = Fraction((-1) ** n * comb(3 * n + 1, j + 1),
-                     4 ** (j + 1) * factorial(k) * factorial(j))
-        return powers[j - 1] * (scale ** j * c)
-    return term
+        return powers[j - 1] * (scale ** j * int(c[k] * d))
+    return d, term
 
 
-def _nested_laplacian_sum(lap: ConformalLaplacian, n: int, term):
-    """(sum_{k=n+1..4n} Delta^k P_k)(0) with P_k = term(k), a jet of order 2k.
+def _nested_laplacian_sum(lap: ConformalLaplacian, n: int, scale, r2: Jet2D):
+    """(sum_{k=n+1..4n} Delta^k P_k)(0), P_k from ``_radial_terms``.
 
     By linearity the sum equals Delta^(n+1) Q at the origin, where
     Q = P_(n+1) + Delta(P_(n+2) + Delta(... + Delta P_(4n))): 4n
     applications of Delta.  Each P_k has valuation >= 2k - 2n and order 2k, so
     every intermediate keeps the band order - valuation <= 2n and 1/rho is
-    never needed beyond degree 2n.
+    never needed beyond degree 2n.  The nesting runs on the integral
+    multiples D P_k, and the constant term is divided by D once.
     """
+    d, term = _radial_terms(n, scale, r2)
     q = term(4 * n)
     for k in range(4 * n - 1, n, -1):
         q = term(k) + lap.apply(q)
-    return lap.apply_power(q, n + 1).constant_term()
+    return lap.apply_power(q, n + 1).constant_term() * Fraction(1, d)
 
 
 def generic_rho_jet(order: int) -> Jet2D:
@@ -193,11 +201,11 @@ def heat_invariant(n: int, rho: Jet2D) -> HeatInvariantResult:
     """
     if n < 1:
         raise IndexOutOfRange(f"heat_invariant needs n >= 1, got {n}")
-    _require_order(n, rho, "eq311")
-    term = _radial_terms(n, rho.constant_term(),
-                         Jet2D({(2, 0): 1, (0, 2): 1}, 2 * n + 2))
-    total = _nested_laplacian_sum(ConformalLaplacian(rho), n, term)
-    return _wrap(n, total, _is_symbolic(rho), rho.order)
+    order = _require_order(n, rho, "eq311")
+    total = _nested_laplacian_sum(ConformalLaplacian(rho), n,
+                                  rho.constant_term(),
+                                  Jet2D({(2, 0): 1, (0, 2): 1}, 2 * n + 2))
+    return _wrap(n, total, _is_symbolic(rho), order)
 
 
 def heat_invariant_via_frozen(n: int, rho: Jet2D) -> HeatInvariantResult:
@@ -212,7 +220,7 @@ def heat_invariant_via_frozen(n: int, rho: Jet2D) -> HeatInvariantResult:
     """
     if n < 1:
         raise IndexOutOfRange(f"heat_invariant needs n >= 1, got {n}")
-    _require_order(n, rho, "eq310")
+    order = _require_order(n, rho, "eq310")
     symbolic = _is_symbolic(rho)
     lap = ConformalLaplacian(rho)
     frozen = FrozenLaplacian(rho)
@@ -242,7 +250,7 @@ def heat_invariant_via_frozen(n: int, rho: Jet2D) -> HeatInvariantResult:
         total = RhoPoly.sum(parts)
     else:
         total = sum(parts, Fraction(0))
-    return _wrap(n, total, symbolic, rho.order)
+    return _wrap(n, total, symbolic, order)
 
 
 def symbolic_heat_invariant(n: int) -> HeatInvariantResult:

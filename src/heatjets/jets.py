@@ -41,6 +41,10 @@ def invert_coefficient(c):
     raise TypeError(f"cannot invert coefficient of type {type(c).__name__}")
 
 
+def _has_rhopoly(jet):
+    return any(isinstance(c, RhoPoly) for c in jet.coeffs.values())
+
+
 class Jet2D:
     """Sparse exact 2-D jet: dict {(a, b): coeff} with a + b <= order."""
 
@@ -155,7 +159,30 @@ class Jet2D:
     __rmul__ = __mul__
 
     def _mul_capped(self, other, cap):
-        """Product keeping only total degree <= cap, trusted to order cap."""
+        """Product keeping only total degree <= cap, trusted to order cap.
+
+        With RhoPoly coefficients on either side, the coefficient pairs are
+        grouped by output slot and each slot is one fused ``RhoPoly.dot``;
+        exact scalars are multiplied and added in place.
+        """
+        if _has_rhopoly(self) or _has_rhopoly(other):
+            slots = {}
+            for (a1, b1), c1 in self.coeffs.items():
+                for (a2, b2), c2 in other.coeffs.items():
+                    a, b = a1 + a2, b1 + b2
+                    if a + b > cap:
+                        continue
+                    pairs = slots.get((a, b))
+                    if pairs is None:
+                        slots[(a, b)] = [(c1, c2)]
+                    else:
+                        pairs.append((c1, c2))
+            out = {}
+            for key, pairs in slots.items():
+                value = RhoPoly.dot(pairs)
+                if value:
+                    out[key] = value
+            return Jet2D(out, cap, _canonical=True)
         out = {}
         for (a1, b1), c1 in self.coeffs.items():
             for (a2, b2), c2 in other.coeffs.items():

@@ -17,7 +17,15 @@ Canonical form invariants, maintained by every constructor and operation:
 
 Equality is decidable by direct comparison of canonical forms.  Coefficients
 are ``int`` where possible and ``fractions.Fraction`` otherwise; the two mix
-freely and compare equal, so the fast integer path costs nothing.
+freely and compare equal.  ``inverse`` gives an ``int`` coefficient when
+the reciprocal is integral, so the generic factor's eq311 pipeline runs on
+integers throughout.
+
+``RhoPoly.dot`` is the fused multiply-accumulate of the ring: the sum of
+p * q over many pairs, built in one numerator with one rho_00 denominator
+alignment and one canonicalisation.  ``Jet2D`` products use it once per
+output slot, where a chain of two-term sums would copy the slot's
+numerator at every step.
 
 ``PiScaled`` carries exact scalars of the shape q * pi^(-e): every constant
 of the heat-coefficient formulas is an exact rational times a nonnegative
@@ -77,6 +85,13 @@ def mono_weight(mono):
 
 def mono_degree(mono):
     return sum(exp for _, exp in mono)
+
+
+def _numerator(value):
+    """(numerator dict, denominator power) of a RhoPoly or exact scalar."""
+    if isinstance(value, RhoPoly):
+        return value.num, value.den
+    return ({_ONE_MONO: value} if value else {}), 0
 
 
 class RhoPoly:
@@ -170,13 +185,7 @@ class RhoPoly:
                            self.den, _canonical=True)
         if not isinstance(other, RhoPoly):
             return NotImplemented
-        out = {}
-        for m1, c1 in self.num.items():
-            for m2, c2 in other.num.items():
-                mono = _mono_mul(m1, m2)
-                prev = out.get(mono)
-                out[mono] = c1 * c2 if prev is None else prev + c1 * c2
-        return RhoPoly(out, self.den + other.den)
+        return RhoPoly.dot(((self, other),))
 
     __rmul__ = __mul__
 
@@ -218,6 +227,34 @@ class RhoPoly:
                         del out[mono]
         return cls(out, den)
 
+    @classmethod
+    def dot(cls, pairs):
+        """Sum of p * q over `pairs`; either factor may be an int or Fraction.
+
+        Every product goes straight into one numerator over the largest
+        denominator power of the pairs, so the sum is aligned and
+        canonicalised once instead of once per term.
+        """
+        factors = []
+        den = 0
+        for p, q in pairs:
+            p_num, p_den = _numerator(p)
+            q_num, q_den = _numerator(q)
+            if p_num and q_num:
+                factors.append((p_num, q_num, p_den + q_den))
+                den = max(den, p_den + q_den)
+        out = {}
+        for p_num, q_num, d in factors:
+            if d != den:
+                p_num = {_mono_shift_rho00(m, den - d): c
+                         for m, c in p_num.items()}
+            for m1, c1 in p_num.items():
+                for m2, c2 in q_num.items():
+                    mono = _mono_mul(m1, m2)
+                    prev = out.get(mono)
+                    out[mono] = c1 * c2 if prev is None else prev + c1 * c2
+        return cls(out, den)
+
     def __bool__(self):
         return bool(self.num)
 
@@ -248,7 +285,10 @@ class RhoPoly:
         ((mono, coeff),) = self.num.items()
         d = _mono_rho00_exp(mono)
         num_mono = ((VAR00, self.den),) if self.den else _ONE_MONO
-        return RhoPoly({num_mono: Fraction(1, 1) / coeff}, d)
+        inv = 1 / Fraction(coeff)
+        if inv.denominator == 1:
+            inv = inv.numerator
+        return RhoPoly({num_mono: inv}, d)
 
     # -- structure queries ---------------------------------------------------
 

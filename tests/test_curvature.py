@@ -180,6 +180,13 @@ def test_order_requirements():
         heat_invariant_curvature_form(0, random_jet(rng, order=14))
 
 
+def test_truncation_order_is_the_order_read():
+    rho = random_jet(random.Random(9), order=22)
+    assert heat_invariant(1, rho).truncation_order == 2
+    assert heat_invariant_via_frozen(1, rho).truncation_order == 2
+    assert heat_invariant_curvature_form(1, rho).truncation_order == 7
+
+
 def test_symbolic_input_rejected():
     with pytest.raises(TypeError):
         curvature_frame(generic_rho_jet(8))

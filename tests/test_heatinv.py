@@ -1,5 +1,6 @@
 """Heat-invariant engine: constants, closed forms, paths, and rendering."""
 
+import functools
 import json
 import random
 from fractions import Fraction
@@ -65,15 +66,20 @@ def test_heat_constant_range_checks():
 def test_radial_terms_are_the_summed_heat_constants():
     # The paper's Gamma sums C_nksm, summed over m, are the closed-form
     # weights of P_k = c_nk scale^(k-n) (u^2 + v^2)^(k-n): exact, n = 1..8.
+    # The helper returns D P_k with the common denominator D of the c_nk.
     scale = Fraction(3, 2)
     for n in range(1, 9):
-        term = _radial_terms(n, scale, Jet2D({(2, 0): 1, (0, 2): 1}, 8 * n))
+        d, term = _radial_terms(n, scale,
+                                Jet2D({(2, 0): 1, (0, 2): 1}, 8 * n))
         for k in range(n + 1, 4 * n + 1):
             expected = {
                 (2 * (k - n - s), 2 * s): scale ** (k - n) * sum(
                     heat_constant(n, k, s, m).q for m in range(k, 4 * n + 1))
                 for s in range(k - n + 1)}
-            assert term(k) == Jet2D(expected, 2 * k), (n, k)
+            assert term(k) * Fraction(1, d) == Jet2D(expected, 2 * k), (n, k)
+        _, unit = _radial_terms(n, 1, Jet2D({(2, 0): 1, (0, 2): 1}, 8 * n))
+        assert all(type(c) is int for k in range(n + 1, 4 * n + 1)
+                   for c in unit(k).coeffs.values())
 
 
 def test_symbolic_a1_matches_golden_formula():
@@ -193,9 +199,50 @@ def test_rotation_invariance():
         assert heat_invariant(n, rotated).form == heat_invariant(n, rho).form
 
 
+@functools.cache
+def closed_form(n):
+    return symbolic_heat_invariant(n).form
+
+
+def test_symbolic_a3_size():
+    cf = closed_form(3)
+    assert (len(cf.poly.num), cf.poly.den) == (80, 9)
+
+
+def test_symbolic_products_are_fused_and_integral(monkeypatch):
+    # Inside a jet product no RhoPoly is summed term by term, and every
+    # coefficient the eq311 pipeline of the generic factor forms is an int.
+    depth = [0]
+    sums_inside = []
+    coefficients = []
+    mul_capped, rho_sum = Jet2D._mul_capped, RhoPoly.sum.__func__
+
+    def counted_mul(self, other, cap):
+        depth[0] += 1
+        try:
+            result = mul_capped(self, other, cap)
+        finally:
+            depth[0] -= 1
+        for c in result.coeffs.values():
+            if isinstance(c, RhoPoly):
+                coefficients.extend(c.num.values())
+        return result
+
+    def counted_sum(cls, items):
+        if depth[0]:
+            sums_inside.append(items)
+        return rho_sum(cls, items)
+
+    monkeypatch.setattr(Jet2D, "_mul_capped", counted_mul)
+    monkeypatch.setattr(RhoPoly, "sum", classmethod(counted_sum))
+    assert symbolic_heat_invariant(2).form.poly == closed_form(2).poly
+    assert not sums_inside
+    assert coefficients and all(type(c) is int for c in coefficients)
+
+
 def test_homogeneity_of_closed_forms():
-    for n in (1, 2):
-        cf = symbolic_heat_invariant(n).form
+    for n in (1, 2, 3):
+        cf = closed_form(n)
         assert cf.poly.weights() == {2 * n}
         for mono, _ in cf.poly.terms():
             assert mono_degree(mono) - cf.poly.den == -n
@@ -204,9 +251,8 @@ def test_homogeneity_of_closed_forms():
 def test_substitution_matches_numeric_path():
     rng = random.Random(99)
     rho = random_metric_jet(rng)
-    for n in (1, 2):
-        cf = symbolic_heat_invariant(n).form
-        assert cf.substitute(rho) == heat_invariant(n, rho).form
+    for n in (1, 2, 3):
+        assert closed_form(n).substitute(rho) == heat_invariant(n, rho).form
 
 
 def test_order_requirement_enforced():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from heatjets.errors import (IndexOutOfRange, NonInvertibleConstantTerm,
                              OrderExhausted)
 from heatjets.jets import Jet2D
+from heatjets.rhopoly import RhoPoly
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -31,6 +32,31 @@ def invertible_jets(draw):
     coeffs = dict(f.coeffs)
     coeffs[(0, 0)] = draw(rationals.filter(bool))
     return Jet2D(coeffs, f.order)
+
+
+@st.composite
+def rho_polys(draw):
+    """Small RhoPoly values over rho_00^0..rho_00^3."""
+    num = {}
+    for _ in range(draw(st.integers(1, 3))):
+        mono = {}
+        for _ in range(draw(st.integers(0, 2))):
+            var = draw(st.sampled_from([(0, 0), (1, 0), (0, 1)]))
+            mono[var] = mono.get(var, 0) + 1
+        num[tuple(sorted(mono.items()))] = draw(rationals)
+    return RhoPoly(num, draw(st.integers(0, 3)))
+
+
+@st.composite
+def mixed_jets(draw):
+    """Jets whose coefficients mix exact scalars and RhoPoly values."""
+    order = draw(st.integers(0, 4))
+    coeffs = {}
+    for _ in range(draw(st.integers(0, 5))):
+        a = draw(st.integers(0, order))
+        b = draw(st.integers(0, order - a))
+        coeffs[(a, b)] = draw(st.one_of(rationals, rho_polys()))
+    return Jet2D(coeffs, order)
 
 
 def common(f, g):
@@ -85,6 +111,38 @@ def test_mul_matches_polynomial_convolution():
             ref[key] = ref.get(key, 0) + c1 * c2
     prod = f * g
     assert {k: v for k, v in ref.items() if v} == prod.coeffs
+
+
+def per_pair_product(f, g, cap):
+    """Reference product: each slot is the RhoPoly.sum of its c1 * c2."""
+    slots = {}
+    for (a1, b1), c1 in f.coeffs.items():
+        for (a2, b2), c2 in g.coeffs.items():
+            if a1 + a2 + b1 + b2 <= cap:
+                slots.setdefault((a1 + a2, b1 + b2), []).append(
+                    RhoPoly.const(0) + c1 * c2)
+    sums = {k: RhoPoly.sum(terms) for k, terms in slots.items()}
+    return {k: v for k, v in sums.items() if v}
+
+
+@settings(max_examples=80)
+@given(mixed_jets(), st.one_of(mixed_jets(), jets(max_order=4)))
+def test_rhopoly_product_matches_per_pair_sums(f, g):
+    for left, right in ((f, g), (g, f)):
+        prod = left * right
+        assert prod.coeffs == per_pair_product(left, right, prod.order)
+        assert all(prod.coeffs.values())
+
+
+def test_rhopoly_product_drops_cancelled_slots():
+    # p q + q (-p) cancels at u v; p and q sit over different rho_00 powers
+    p = RhoPoly.var(1, 0) * RhoPoly({(): Fraction(1, 3)}, den=2)
+    q = RhoPoly.var(0, 1) + 2
+    f = Jet2D({(1, 0): p, (0, 1): q}, 3)
+    g = Jet2D({(0, 1): q, (1, 0): -p, (0, 0): Fraction(1, 2)}, 3)
+    prod = f * g
+    assert (1, 1) not in prod.coeffs
+    assert prod.coeffs == per_pair_product(f, g, prod.order)
 
 
 def test_valuation_aware_product_order():

@@ -76,6 +76,13 @@ def test_inverse_round_trip():
     assert y.inverse() * y == RhoPoly.one()
 
 
+def test_inverse_keeps_integral_coefficients():
+    (c,) = RhoPoly.var(0, 0).inverse().num.values()
+    assert type(c) is int and c == 1
+    (c,) = (2 * RhoPoly.var(0, 0)).inverse().num.values()
+    assert type(c) is Fraction and c == Fraction(1, 2)
+
+
 def test_inverse_rejects_sums_and_other_vars():
     with pytest.raises(NonInvertibleConstantTerm):
         (RhoPoly.var(0, 0) + RhoPoly.one()).inverse()
@@ -106,6 +113,15 @@ def test_ring_axioms(p, q, r):
 def test_substitute_is_a_homomorphism(p, q, vals):
     assert (p + q).substitute(vals) == p.substitute(vals) + q.substitute(vals)
     assert (p * q).substitute(vals) == p.substitute(vals) * q.substitute(vals)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(st.one_of(rationals, rho_polys()),
+                          st.one_of(rationals, rho_polys())), max_size=4))
+def test_dot_is_the_sum_of_products(pairs):
+    total = RhoPoly.dot(pairs)
+    canonical(total)
+    assert total == RhoPoly.sum([RhoPoly.const(0) + p * q for p, q in pairs])
 
 
 def test_sum_matches_pairwise_addition():
