@@ -37,7 +37,7 @@ from .jets import Jet2D
 from .laplace import ConformalLaplacian, gaussian_curvature_jet
 from .metrics import expand_metric, parse_metric_spec
 from .oracle import SphereSpectrum, fit_diagonal_coefficients, golden_a1
-from .rhopoly import PiScaled, mono_degree, mono_weight
+from .rhopoly import PiScaled, mono_degree
 
 
 class Criterion(NamedTuple):
@@ -163,9 +163,10 @@ def _scaling_rotation_homogeneity():
         if heat_invariant(n, rotated).form != base:
             return f"a_{n} moved under a Pythagorean rotation"
         form = symbolic_heat_invariant(n).form
-        if {mono_weight(m) for m in form.poly.num} != {2 * n}:
+        if form.poly.weights() != {2 * n}:
             return f"symbolic a_{n} is not of weight {2 * n}"
-        if {form.poly.den - mono_degree(m) for m in form.poly.num} != {n}:
+        if {form.poly.den - mono_degree(m)
+                for m, _ in form.poly.terms()} != {n}:
             return f"symbolic a_{n} is not of degree -{n} in rho"
 
 
@@ -173,7 +174,7 @@ def _symbolic_a2():
     form = symbolic_heat_invariant(2).form
     if not form.poly.num:
         return "symbolic a_2 is zero"
-    if {mono_weight(m) for m in form.poly.num} != {4}:
+    if form.poly.weights() != {4}:
         return "symbolic a_2 is not of weight 4"
 
 

@@ -49,6 +49,11 @@ from .jets import Jet2D
 from .metrics import expand_metric, load_metric_spec
 from .rhopoly import PiScaled
 
+#: Most decimal digits ``--approx`` prints.  The mpmath evaluation grows
+#: faster than linearly in the digits, so a larger request is refused
+#: before any work starts instead of running for minutes.
+MAX_APPROX_DIGITS = 100_000
+
 INPUT_ERRORS = (SchemaError, InvalidMetric)
 PRECONDITION_ERRORS = (OrderExhausted, NonInvertibleConstantTerm,
                        DegenerateCurvatureCoordinates, SingularFrame,
@@ -145,6 +150,8 @@ def _cmd_compute(args) -> int:
             raise UsageError("--jet-order applies to concrete metrics only")
     if args.approx is not None and args.approx < 1:
         raise UsageError("--approx needs at least one digit")
+    if args.approx is not None and args.approx > MAX_APPROX_DIGITS:
+        raise UsageError(f"--approx allows at most {MAX_APPROX_DIGITS} digits")
 
     if args.metric:
         rho = _expand_for(args, max(required_order(n, args.path) for n in ns))

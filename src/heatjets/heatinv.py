@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 from .errors import IndexOutOfRange, OrderExhausted
 from .jets import Jet2D
@@ -141,8 +141,7 @@ class ClosedForm:
 
     def substitute(self, rho: Jet2D) -> PiScaled:
         """Evaluate at a concrete rational jet."""
-        values = {key: c for key, c in rho.coeffs.items()}
-        q = self.poly.substitute(values)
+        q = self.poly.substitute(rho.coeffs)
         return PiScaled(q, self.pi_power)
 
 
@@ -306,7 +305,6 @@ def _derivative_value_terms(poly: RhoPoly):
 
 def _content(coeffs):
     """Positive-leading rational content so residual coefficients are coprime ints."""
-    from math import gcd, lcm
     num_gcd = 0
     den_lcm = 1
     for c in coeffs:

@@ -1,30 +1,28 @@
-"""Exact sparse polynomials in the Taylor coefficients of a conformal factor.
+"""Exact sparse Laurent polynomials in the Taylor coefficients of a conformal factor.
 
-A ``RhoPoly`` is a quotient  numerator / rho_00^e  where the numerator is a
-sparse multivariate polynomial over exact rationals in the formal variables
+The formal variables are
 
-    rho_ab  =  coefficient of u^a v^b in the Taylor expansion of rho at (0,0)
+    rho_ab  =  coefficient of u^a v^b in the Taylor expansion of rho at (0,0),
 
-and the denominator is a power of the constant coefficient rho_00.  Variables
-are keyed by the pair (a, b); a monomial is a sorted tuple of ((a, b), exp)
-pairs with positive exponents; the zero polynomial has an empty numerator.
+keyed by the pair (a, b).  A ``RhoPoly`` is one dict ``num`` from monomial to
+nonzero exact coefficient.  A monomial is ``(e, vars)``: ``e`` is the exponent
+of rho_00 and may be negative, and ``vars`` is the sorted tuple of the other
+variables, each repeated by its exponent.  This form is unique, so equality is
+dict equality, and a monomial product is ``(e1 + e2, sorted(v1 + v2))``.
 
-Canonical form invariants, maintained by every constructor and operation:
+The public view is a numerator over a power of rho_00: ``den`` is the
+smallest d >= 0 that clears every negative rho_00 exponent, and ``terms()``
+yields the numerator's monomials as sorted tuples of ((a, b), exp) pairs.
+``RhoPoly(num, den)`` builds a value from that view.
 
-  * no stored coefficient is zero;
-  * when the denominator power e is positive, at least one numerator monomial
-    does not contain rho_00 (common rho_00 factors are cancelled).
-
-Equality is decidable by direct comparison of canonical forms.  Coefficients
-are ``int`` where possible and ``fractions.Fraction`` otherwise; the two mix
-freely and compare equal.  ``inverse`` gives an ``int`` coefficient when
-the reciprocal is integral, so the generic factor's eq311 pipeline runs on
-integers throughout.
+Coefficients are ``int`` where possible and ``fractions.Fraction`` otherwise;
+the two mix freely and compare equal.  ``inverse`` gives an ``int``
+coefficient when the reciprocal is integral, so the generic factor's eq311
+pipeline runs on integers throughout.
 
 ``RhoPoly.dot`` is the fused multiply-accumulate of the ring: the sum of
-p * q over many pairs, built in one numerator with one rho_00 denominator
-alignment and one canonicalisation.  ``Jet2D`` products use it once per
-output slot, where a chain of two-term sums would copy the slot's
+p * q over many pairs, built in one dict.  ``Jet2D`` products use it once
+per output slot, where a chain of two-term sums would copy the slot's
 numerator at every step.
 
 ``PiScaled`` carries exact scalars of the shape q * pi^(-e): every constant
@@ -35,113 +33,84 @@ power of 1/pi.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 
 from .errors import NonInvertibleConstantTerm
 
 VAR00 = (0, 0)
 
-# A monomial in canonical form: tuple(((a, b), exp), ...) sorted by (a, b),
-# all exponents positive.  The empty tuple is the constant monomial.
-_ONE_MONO = ()
-
-
-def _mono_mul(m1, m2):
-    """Merge two canonical monomials (add exponents of shared variables)."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    merged = dict(m1)
-    for var, exp in m2:
-        prev = merged.get(var)
-        merged[var] = exp if prev is None else prev + exp
-    return tuple(sorted(merged.items()))
-
-
-def _mono_rho00_exp(mono):
-    """Exponent of rho_00 in a canonical monomial ((0,0) sorts first)."""
-    if mono and mono[0][0] == VAR00:
-        return mono[0][1]
-    return 0
-
-
-def _mono_shift_rho00(mono, delta):
-    """Return the monomial with the rho_00 exponent changed by `delta`."""
-    if delta == 0:
-        return mono
-    exp = _mono_rho00_exp(mono) + delta
-    rest = mono[1:] if (mono and mono[0][0] == VAR00) else mono
-    if exp < 0:
-        raise ValueError("negative rho_00 exponent")
-    if exp == 0:
-        return rest
-    return ((VAR00, exp),) + rest
+# The constant monomial: rho_00^0 and no other variable.
+_ONE = (0, ())
 
 
 def mono_weight(mono):
-    """Total derivative-order weight: sum of exp * (a + b) over the monomial."""
+    """Total derivative-order weight of a ``terms()`` monomial: sum exp * (a + b)."""
     return sum(exp * (a + b) for (a, b), exp in mono)
 
 
 def mono_degree(mono):
+    """Total degree of a ``terms()`` monomial."""
     return sum(exp for _, exp in mono)
 
 
-def _numerator(value):
-    """(numerator dict, denominator power) of a RhoPoly or exact scalar."""
+def _num(value):
+    """The term dict of a RhoPoly or of an exact scalar."""
     if isinstance(value, RhoPoly):
-        return value.num, value.den
-    return ({_ONE_MONO: value} if value else {}), 0
+        return value.num
+    return {_ONE: value} if value else {}
 
 
 class RhoPoly:
-    """Sparse polynomial in the rho_ab variables over a rho_00-power denominator."""
+    """Sparse Laurent polynomial in rho_00 over the other rho_ab variables."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num",)
 
-    def __init__(self, num=None, den=0, _canonical=False):
-        if num is None:
-            num = {}
-        if _canonical:
-            self.num = num
-            self.den = den
-            return
-        num = {m: c for m, c in num.items() if c}
-        if not num:
-            self.num = {}
-            self.den = 0
-            return
-        if den > 0:
-            common = min(_mono_rho00_exp(m) for m in num)
-            drop = min(common, den)
-            if drop:
-                num = {_mono_shift_rho00(m, -drop): c for m, c in num.items()}
-                den -= drop
-        self.num = num
-        self.den = den
+    def __init__(self, num=None, den=0):
+        """Build numerator / rho_00^den from {((a, b), exp) tuple: coeff}."""
+        out = {}
+        for mono, c in (num or {}).items():
+            e, rest = -den, []
+            for var, exp in mono:
+                if var == VAR00:
+                    e += exp
+                else:
+                    rest += [var] * exp
+            key = (e, tuple(sorted(rest)))
+            out[key] = out.get(key, 0) + c
+        self.num = {m: c for m, c in out.items() if c}
+
+    @classmethod
+    def _make(cls, num):
+        """Wrap a term dict that already has no zero coefficient."""
+        poly = cls.__new__(cls)
+        poly.num = num
+        return poly
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, value):
         value = value if isinstance(value, (int, Fraction)) else Fraction(value)
-        if not value:
-            return cls({}, 0, _canonical=True)
-        return cls({_ONE_MONO: value}, 0, _canonical=True)
+        return cls._make({_ONE: value} if value else {})
 
     @classmethod
     def var(cls, a, b):
         if a < 0 or b < 0:
             raise ValueError("variable indices must be nonnegative")
-        return cls({(((a, b), 1),): 1}, 0, _canonical=True)
+        return cls._make({(1, ()) if (a, b) == VAR00 else (0, ((a, b),)): 1})
 
     @classmethod
     def zero(cls):
-        return cls({}, 0, _canonical=True)
+        return cls._make({})
 
     @classmethod
     def one(cls):
         return cls.const(1)
+
+    @property
+    def den(self):
+        """Power of rho_00 under the numerator that ``terms()`` yields."""
+        return max(0, -min((e for e, _ in self.num), default=0))
 
     # -- ring structure ----------------------------------------------------
 
@@ -162,8 +131,7 @@ class RhoPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return RhoPoly({m: -c for m, c in self.num.items()}, self.den,
-                       _canonical=True)
+        return RhoPoly._make({m: -c for m, c in self.num.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -181,8 +149,7 @@ class RhoPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return RhoPoly.zero()
-            return RhoPoly({m: c * other for m, c in self.num.items()},
-                           self.den, _canonical=True)
+            return RhoPoly._make({m: c * other for m, c in self.num.items()})
         if not isinstance(other, RhoPoly):
             return NotImplemented
         return RhoPoly.dot(((self, other),))
@@ -204,56 +171,30 @@ class RhoPoly:
 
     @classmethod
     def sum(cls, items):
-        """Sum an iterable of RhoPoly values with one denominator alignment."""
-        items = [p for p in items if p.num]
-        if not items:
-            return cls.zero()
-        if len(items) == 1:
-            return items[0]
-        den = max(p.den for p in items)
+        """Sum an iterable of RhoPoly values."""
         out = {}
         for p in items:
-            shift = den - p.den
             for m, c in p.num.items():
-                mono = _mono_shift_rho00(m, shift)
-                prev = out.get(mono)
-                if prev is None:
-                    out[mono] = c
-                else:
-                    s = prev + c
-                    if s:
-                        out[mono] = s
-                    else:
-                        del out[mono]
-        return cls(out, den)
+                prev = out.get(m)
+                out[m] = c if prev is None else prev + c
+        return cls._make({m: c for m, c in out.items() if c})
 
     @classmethod
     def dot(cls, pairs):
         """Sum of p * q over `pairs`; either factor may be an int or Fraction.
 
-        Every product goes straight into one numerator over the largest
-        denominator power of the pairs, so the sum is aligned and
-        canonicalised once instead of once per term.
+        Every product goes straight into one dict, so the sum drops its
+        cancelled terms once instead of once per pair.
         """
-        factors = []
-        den = 0
-        for p, q in pairs:
-            p_num, p_den = _numerator(p)
-            q_num, q_den = _numerator(q)
-            if p_num and q_num:
-                factors.append((p_num, q_num, p_den + q_den))
-                den = max(den, p_den + q_den)
         out = {}
-        for p_num, q_num, d in factors:
-            if d != den:
-                p_num = {_mono_shift_rho00(m, den - d): c
-                         for m, c in p_num.items()}
-            for m1, c1 in p_num.items():
-                for m2, c2 in q_num.items():
-                    mono = _mono_mul(m1, m2)
+        for p, q in pairs:
+            q_num = _num(q)
+            for (e1, v1), c1 in _num(p).items():
+                for (e2, v2), c2 in q_num.items():
+                    mono = (e1 + e2, tuple(sorted(v1 + v2)))
                     prev = out.get(mono)
                     out[mono] = c1 * c2 if prev is None else prev + c1 * c2
-        return cls(out, den)
+        return cls._make({m: c for m, c in out.items() if c})
 
     def __bool__(self):
         return bool(self.num)
@@ -262,39 +203,41 @@ class RhoPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.den == other.den and self.num == other.num
+        return self.num == other.num
 
     __hash__ = None
 
     # -- partial inversion ---------------------------------------------------
 
-    def is_rho00_monomial(self):
-        """True when the value is q * rho_00^d for some rational q and d >= 0."""
-        if len(self.num) != 1:
-            return False
-        (mono,) = self.num
-        return mono == _ONE_MONO or (len(mono) == 1 and mono[0][0] == VAR00)
-
     def inverse(self):
-        """Exact reciprocal, defined only for q * rho_00^d monomial values."""
+        """Exact reciprocal, defined only for q * rho_00^d values."""
         if not self.num:
             raise NonInvertibleConstantTerm("cannot invert the zero element")
-        if not self.is_rho00_monomial():
+        (e, rest), coeff = next(iter(self.num.items()))
+        if len(self.num) != 1 or rest:
             raise NonInvertibleConstantTerm(
                 "only rational multiples of rho_00 powers are invertible")
-        ((mono, coeff),) = self.num.items()
-        d = _mono_rho00_exp(mono)
-        num_mono = ((VAR00, self.den),) if self.den else _ONE_MONO
         inv = 1 / Fraction(coeff)
         if inv.denominator == 1:
             inv = inv.numerator
-        return RhoPoly({num_mono: inv}, d)
+        return RhoPoly._make({(-e, ()): inv})
 
     # -- structure queries ---------------------------------------------------
 
     def terms(self):
-        """Iterate (monomial, coefficient) pairs of the numerator."""
-        return self.num.items()
+        """(monomial, coefficient) pairs of the numerator over rho_00^den.
+
+        A monomial is a sorted tuple of ((a, b), exp) pairs with positive
+        exponents; the empty tuple is the constant monomial.
+        """
+        den = self.den
+        out = []
+        for (e, rest), c in self.num.items():
+            mono = tuple((var, len(list(run))) for var, run in groupby(rest))
+            if e + den:
+                mono = ((VAR00, e + den),) + mono
+            out.append((mono, c))
+        return out
 
     def substitute(self, values):
         """Evaluate at concrete rational Taylor coefficients.
@@ -305,37 +248,30 @@ class RhoPoly:
         if self.den and not rho00:
             raise NonInvertibleConstantTerm("substitution with rho_00 = 0")
         total = Fraction(0)
-        for mono, c in self.num.items():
-            term = Fraction(c)
-            for var, exp in mono:
-                val = values.get(var)
-                if not val:
-                    term = None
-                    break
-                term *= Fraction(val) ** exp
-            if term is not None:
-                total += term
-        if self.den:
-            total /= rho00 ** self.den
+        for (e, rest), c in self.num.items():
+            term = Fraction(c) * rho00 ** e
+            for var in rest:
+                term *= values.get(var, 0)
+            total += term
         return total
 
     def as_fraction(self):
         """The value as a rational, when no variables other than rho_00 appear."""
         if not self.num:
             return Fraction(0)
-        if self.den == 0 and list(self.num) == [_ONE_MONO]:
-            return Fraction(self.num[_ONE_MONO])
+        if list(self.num) == [_ONE]:
+            return Fraction(self.num[_ONE])
         raise ValueError("RhoPoly is not a plain rational constant")
 
     def weights(self):
         """Set of derivative-order weights over the numerator monomials."""
-        return {mono_weight(m) for m in self.num}
+        return {mono_weight(m) for m, _ in self.terms()}
 
     def __repr__(self):
         if not self.num:
             return "RhoPoly(0)"
         parts = []
-        for mono, c in sorted(self.num.items()):
+        for mono, c in sorted(self.terms()):
             factors = [f"rho{a}{b}^{e}" if e > 1 else f"rho{a}{b}"
                        for (a, b), e in mono]
             parts.append(f"{c}" + ("*" + "*".join(factors) if factors else ""))

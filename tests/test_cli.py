@@ -190,6 +190,21 @@ def test_usage_conflicts(capsys, metric_file):
         assert err.startswith("error:")
 
 
+def test_approx_digits_are_bounded(capsys, metric_file, monkeypatch):
+    import heatjets.cli as cli
+
+    def refuse(*args):
+        raise AssertionError("a route started")
+    monkeypatch.setattr(cli, "heat_invariant", refuse)
+    code, out, _ = run(capsys, ["compute", "--n", "1", "--metric",
+                                metric_file(SPHERE), "--format", "json",
+                                "--approx", "50000000"])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "usage"
+    assert str(cli.MAX_APPROX_DIGITS) in error["message"]
+
+
 def test_named_family_expands_only_what_is_read(capsys, metric_file,
                                                 monkeypatch):
     import heatjets.cli as cli

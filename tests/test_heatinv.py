@@ -209,6 +209,11 @@ def test_symbolic_a3_size():
     assert (len(cf.poly.num), cf.poly.den) == (80, 9)
 
 
+def test_symbolic_a4_size():
+    cf = closed_form(4)
+    assert (len(cf.poly.num), cf.poly.den) == (307, 12)
+
+
 def test_symbolic_products_are_fused_and_integral(monkeypatch):
     # Inside a jet product no RhoPoly is summed term by term, and every
     # coefficient the eq311 pipeline of the generic factor forms is an int.
@@ -241,7 +246,7 @@ def test_symbolic_products_are_fused_and_integral(monkeypatch):
 
 
 def test_homogeneity_of_closed_forms():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         cf = closed_form(n)
         assert cf.poly.weights() == {2 * n}
         for mono, _ in cf.poly.terms():
@@ -251,7 +256,7 @@ def test_homogeneity_of_closed_forms():
 def test_substitution_matches_numeric_path():
     rng = random.Random(99)
     rho = random_metric_jet(rng)
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         assert closed_form(n).substitute(rho) == heat_invariant(n, rho).form
 
 
