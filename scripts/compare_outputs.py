@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Check that two source trees print the same `heatinv compute` output.
+
+Usage: python3 scripts/compare_outputs.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories that hold a `heatjets` package (a
+checkout's `src/`).  Every request below runs once per tree, each in a fresh
+`python3 -I` with that tree first on `sys.path`:
+
+* symbolic eq311 a_1..a_4 and symbolic eq310 a_1..a_3, in plain, latex and
+  json;
+* seeds 501-503 of the benchmark workloads dense, curvature and sphere
+  (their metrics come from `perfbench/workloads.py`), in json, plain and
+  latex with `--approx 12`;
+* eq310 in json on the dense and sphere seeds.
+
+The exit code, standard output and standard error must match byte for byte,
+except for the `wallTimeSeconds` lines of the JSON reports.  Prints
+`identical (N requests)` and exits 0, or prints the first differing request
+and exits 1.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FORMATS = ("plain", "latex", "json")
+SEEDS = (501, 502, 503)
+
+#: Runs heatjets.cli.main on argv[2:] with the tree argv[1] first on the path.
+RUNNER = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+import heatjets.cli
+sys.exit(heatjets.cli.main(sys.argv[2:]))
+"""
+
+
+def load_workloads(src):
+    """perfbench/workloads.py as a module; it imports heatjets from `src`."""
+    sys.path.insert(0, str(src))
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def requests(workloads, tmp: Path):
+    """(label, argv) of every request, metric files written under `tmp`."""
+    for path, top in (("eq311", 4), ("eq310", 3)):
+        ns = [arg for n in range(1, top + 1) for arg in ("--n", str(n))]
+        for fmt in FORMATS:
+            yield (f"symbolic {path} {fmt}",
+                   ["compute", *ns, "--path", path, "--format", fmt])
+    for workload in ("dense", "curvature", "sphere"):
+        for seed in SEEDS:
+            request = workloads.make_request(workload, seed)
+            metric = tmp / f"{workload}-{seed}.json"
+            metric.write_text(json.dumps(request.metric))
+            argv = request.argv(metric)[:-1]  # drops "json" after --format
+            for fmt in FORMATS:
+                yield (f"{workload} seed {seed} {request.path} {fmt}",
+                       [*argv, fmt, "--approx", "12"])
+            if workload != "curvature":
+                yield (f"{workload} seed {seed} eq310 json",
+                       ["eq310" if a == request.path else a for a in argv]
+                       + ["json"])
+
+
+def run(src, argv):
+    """(exit code, stdout without wallTimeSeconds lines, stderr)."""
+    proc = subprocess.run([sys.executable, "-I", "-c", RUNNER, str(src),
+                           *argv], capture_output=True, text=True)
+    stdout = "".join(line for line in proc.stdout.splitlines(keepends=True)
+                     if '"wallTimeSeconds":' not in line)
+    return proc.returncode, stdout, proc.stderr
+
+
+def first_difference(old: str, new: str) -> str:
+    for i, (a, b) in enumerate(zip(old.splitlines(), new.splitlines()), 1):
+        if a != b:
+            return f"line {i}:\n  old: {a[:200]}\n  new: {b[:200]}"
+    return (f"one output ends first ({len(old.splitlines())} against "
+            f"{len(new.splitlines())} lines)")
+
+
+def main() -> int:
+    args = sys.argv[1:]
+    if len(args) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    old_src, new_src = (Path(a).resolve() for a in args)
+    for src in (old_src, new_src):
+        if not (src / "heatjets" / "cli.py").is_file():
+            print(f"error: no heatjets sources under {src}", file=sys.stderr)
+            return 2
+    workloads = load_workloads(new_src)
+    count = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, cli_argv in requests(workloads, Path(tmp)):
+            count += 1
+            old, new = run(old_src, cli_argv), run(new_src, cli_argv)
+            if old != new:
+                print(f"differs: {label}\n  heatinv {' '.join(cli_argv)}")
+                if old[0] != new[0]:
+                    print(f"exit code: {old[0]} against {new[0]}")
+                for name, a, b in (("stdout", old[1], new[1]),
+                                   ("stderr", old[2], new[2])):
+                    if a != b:
+                        print(f"{name}: {first_difference(a, b)}")
+                return 1
+    print(f"identical ({count} requests)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

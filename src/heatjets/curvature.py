@@ -36,8 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (DegenerateCurvatureCoordinates, IndexOutOfRange,
-                     OrderExhausted, SingularFrame)
+from .errors import (DegenerateCurvatureCoordinates, OrderExhausted,
+                     SingularFrame)
 from .heatinv import (HeatInvariantResult, _nested_laplacian_sum,
                       _require_order)
 from .jets import Jet2D
@@ -134,9 +134,6 @@ def heat_invariant_curvature_form(n: int, rho: Jet2D) -> HeatInvariantResult:
     exist; raises DegenerateCurvatureCoordinates otherwise.  A nonzero
     Jacobian makes E and EG - F^2 = (Jacobian / rho_0)^2 nonzero.
     """
-    if n < 1:
-        raise IndexOutOfRange(
-            f"heat_invariant_curvature_form needs n >= 1, got {n}")
     order = _require_order(n, rho, "curvature")
     frame, lap, z, w = _frame_and_coordinates(rho.truncate(order))
     if frame.degenerate:

@@ -36,12 +36,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 
 from .errors import IndexOutOfRange, OrderExhausted
 from .jets import Jet2D
 from .laplace import ConformalLaplacian, FrozenLaplacian
-from .rhopoly import PiScaled, RhoPoly
+from .rhopoly import PiScaled, RhoPoly, mono_degree
 
 #: Universal leading (Weyl) coefficient in dimension 2: a_0 = 1/(4 pi).
 #: Not produced by the main sum (its index ranges are empty at n = 0);
@@ -181,7 +181,9 @@ def required_order(n: int, path: str) -> int:
 
 
 def _require_order(n: int, rho: Jet2D, path: str) -> int:
-    """required_order(n, path), after checking that `rho` carries it."""
+    """required_order(n, path), after checking n >= 1 and that `rho` carries it."""
+    if n < 1:
+        raise IndexOutOfRange(f"a_n on the {path} route needs n >= 1, got {n}")
     order = required_order(n, path)
     if rho.order < order:
         raise OrderExhausted(
@@ -198,8 +200,6 @@ def heat_invariant(n: int, rho: Jet2D) -> HeatInvariantResult:
     sum_k Delta^k P_k is evaluated by Horner nesting: 4n Laplacian
     applications in all.
     """
-    if n < 1:
-        raise IndexOutOfRange(f"heat_invariant needs n >= 1, got {n}")
     order = _require_order(n, rho, "eq311")
     total = _nested_laplacian_sum(ConformalLaplacian(rho), n,
                                   rho.constant_term(),
@@ -217,39 +217,25 @@ def heat_invariant_via_frozen(n: int, rho: Jet2D) -> HeatInvariantResult:
     / ((2m-2n-2p)! (2p)!) = (u^2 + v^2)^(m-n) / (4^(m-n) (m-n)!), with g the
     rational Gamma(.+1/2) ratio.  It shares no constant with heat_invariant.
     """
-    if n < 1:
-        raise IndexOutOfRange(f"heat_invariant needs n >= 1, got {n}")
     order = _require_order(n, rho, "eq310")
-    symbolic = _is_symbolic(rho)
     lap = ConformalLaplacian(rho)
     frozen = FrozenLaplacian(rho)
     rho0 = rho.constant_term()
-    parts = []
+    total = 0
     for m in range(n + 1, 4 * n + 1):
         seed_coeffs = {}
         for p in range(m - n + 1):
             w = (gamma_half_rational(m - n - p) * gamma_half_rational(p)
                  / (factorial(2 * m - 2 * n - 2 * p) * factorial(2 * p)))
             seed_coeffs[(2 * m - 2 * n - 2 * p, 2 * p)] = w
-        seed = Jet2D(seed_coeffs, 2 * m)
-        frozen_images = [seed]
-        for _ in range(m):
-            frozen_images.append(frozen.apply(frozen_images[-1]))
-        inner = []
-        for k in range(m + 1):
-            val = lap.apply_power(frozen_images[m - k], k).constant_term()
-            if val:
-                inner.append(val * ((-1) ** k * comb(m, k)))
-        if not inner:
-            continue
-        tot = RhoPoly.sum(inner) if symbolic else sum(inner, Fraction(0))
-        factor = Fraction((-1) ** (m - n), 4 * factorial(m))
-        parts.append((rho0 ** (m - n) * tot) * factor)
-    if symbolic:
-        total = RhoPoly.sum(parts)
-    else:
-        total = sum(parts, Fraction(0))
-    return _wrap(n, total, symbolic, order)
+        image = Jet2D(seed_coeffs, 2 * m)  # Delta_0^(m-k) f_m
+        weight = rho0 ** (m - n) * Fraction((-1) ** (m - n), 4 * factorial(m))
+        for k in range(m, -1, -1):
+            value = lap.apply_power(image, k).constant_term()
+            total = total + value * (weight * ((-1) ** k * comb(m, k)))
+            if k:
+                image = frozen.apply(image)
+    return _wrap(n, total, _is_symbolic(rho), order)
 
 
 def symbolic_heat_invariant(n: int) -> HeatInvariantResult:
@@ -259,134 +245,110 @@ def symbolic_heat_invariant(n: int) -> HeatInvariantResult:
 
 # -- rendering ---------------------------------------------------------------
 
-def _var_index(a: int, b: int) -> int:
-    """Total order of the derivative variables: rho < rho_u < rho_v < rho_uu < ..."""
-    return (a + b) * (a + b + 1) // 2 + b
+def _is_latex(fmt: str) -> bool:
+    """True for "latex", False for "plain"; any other format is refused."""
+    if fmt not in ("plain", "latex"):
+        raise ValueError(f"unknown format {fmt!r}")
+    return fmt == "latex"
 
 
-def _var_name(a: int, b: int, latex: bool = False) -> str:
+def _power(base: str, e: int, latex: bool) -> str:
+    """base^e, or base alone when e is 1."""
+    if e == 1:
+        return base
+    return f"{base}^{{{e}}}" if latex else f"{base}^{e}"
+
+
+def _var_name(a: int, b: int, latex: bool) -> str:
     if a == 0 and b == 0:
         return r"\rho" if latex else "rho"
     sub = "u" * a + "v" * b
     return rf"\rho_{{{sub}}}" if latex else f"rho_{sub}"
 
 
-def _derivative_value_terms(poly: RhoPoly):
-    """Terms converted from Taylor-coefficient to derivative-value variables.
+def _denominator(q_den: int, pi_power: int, rho_power: int, latex: bool) -> str:
+    """The factors q_den, pi^pi_power and rho^rho_power other than 1, joined;
+    "" when all three are 1."""
+    factors = [str(q_den)] if q_den != 1 else []
+    for base, e in ((r"\pi" if latex else "pi", pi_power),
+                    (_var_name(0, 0, latex), rho_power)):
+        if e:
+            factors.append(_power(base, e, latex))
+    return (" " if latex else "*").join(factors)
 
-    rho_ab (Taylor) = (d_u^a d_v^b rho)(0) / (a! b!), so each monomial picks
-    up the inverse factorial product.  Returns a list of (sort_key, mono,
-    Fraction coefficient) sorted by total degree, then lexicographically on
-    the exponent vector read from the highest derivative variable down
-    (this puts pure low-derivative monomials first, matching the customary
-    way these formulas are printed).
+
+def _taylor_scale(mono) -> int:
+    """prod (a! b!)^e over a monomial's ((a, b), e) factors.
+
+    rho_ab (Taylor) = (d_u^a d_v^b rho)(0) / (a! b!), so a coefficient of
+    Taylor-coefficient variables is this times the same coefficient of
+    derivative-value variables.
     """
-    converted = []
-    max_idx = 0
+    return prod((factorial(a) * factorial(b)) ** e for (a, b), e in mono)
+
+
+def _derivative_value_terms(poly: RhoPoly):
+    """(mono, Fraction coefficient) in derivative-value variables, sorted.
+
+    The factors of a monomial run rho < rho_u < rho_v < rho_uu < ...
+    (by (a + b, b)).  Terms sort by total degree, then by their (variable,
+    exponent) pairs read from the highest variable down, which puts pure
+    low-derivative monomials first, the customary way these formulas are
+    printed.
+    """
+    terms = []
     for mono, c in poly.terms():
-        coeff = Fraction(c)
-        indexed = []
-        for (a, b), e in mono:
-            coeff /= Fraction(factorial(a) * factorial(b)) ** e
-            idx = _var_index(a, b)
-            indexed.append((idx, (a, b), e))
-            max_idx = max(max_idx, idx)
-        indexed.sort()
-        converted.append((indexed, coeff))
-    keyed = []
-    for indexed, coeff in converted:
-        degree = sum(e for _, _, e in indexed)
-        exps = {idx: e for idx, _, e in indexed}
-        rev = tuple(exps.get(i, 0) for i in range(max_idx, -1, -1))
-        keyed.append(((degree, rev), indexed, coeff))
-    keyed.sort(key=lambda item: item[0])
-    return [(mono, coeff) for _, mono, coeff in keyed]
-
-
-def _content(coeffs):
-    """Positive-leading rational content so residual coefficients are coprime ints."""
-    num_gcd = 0
-    den_lcm = 1
-    for c in coeffs:
-        num_gcd = gcd(num_gcd, abs(c.numerator))
-        den_lcm = lcm(den_lcm, c.denominator)
-    content = Fraction(num_gcd, den_lcm)
-    if coeffs and coeffs[0] < 0:
-        content = -content
-    return content
-
-
-def _monomial_str(indexed, latex: bool) -> str:
-    factors = []
-    for _, (a, b), e in indexed:
-        name = _var_name(a, b, latex)
-        if e == 1:
-            factors.append(name)
-        else:
-            factors.append(f"{name}^{{{e}}}" if latex else f"{name}^{e}")
-    sep = " " if latex else "*"
-    return sep.join(factors)
+        mono = sorted(mono, key=lambda f: (sum(f[0]), f[0][1]))
+        terms.append((mono, Fraction(c) / _taylor_scale(mono)))
+    terms.sort(key=lambda t: (mono_degree(t[0]),
+                              [((a + b, b), e) for (a, b), e in t[0][::-1]]))
+    return terms
 
 
 def render_closed_form(form: ClosedForm, fmt: str = "plain") -> str:
-    latex = fmt == "latex"
-    if fmt not in ("plain", "latex"):
-        raise ValueError(f"unknown format {fmt!r}")
+    latex = _is_latex(fmt)
     terms = _derivative_value_terms(form.poly)
     if not terms:
         return "0"
-    content = _content([c for _, c in terms])
+    # positive-leading rational content, so the residual coefficients are
+    # coprime integers
+    content = Fraction(gcd(*(c.numerator for _, c in terms)),
+                       lcm(*(c.denominator for _, c in terms)))
+    if terms[0][1] < 0:
+        content = -content
+    sep = " " if latex else "*"
     pieces = []
-    for i, (indexed, coeff) in enumerate(terms):
+    for mono, coeff in terms:
         q = coeff / content
         assert q.denominator == 1
-        mag, neg = abs(q.numerator), q.numerator < 0
-        mono = _monomial_str(indexed, latex)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}{' ' if latex else '*'}{mono}"
-        if i == 0:
-            pieces.append(("-" if neg else "") + body)
-        else:
-            pieces.append(("- " if neg else "+ ") + body)
-    numerator = " ".join(pieces)
+        factors = [_power(_var_name(a, b, latex), e, latex)
+                   for (a, b), e in mono]
+        if abs(q) != 1 or not factors:
+            factors.insert(0, str(abs(q)))
+        pieces.append(("- " if q < 0 else "+ ") + sep.join(factors))
+    numerator = " ".join(pieces)  # the lead term drops "+ " or tightens "- "
+    numerator = numerator[2:] if numerator[0] == "+" else "-" + numerator[2:]
+    p = abs(content.numerator)
+    if numerator == "1":  # a constant numerator prints as its content alone
+        num_str = str(p)
+    else:
+        num_str = numerator if latex else f"({numerator})"
+        if p != 1:
+            num_str = f"{p}{sep}{num_str}"
     sign = "-" if content < 0 else ""
-    p, q_den = abs(content.numerator), content.denominator
-    den_factors = []
-    if q_den != 1:
-        den_factors.append(str(q_den))
-    if form.pi_power == 1:
-        den_factors.append(r"\pi" if latex else "pi")
-    elif form.pi_power > 1:
-        den_factors.append((r"\pi^{%d}" % form.pi_power) if latex
-                           else f"pi^{form.pi_power}")
-    d = form.poly.den
-    if d == 1:
-        den_factors.append(_var_name(0, 0, latex))
-    elif d > 1:
-        den_factors.append((r"\rho^{%d}" % d) if latex
-                           else f"rho^{d}")
-    num_str = f"({numerator})" if not latex else numerator
-    if p != 1:
-        num_str = (f"{p} {num_str}" if latex else f"{p}*{num_str}")
-    if not den_factors:
+    den = _denominator(content.denominator, form.pi_power, form.poly.den, latex)
+    if not den:
         return f"{sign}{num_str}"
     if latex:
-        return rf"{sign}\frac{{{num_str}}}{{{' '.join(den_factors)}}}"
-    return f"{sign}{num_str} / ({'*'.join(den_factors)})"
+        return rf"{sign}\frac{{{num_str}}}{{{den}}}"
+    return f"{sign}{num_str} / ({den})"
 
 
 def closed_form_to_json(form: ClosedForm) -> dict:
     """Machine-readable closed form in derivative-value variables."""
-    terms = []
-    for indexed, coeff in _derivative_value_terms(form.poly):
-        terms.append({
-            "monomial": [[a, b, e] for _, (a, b), e in indexed],
-            "coefficient": str(coeff),
-        })
+    terms = [{"monomial": [[a, b, e] for (a, b), e in mono],
+              "coefficient": str(coeff)}
+             for mono, coeff in _derivative_value_terms(form.poly)]
     return {
         "kind": "closedForm",
         "n": form.n,
@@ -403,12 +365,8 @@ def parse_closed_form_json(doc) -> ClosedForm:
         doc = json.loads(doc)
     num = {}
     for term in doc["terms"]:
-        coeff = Fraction(term["coefficient"])
-        mono = []
-        for a, b, e in term["monomial"]:
-            coeff *= Fraction(factorial(a) * factorial(b)) ** e
-            mono.append(((a, b), e))
-        mono = tuple(sorted(mono))
+        mono = tuple(sorted(((a, b), e) for a, b, e in term["monomial"]))
+        coeff = Fraction(term["coefficient"]) * _taylor_scale(mono)
         num[mono] = num.get(mono, 0) + coeff
     poly = RhoPoly(num, doc["rhoDenominatorPower"])
     return ClosedForm(n=doc["n"], poly=poly, pi_power=doc["piPower"])
@@ -416,26 +374,14 @@ def parse_closed_form_json(doc) -> ClosedForm:
 
 def render_pi_scaled(value: PiScaled, fmt: str = "plain") -> str:
     """Exact numeric rendering, e.g. 1/(12*pi); pi is never expanded."""
-    if fmt not in ("plain", "latex"):
-        raise ValueError(f"unknown format {fmt!r}")
+    latex = _is_latex(fmt)
     if not value.q:
         return "0"
     p = value.q.numerator
-    den_factors = []
-    if value.q.denominator != 1:
-        den_factors.append(str(value.q.denominator))
-    if value.pi_power:
-        if fmt == "latex":
-            den_factors.append(r"\pi" if value.pi_power == 1
-                               else r"\pi^{%d}" % value.pi_power)
-        else:
-            den_factors.append("pi" if value.pi_power == 1
-                               else f"pi^{value.pi_power}")
-    if not den_factors:
+    den = _denominator(value.q.denominator, value.pi_power, 0, latex)
+    if not den:
         return str(p)
-    if fmt == "latex":
+    if latex:
         sign = "-" if p < 0 else ""
-        return rf"{sign}\frac{{{abs(p)}}}{{{' '.join(den_factors)}}}"
-    den = den_factors[0] if len(den_factors) == 1 \
-        else "(" + "*".join(den_factors) + ")"
-    return f"{p}/{den}"
+        return rf"{sign}\frac{{{abs(p)}}}{{{den}}}"
+    return f"{p}/({den})" if "*" in den else f"{p}/{den}"

@@ -65,11 +65,6 @@ class FrozenLaplacian:
         s = f.diff(2, 0) + f.diff(0, 2)
         return s * (-self.inv0)
 
-    def apply_power(self, f: Jet2D, k: int) -> Jet2D:
-        for _ in range(k):
-            f = self.apply(f)
-        return f
-
 
 def gaussian_curvature_jet(rho: Jet2D,
                            lap: ConformalLaplacian | None = None) -> Jet2D:

@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 from heatjets.errors import IndexOutOfRange, OrderExhausted
-from heatjets.heatinv import (WEYL_A0, _radial_terms, closed_form_to_json,
-                              gamma_half_rational, generic_rho_jet,
-                              heat_constant, heat_invariant,
+from heatjets.heatinv import (WEYL_A0, ClosedForm, _radial_terms,
+                              closed_form_to_json, gamma_half_rational,
+                              generic_rho_jet, heat_constant, heat_invariant,
                               heat_invariant_via_frozen,
                               parse_closed_form_json, render_closed_form,
                               render_pi_scaled, required_order,
@@ -20,6 +20,27 @@ from heatjets.laplace import ConformalLaplacian
 from heatjets.rhopoly import PiScaled, RhoPoly, mono_degree
 
 GOLDEN_A1_PLAIN = "(rho_u^2 + rho_v^2 - rho*rho_uu - rho*rho_vv) / (24*pi*rho^3)"
+GOLDEN_A2_PLAIN = (
+    "(25*rho_u^4 + 50*rho_u^2*rho_v^2 + 25*rho_v^4"
+    " - 44*rho*rho_u^2*rho_uu - 20*rho*rho_v^2*rho_uu + 9*rho^2*rho_uu^2"
+    " - 48*rho*rho_u*rho_v*rho_uv + 8*rho^2*rho_uv^2"
+    " - 20*rho*rho_u^2*rho_vv - 44*rho*rho_v^2*rho_vv"
+    " + 10*rho^2*rho_uu*rho_vv + 9*rho^2*rho_vv^2"
+    " + 12*rho^2*rho_u*rho_uuu + 12*rho^2*rho_v*rho_uuv"
+    " + 12*rho^2*rho_u*rho_uvv + 12*rho^2*rho_v*rho_vvv"
+    " - 2*rho^3*rho_uuuu - 4*rho^3*rho_uuvv - 2*rho^3*rho_vvvv)"
+    " / (240*pi*rho^6)")
+GOLDEN_A2_LATEX = (
+    r"\frac{25 \rho_{u}^{4} + 50 \rho_{u}^{2} \rho_{v}^{2} + 25 \rho_{v}^{4}"
+    r" - 44 \rho \rho_{u}^{2} \rho_{uu} - 20 \rho \rho_{v}^{2} \rho_{uu}"
+    r" + 9 \rho^{2} \rho_{uu}^{2}"
+    r" - 48 \rho \rho_{u} \rho_{v} \rho_{uv} + 8 \rho^{2} \rho_{uv}^{2}"
+    r" - 20 \rho \rho_{u}^{2} \rho_{vv} - 44 \rho \rho_{v}^{2} \rho_{vv}"
+    r" + 10 \rho^{2} \rho_{uu} \rho_{vv} + 9 \rho^{2} \rho_{vv}^{2}"
+    r" + 12 \rho^{2} \rho_{u} \rho_{uuu} + 12 \rho^{2} \rho_{v} \rho_{uuv}"
+    r" + 12 \rho^{2} \rho_{u} \rho_{uvv} + 12 \rho^{2} \rho_{v} \rho_{vvv}"
+    r" - 2 \rho^{3} \rho_{uuuu} - 4 \rho^{3} \rho_{uuvv}"
+    r" - 2 \rho^{3} \rho_{vvvv}}{240 \pi \rho^{6}}")
 
 
 def golden_a1_poly():
@@ -107,15 +128,30 @@ def test_render_latex_smoke():
     assert s.startswith(r"\frac{") and r"\rho_{uu}" in s and r"\pi" in s
 
 
+def test_render_a2_golden_strings():
+    cf = closed_form(2)
+    assert render_closed_form(cf, "plain") == GOLDEN_A2_PLAIN
+    assert render_closed_form(cf, "latex") == GOLDEN_A2_LATEX
+
+
 def test_render_zero():
-    from heatjets.heatinv import ClosedForm
-    assert render_closed_form(
-        ClosedForm(n=1, poly=RhoPoly.zero(), pi_power=1)) == "0"
+    # zero, and constant numerators, which print as their content alone
+    cases = [
+        (RhoPoly.zero(), "plain", "0"),
+        (RhoPoly.zero(), "latex", "0"),
+        (RhoPoly.const(2), "plain", "2 / (pi)"),
+        (RhoPoly.const(2), "latex", r"\frac{2}{\pi}"),
+        (RhoPoly.const(Fraction(1, 12)), "plain", "1 / (12*pi)"),
+        (RhoPoly.const(Fraction(-1, 12)), "latex", r"-\frac{1}{12 \pi}"),
+    ]
+    for poly, fmt, expected in cases:
+        form = ClosedForm(n=1, poly=poly, pi_power=1)
+        assert render_closed_form(form, fmt) == expected, (poly, fmt)
 
 
 def test_json_round_trip():
-    for n in (1, 2):
-        cf = symbolic_heat_invariant(n).form
+    for n in (1, 2, 3, 4):
+        cf = closed_form(n)
         doc = json.loads(json.dumps(closed_form_to_json(cf)))
         back = parse_closed_form_json(doc)
         assert back.poly == cf.poly
