@@ -12,7 +12,11 @@ checkout's `src/`).  Every request below runs once per tree, each in a fresh
 * seeds 501-503 of the benchmark workloads dense, curvature and sphere
   (their metrics come from `perfbench/workloads.py`), in json, plain and
   latex with `--approx 12`;
-* eq310 in json on the dense and sphere seeds.
+* eq310 in json on the dense and sphere seeds;
+* deeper orders in json, where the jets' denominators grow largest: eq311
+  a_5 and a_6 on dense seed 501, and the curvature route's a_3 and a_4 on
+  the curvature seeds (the workload jets, of order 32 and 22, hold enough
+  terms for both).
 
 The exit code, standard output and standard error must match byte for byte,
 except for the `wallTimeSeconds` lines of the JSON reports.  Prints
@@ -22,6 +26,7 @@ and exits 1.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
 import subprocess
@@ -32,6 +37,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FORMATS = ("plain", "latex", "json")
 SEEDS = (501, 502, 503)
+#: workload -> (seeds, orders n) of the deeper-order json requests
+DEEPER = {"dense": ((501,), (5, 6)), "curvature": (SEEDS, (3, 4))}
 
 #: Runs heatjets.cli.main on argv[2:] with the tree argv[1] first on the path.
 RUNNER = """\
@@ -73,6 +80,11 @@ def requests(workloads, tmp: Path):
                 yield (f"{workload} seed {seed} eq310 json",
                        ["eq310" if a == request.path else a for a in argv]
                        + ["json"])
+            seeds, ns = DEEPER.get(workload, ((), ()))
+            if seed in seeds:
+                deeper = dataclasses.replace(request, ns=ns)
+                yield (f"{workload} seed {seed} {request.path} n={ns} json",
+                       deeper.argv(metric))
 
 
 def run(src, argv):

@@ -20,7 +20,6 @@ from .commutator import (
 from .curvature import (
     CurvatureFrame,
     curvature_frame,
-    frame_conformal_factor,
     frame_via_identities,
     heat_invariant_curvature_form,
 )
@@ -33,7 +32,6 @@ from .errors import (
     NonInvertibleConstantTerm,
     OrderExhausted,
     SchemaError,
-    SingularFrame,
     TailNotConverged,
     ValueTooLong,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "RationalMatrix",
     "RhoPoly",
     "SchemaError",
-    "SingularFrame",
     "SphereSpectrum",
     "TailNotConverged",
     "ValueTooLong",
@@ -97,7 +94,6 @@ __all__ = [
     "expand_metric",
     "filtration_vectors",
     "fit_diagonal_coefficients",
-    "frame_conformal_factor",
     "frame_via_identities",
     "gaussian_curvature_jet",
     "generic_rho_jet",

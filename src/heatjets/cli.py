@@ -31,7 +31,6 @@ from .errors import (
     NonInvertibleConstantTerm,
     OrderExhausted,
     SchemaError,
-    SingularFrame,
     TailNotConverged,
     ValueTooLong,
 )
@@ -56,9 +55,8 @@ MAX_APPROX_DIGITS = 100_000
 
 INPUT_ERRORS = (SchemaError, InvalidMetric)
 PRECONDITION_ERRORS = (OrderExhausted, NonInvertibleConstantTerm,
-                       DegenerateCurvatureCoordinates, SingularFrame,
-                       IndexOutOfRange, TailNotConverged, IllConditionedFit,
-                       ValueTooLong)
+                       DegenerateCurvatureCoordinates, IndexOutOfRange,
+                       TailNotConverged, IllConditionedFit, ValueTooLong)
 
 
 class UsageError(Exception):

@@ -36,8 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (DegenerateCurvatureCoordinates, OrderExhausted,
-                     SingularFrame)
+from .errors import DegenerateCurvatureCoordinates, OrderExhausted
 from .heatinv import (HeatInvariantResult, _nested_laplacian_sum,
                       _require_order)
 from .jets import Jet2D
@@ -117,14 +116,6 @@ def frame_via_identities(rho: Jet2D):
     g = (2 * dk0 * d2k0
          - Fraction(lap.apply(dk * dk).constant_term())) / 2
     return e, f, g
-
-
-def frame_conformal_factor(frame: CurvatureFrame) -> Fraction:
-    """Conformal factor 1/(E(EG - F^2)) of the curvature-coordinate chart."""
-    denom = frame.e * (frame.e * frame.g - frame.f ** 2)
-    if not denom:
-        raise SingularFrame("E (EG - F^2) vanishes at the point")
-    return 1 / denom
 
 
 def heat_invariant_curvature_form(n: int, rho: Jet2D) -> HeatInvariantResult:

@@ -21,10 +21,6 @@ class DegenerateCurvatureCoordinates(HeatjetsError):
     """The Jacobian of (K, Laplacian K) vanishes at the base point."""
 
 
-class SingularFrame(HeatjetsError):
-    """A curvature frame denominator (E or E*G - F^2) vanishes."""
-
-
 class TailNotConverged(HeatjetsError):
     """The dropped tail of a spectral sum exceeds the requested tolerance."""
 

@@ -20,11 +20,21 @@ needed to small degree.  Addition trusts only min(N, M); differentiation by
 
 The empty jet of order N is the function that vanishes to order N; its
 valuation is reported as N + 1 (the first unknown degree).
+
+Products of concrete jets run on integers.  ``_mul_capped`` takes each
+factor over one common denominator (the lcm of its coefficients'
+denominators), multiplies and accumulates the int numerators per output
+slot, and builds one ``Fraction`` per nonzero slot, so one product costs one
+gcd per slot instead of one per coefficient pair.  Every concrete route (the
+eq311 and eq310 Laplacians, the Newton inverse, the curvature pull-back)
+multiplies jets through this one kernel; ``RhoPoly`` products take one fused
+``RhoPoly.dot`` per slot instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import IndexOutOfRange, NonInvertibleConstantTerm, OrderExhausted
 from .rhopoly import RhoPoly
@@ -43,6 +53,18 @@ def invert_coefficient(c):
 
 def _has_rhopoly(jet):
     return any(isinstance(c, RhoPoly) for c in jet.coeffs.values())
+
+
+def _integral_terms(coeffs, stride):
+    """(D, [(a + b, a * stride + b, c * D)]) of int/Fraction coefficients.
+
+    D is the lcm of their denominators, so every c * D is an int; terms of
+    degree >= stride are left out and the rest are sorted by degree.
+    """
+    den = lcm(*[c.denominator for c in coeffs.values()])
+    return den, sorted(
+        (a + b, a * stride + b, c.numerator * (den // c.denominator))
+        for (a, b), c in coeffs.items() if a + b < stride)
 
 
 class Jet2D:
@@ -162,8 +184,17 @@ class Jet2D:
         """Product keeping only total degree <= cap, trusted to order cap.
 
         With RhoPoly coefficients on either side, the coefficient pairs are
-        grouped by output slot and each slot is one fused ``RhoPoly.dot``;
-        exact scalars are multiplied and added in place.
+        grouped by output slot and each slot is one fused ``RhoPoly.dot``.
+
+        Exact scalars go through the integral kernel: each factor is taken
+        over one common denominator (the lcm D of its denominators, every
+        coefficient becoming the int numerator * (D // denominator)), the
+        numerators are multiplied and accumulated as plain ints in slots
+        keyed a * (cap + 1) + b, so a product's key is the sum of its
+        factors' keys, and each nonzero slot becomes one
+        ``Fraction(acc, D1 * D2)`` (an int when D1 * D2 == 1).  The right
+        factor's terms are sorted by degree, so each left term stops at the
+        first right term that takes the product past the cap.
         """
         if _has_rhopoly(self) or _has_rhopoly(other):
             slots = {}
@@ -183,22 +214,22 @@ class Jet2D:
                 if value:
                     out[key] = value
             return Jet2D(out, cap, _canonical=True)
-        out = {}
-        for (a1, b1), c1 in self.coeffs.items():
-            for (a2, b2), c2 in other.coeffs.items():
-                a, b = a1 + a2, b1 + b2
-                if a + b > cap:
-                    continue
-                prod = c1 * c2
-                prev = out.get((a, b))
-                if prev is None:
-                    out[(a, b)] = prod
-                else:
-                    s = prev + prod
-                    if s:
-                        out[(a, b)] = s
-                    else:
-                        del out[(a, b)]
+        stride = cap + 1
+        den1, left = _integral_terms(self.coeffs, stride)
+        den2, right = _integral_terms(other.coeffs, stride)
+        acc = {}
+        for d1, k1, n1 in left:
+            for d2, k2, n2 in right:
+                if d1 + d2 > cap:
+                    break
+                k = k1 + k2
+                acc[k] = acc.get(k, 0) + n1 * n2
+        den = den1 * den2
+        if den == 1:
+            out = {divmod(k, stride): v for k, v in acc.items() if v}
+        else:
+            out = {divmod(k, stride): Fraction(v, den)
+                   for k, v in acc.items() if v}
         return Jet2D(out, cap, _canonical=True)
 
     def __pow__(self, exp):

@@ -255,14 +255,6 @@ class RhoPoly:
             total += term
         return total
 
-    def as_fraction(self):
-        """The value as a rational, when no variables other than rho_00 appear."""
-        if not self.num:
-            return Fraction(0)
-        if list(self.num) == [_ONE]:
-            return Fraction(self.num[_ONE])
-        raise ValueError("RhoPoly is not a plain rational constant")
-
     def weights(self):
         """Set of derivative-order weights over the numerator monomials."""
         return {mono_weight(m) for m, _ in self.terms()}

@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from heatjets.curvature import (FRAME_MIN_ORDER, CurvatureFrame,
-                                curvature_frame, frame_via_identities,
-                                heat_invariant_curvature_form, frame_conformal_factor)
+from heatjets.curvature import (FRAME_MIN_ORDER, curvature_frame,
+                                frame_via_identities,
+                                heat_invariant_curvature_form)
 from heatjets.errors import (DegenerateCurvatureCoordinates, IndexOutOfRange,
-                             OrderExhausted, SingularFrame)
+                             OrderExhausted)
 from heatjets.heatinv import (generic_rho_jet, heat_invariant,
                               heat_invariant_via_frozen, required_order)
 from heatjets.jets import Jet2D
@@ -146,17 +146,6 @@ def test_curvature_route_counts(monkeypatch):
                          "_mul_capped": products}
         assert inverse_orders == [2 * n + 4]
         assert calls["log_nonconstant"] == 0
-
-
-def test_frame_conformal_factor_values():
-    def frame(e, f, g):
-        return CurvatureFrame(k0=Fraction(0), dk0=Fraction(0),
-                              e=Fraction(e), f=Fraction(f), g=Fraction(g),
-                              jacobian=Fraction(1), degenerate=False)
-    assert frame_conformal_factor(frame(1, 0, 1)) == 1
-    assert frame_conformal_factor(frame(2, 0, 1)) == Fraction(1, 4)
-    with pytest.raises(SingularFrame):
-        frame_conformal_factor(frame(0, 0, 1))
 
 
 def test_order_requirements():

@@ -12,17 +12,21 @@ from heatjets.jets import Jet2D
 from heatjets.rhopoly import RhoPoly
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+#: ints and Fractions mixed, for the integral product kernel
+scalars = st.one_of(st.integers(-9, 9),
+                    st.fractions(min_value=-9, max_value=9,
+                                 max_denominator=12))
 
 
 @st.composite
-def jets(draw, min_order=0, max_order=5, min_val=0):
+def jets(draw, min_order=0, max_order=5, min_val=0, coefficients=rationals):
     order = draw(st.integers(min_order, max_order))
     coeffs = {}
     for _ in range(draw(st.integers(0, 5))):
         a = draw(st.integers(0, order))
         b = draw(st.integers(0, order - a))
         if a + b >= min_val:
-            coeffs[(a, b)] = draw(rationals)
+            coeffs[(a, b)] = draw(coefficients)
     return Jet2D(coeffs, order)
 
 
@@ -100,17 +104,60 @@ def test_ring_axioms(f, g, h):
     assert f - f == Jet2D.zero(f.order)
 
 
+def schoolbook_product(f, g, cap):
+    """Reference for the integral kernel: one Fraction per pair."""
+    ref = {}
+    for (a1, b1), c1 in f.coeffs.items():
+        for (a2, b2), c2 in g.coeffs.items():
+            if a1 + a2 + b1 + b2 <= cap:
+                key = (a1 + a2, b1 + b2)
+                ref[key] = ref.get(key, 0) + Fraction(c1) * Fraction(c2)
+    return {k: v for k, v in ref.items() if v}
+
+
 def test_mul_matches_polynomial_convolution():
     # low-degree data in a high-order jet behaves as an exact polynomial
     f = Jet2D({(1, 0): Fraction(2), (0, 2): Fraction(-1)}, 10)
     g = Jet2D({(0, 0): Fraction(3), (1, 1): Fraction(5)}, 10)
-    ref = {}
-    for (a1, b1), c1 in f.coeffs.items():
-        for (a2, b2), c2 in g.coeffs.items():
-            key = (a1 + a2, b1 + b2)
-            ref[key] = ref.get(key, 0) + c1 * c2
     prod = f * g
-    assert {k: v for k, v in ref.items() if v} == prod.coeffs
+    assert prod.coeffs == schoolbook_product(f, g, prod.order)
+
+
+@settings(max_examples=200)
+@given(jets(max_order=6, coefficients=scalars),
+       jets(max_order=6, coefficients=scalars), st.integers(0, 14))
+def test_integral_kernel_matches_schoolbook_product(f, g, cap):
+    # caps run from below the lowest product degree to above f.order + g.order
+    prod = f._mul_capped(g, cap)
+    assert prod.order == cap
+    assert prod.coeffs == schoolbook_product(f, g, cap)
+    assert all(prod.coeffs.values())
+
+
+@given(jets(max_order=6, coefficients=st.integers(-9, 9)),
+       jets(max_order=6, coefficients=st.integers(-9, 9)), st.integers(0, 14))
+def test_integral_kernel_keeps_int_coefficients(f, g, cap):
+    # common denominator 1 on both sides: no Fraction is built
+    prod = f._mul_capped(g, cap)
+    assert prod.coeffs == schoolbook_product(f, g, cap)
+    assert all(type(c) is int for c in prod.coeffs.values())
+
+
+nonzero_scalars = scalars.filter(bool)
+
+
+@given(nonzero_scalars, nonzero_scalars, nonzero_scalars,
+       jets(max_order=6, min_val=2, coefficients=scalars),
+       jets(max_order=6, min_val=2, coefficients=scalars),
+       st.integers(2, 14))
+def test_integral_kernel_drops_cancelled_slots(p, q, t, f_rest, g_rest, cap):
+    # u * (q t v) + v * (-p t u) cancels at u v; the terms of degree >= 2
+    # reach degree 3 or more with the degree-1 terms, never the slot u v
+    f = Jet2D({**f_rest.coeffs, (1, 0): p, (0, 1): q}, 6)
+    g = Jet2D({**g_rest.coeffs, (0, 1): q * t, (1, 0): -p * t}, 6)
+    prod = f._mul_capped(g, cap)
+    assert (1, 1) not in prod.coeffs
+    assert prod.coeffs == schoolbook_product(f, g, cap)
 
 
 def per_pair_product(f, g, cap):
