@@ -10,16 +10,14 @@ from fractions import Fraction
 
 import mpmath
 
-from heatjets import (
-    SphereSpectrum,
+from heatjets.heatinv import (
     WEYL_A0,
-    expand_metric,
-    fit_diagonal_coefficients,
     heat_invariant,
-    parse_metric_spec,
     render_pi_scaled,
     required_order,
 )
+from heatjets.metrics import expand_metric, parse_metric_spec
+from heatjets.oracle import SphereSpectrum, fit_diagonal_coefficients
 
 
 def exact_values(radius):

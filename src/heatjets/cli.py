@@ -25,13 +25,11 @@ from .curvature import (
 )
 from .errors import (
     DegenerateCurvatureCoordinates,
-    IllConditionedFit,
     IndexOutOfRange,
     InvalidMetric,
     NonInvertibleConstantTerm,
     OrderExhausted,
     SchemaError,
-    TailNotConverged,
     ValueTooLong,
 )
 from .heatinv import (
@@ -56,7 +54,7 @@ MAX_APPROX_DIGITS = 100_000
 INPUT_ERRORS = (SchemaError, InvalidMetric)
 PRECONDITION_ERRORS = (OrderExhausted, NonInvertibleConstantTerm,
                        DegenerateCurvatureCoordinates, IndexOutOfRange,
-                       TailNotConverged, IllConditionedFit, ValueTooLong)
+                       ValueTooLong)
 
 
 class UsageError(Exception):

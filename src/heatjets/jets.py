@@ -91,15 +91,6 @@ class Jet2D:
         return cls({(0, 0): value}, order, _canonical=True)
 
     @classmethod
-    def monomial(cls, a, b, order, coeff=1):
-        if a + b > order:
-            raise IndexOutOfRange(
-                f"monomial u^{a} v^{b} exceeds jet order {order}")
-        if not coeff:
-            return cls({}, order, _canonical=True)
-        return cls({(a, b): coeff}, order, _canonical=True)
-
-    @classmethod
     def zero(cls, order):
         return cls({}, order, _canonical=True)
 
@@ -231,16 +222,6 @@ class Jet2D:
             out = {divmod(k, stride): Fraction(v, den)
                    for k, v in acc.items() if v}
         return Jet2D(out, cap, _canonical=True)
-
-    def __pow__(self, exp):
-        if not isinstance(exp, int) or exp < 0:
-            raise ValueError("jet powers must be nonnegative integers")
-        if exp == 0:
-            return Jet2D.constant(1, self.order)
-        result = self
-        for _ in range(exp - 1):
-            result = result * self
-        return result
 
     # -- calculus ----------------------------------------------------------
 

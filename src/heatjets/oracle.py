@@ -8,8 +8,10 @@ only the exact polynomial primitives are shared.  Two oracles:
     dividing by the area gives the diagonal kernel by homogeneity, and a
     divided-difference fit of t K(t) = a_0 + a_1 t + a_2 t^2 + ... on a
     small geometric t-grid recovers the leading coefficients to many digits
-    with an honest error estimate.  This is the only module that uses
-    floating point (configurable precision via mpmath).
+    with an honest error estimate.  It runs in mpmath at a configurable
+    precision.  The computation path is exact; besides this module, only
+    ``heatinv verify`` (criterion 4 runs this fit) and ``--approx`` use
+    mpmath, and both import it when they run.
 
   * the classical surface formula a_1 = (rho_u^2 + rho_v^2 - rho rho_uu
     - rho rho_vv) / (24 pi rho^3), built here directly as a polynomial for
@@ -33,12 +35,6 @@ DEFAULT_DPS = 64
 class SphereSpectrum:
     """Laplace spectrum of the round 2-sphere of radius R."""
     radius: Fraction = Fraction(1)
-
-    def eigenvalue(self, l: int):
-        return mpmath.mpf(l) * (l + 1) / self._r2()
-
-    def multiplicity(self, l: int) -> int:
-        return 2 * l + 1
 
     def area(self):
         return 4 * mpmath.pi * self._r2()

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -306,7 +307,7 @@ def test_verify_quick(capsys):
 
 
 def test_verify_failures_exit_four(capsys, monkeypatch):
-    from heatjets import acceptance
+    import heatjets.acceptance as acceptance
 
     def crash():
         raise ZeroDivisionError("boom")
@@ -342,3 +343,18 @@ def test_installed_script(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "a_1 = 1/(12*pi)\n"
+
+
+def test_cli_import_loads_only_what_compute_runs():
+    # `verify` and `--approx` import these when they run; `compute` and
+    # `curvature` never need them
+    import heatjets.cli as cli
+    src = str(Path(cli.__file__).resolve().parents[1])
+    unwanted = ("mpmath", "heatjets.oracle", "heatjets.commutator",
+                "heatjets.acceptance")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import heatjets.cli; "
+            f"print(sorted(m for m in {unwanted!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

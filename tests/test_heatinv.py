@@ -54,7 +54,7 @@ def sphere_rho(radius, order):
     r2 = Fraction(radius) ** 2
     base = Jet2D({(0, 0): r2, (2, 0): Fraction(1), (0, 2): Fraction(1)},
                  order)
-    return (base ** 2).inverse() * (4 * r2 ** 2)
+    return (base * base).inverse() * (4 * r2 ** 2)
 
 
 def random_metric_jet(rng, order=16):

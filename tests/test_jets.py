@@ -69,14 +69,12 @@ def common(f, g):
 
 
 def test_constructors_and_access():
-    f = Jet2D.monomial(2, 1, order=4, coeff=Fraction(3))
+    f = Jet2D({(2, 1): Fraction(3)}, 4)
     assert f.coefficient(2, 1) == 3
     assert f.coefficient(0, 0) == 0
     assert f.valuation() == 3
     with pytest.raises(IndexOutOfRange):
         f.coefficient(4, 1)
-    with pytest.raises(IndexOutOfRange):
-        Jet2D.monomial(3, 3, order=4)
     assert Jet2D.zero(3).valuation() == 4
     assert not Jet2D.constant(0, 3)
 
@@ -195,7 +193,7 @@ def test_rhopoly_product_drops_cancelled_slots():
 def test_valuation_aware_product_order():
     # u^4 known to order 6, times an order-2 factor: the band rule keeps
     # the product trusted to order 6, not 2.
-    f = Jet2D.monomial(4, 0, order=6)
+    f = Jet2D({(4, 0): 1}, 6)
     g = Jet2D({(0, 0): Fraction(1), (2, 0): Fraction(7)}, 2)
     assert (f * g).order == 6
     assert (f * g).coefficient(6, 0) == 7
@@ -217,7 +215,7 @@ def test_product_rule(f, g):
 
 
 def test_diff_factorials_and_exhaustion():
-    f = Jet2D.monomial(3, 2, order=5, coeff=Fraction(1))
+    f = Jet2D({(3, 2): Fraction(1)}, 5)
     d = f.diff(2, 1)
     assert d.coefficient(1, 1) == 12  # 3*2 * 2
     assert d.order == 2
@@ -234,7 +232,7 @@ def test_inverse_round_trip(f):
 
 def test_inverse_requires_unit_constant_term():
     with pytest.raises(NonInvertibleConstantTerm):
-        Jet2D.monomial(1, 0, order=3, coeff=Fraction(1)).inverse()
+        Jet2D({(1, 0): Fraction(1)}, 3).inverse()
 
 
 def test_sphere_conformal_factor_jet():
@@ -242,7 +240,7 @@ def test_sphere_conformal_factor_jet():
     # coordinates: order-2 jet is 4 - 8 u^2 - 8 v^2.
     base = Jet2D({(0, 0): Fraction(1), (2, 0): Fraction(1),
                   (0, 2): Fraction(1)}, 2)
-    rho = (base ** 2).inverse() * Fraction(4)
+    rho = (base * base).inverse() * Fraction(4)
     assert rho.coeffs == {(0, 0): 4, (2, 0): -8, (0, 2): -8}
 
 
