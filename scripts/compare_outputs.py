@@ -8,7 +8,7 @@ checkout's `src/`).  Every request below runs once per tree, each in a fresh
 `python3 -I` with that tree first on `sys.path`:
 
 * symbolic eq311 a_1..a_4 and symbolic eq310 a_1..a_3, in plain, latex and
-  json;
+  json, and symbolic eq311 a_5 (1092 terms over rho^15) in json;
 * seeds 501-503 of the benchmark workloads dense, curvature and sphere
   (their metrics come from `perfbench/workloads.py`), in json, plain and
   latex with `--approx 12`;
@@ -20,7 +20,7 @@ checkout's `src/`).  Every request below runs once per tree, each in a fresh
 
 The exit code, standard output and standard error must match byte for byte,
 except for the `wallTimeSeconds` lines of the JSON reports.  Prints
-`identical (N requests)` and exits 0, or prints the first differing request
+`identical (44 requests)` and exits 0, or prints the first differing request
 and exits 1.
 """
 
@@ -67,6 +67,7 @@ def requests(workloads, tmp: Path):
         for fmt in FORMATS:
             yield (f"symbolic {path} {fmt}",
                    ["compute", *ns, "--path", path, "--format", fmt])
+    yield "symbolic eq311 n=5 json", ["compute", "--n", "5", "--format", "json"]
     for workload in ("dense", "curvature", "sphere"):
         for seed in SEEDS:
             request = workloads.make_request(workload, seed)

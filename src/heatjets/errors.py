@@ -14,7 +14,8 @@ class OrderExhausted(HeatjetsError):
 
 
 class IndexOutOfRange(HeatjetsError):
-    """Constant indices (n, k, s, m) outside their admissible ranges."""
+    """Indices outside their admissible ranges: constant indices (n, k, s, m),
+    or RhoPoly variables and exponents beyond the packed monomial layout."""
 
 
 class DegenerateCurvatureCoordinates(HeatjetsError):

@@ -320,7 +320,10 @@ def render_closed_form(form: ClosedForm, fmt: str = "plain") -> str:
     pieces = []
     for mono, coeff in terms:
         q = coeff / content
-        assert q.denominator == 1
+        if q.denominator != 1:
+            raise ArithmeticError(
+                f"coefficient {coeff} is not an integer multiple of the "
+                f"content {content}")
         factors = [_power(_var_name(a, b, latex), e, latex)
                    for (a, b), e in mono]
         if abs(q) != 1 or not factors:

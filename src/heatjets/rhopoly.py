@@ -5,15 +5,34 @@ The formal variables are
     rho_ab  =  coefficient of u^a v^b in the Taylor expansion of rho at (0,0),
 
 keyed by the pair (a, b).  A ``RhoPoly`` is one dict ``num`` from monomial to
-nonzero exact coefficient.  A monomial is ``(e, vars)``: ``e`` is the exponent
-of rho_00 and may be negative, and ``vars`` is the sorted tuple of the other
-variables, each repeated by its exponent.  This form is unique, so equality is
-dict equality, and a monomial product is ``(e1 + e2, sorted(v1 + v2))``.
+nonzero exact coefficient.  A monomial is one int, a packed exponent vector
+(Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007) of 16-bit fields, lowest first:
+
+* field 0 holds e + 2^14, where e is the exponent of rho_00 and may be
+  negative;
+* field 1 holds the total degree d of the other variables;
+* field i + 2 holds the exponent of variable number
+  i = (a + b)(a + b + 1)/2 + b - 1, which numbers rho_10, rho_01, rho_20,
+  rho_11, rho_02, ... in order of a + b, then b.
+
+The form is unique, so equality is dict equality, and the product of the
+monomials m1 and m2 is the one int addition m1 + (m2 - ONE), where ONE = 2^14
+is the constant monomial.  A key is valid when bit 15 of fields 0 and 1 is
+clear, that is -2^14 <= e < 2^14 and d < 2^15.  Then every exponent is below
+2^15, so the fields of a product of two valid keys sum to less than 2^16 and
+no carry crosses a field; a negative rho_00 field of the product borrows,
+which leaves its bit 15 set.  ``dot`` checks its output keys once for those
+two bits, and every constructor checks what it packs: an out-of-range
+exponent raises ``IndexOutOfRange`` and never wraps.  A field's position
+grows with (a + b)^2, so variables are limited to a + b <= MAX_VAR_ORDER,
+which keeps a key under 4.1 KiB.
 
 The public view is a numerator over a power of rho_00: ``den`` is the
 smallest d >= 0 that clears every negative rho_00 exponent, and ``terms()``
 yields the numerator's monomials as sorted tuples of ((a, b), exp) pairs.
-``RhoPoly(num, den)`` builds a value from that view.
+``RhoPoly(num, den)`` builds a value from that view.  Keys are decoded only
+there, in ``substitute`` and in ``inverse``.
 
 Coefficients are ``int`` where possible and ``fractions.Fraction`` otherwise;
 the two mix freely and compare equal.  ``inverse`` gives an ``int``
@@ -33,14 +52,78 @@ power of 1/pi.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
+from math import isqrt
 
-from .errors import NonInvertibleConstantTerm
+from .errors import IndexOutOfRange, NonInvertibleConstantTerm
 
 VAR00 = (0, 0)
 
-# The constant monomial: rho_00^0 and no other variable.
-_ONE = (0, ())
+#: Largest a + b of a variable rho_ab.
+MAX_VAR_ORDER = 63
+
+_WIDTH = 16
+_MASK = (1 << _WIDTH) - 1
+_GUARD = 1 << (_WIDTH - 1)
+#: Bits that are clear in every valid key: bit 15 of fields 0 and 1.
+_GUARDS = _GUARD | _GUARD << _WIDTH
+#: The constant monomial: rho_00^0 and degree 0.
+_ONE = 1 << (_WIDTH - 2)
+
+
+def _shift(a, b):
+    """Bit offset of the field of rho_ab, (a, b) != (0, 0)."""
+    if a < 0 or b < 0:
+        raise ValueError("variable indices must be nonnegative")
+    s = a + b
+    if s > MAX_VAR_ORDER:
+        raise IndexOutOfRange(
+            f"variable rho_{a},{b} has a + b > {MAX_VAR_ORDER}")
+    return _WIDTH * (s * (s + 1) // 2 + b + 1)
+
+
+def _var_at(shift):
+    """Inverse of ``_shift``: the (a, b) whose field starts at bit `shift`."""
+    t = shift // _WIDTH - 1
+    s = (isqrt(8 * t + 1) - 1) // 2
+    b = t - s * (s + 1) // 2
+    return s - b, b
+
+
+def _out_of_range():
+    return IndexOutOfRange(
+        "a monomial leaves the packed range: the rho_00 exponent must lie in "
+        f"[-{_ONE}, {_ONE}) and the total degree below {_GUARD}")
+
+
+def _pack(mono, e):
+    """Key of rho_00^e times the ((a, b), exp) powers in `mono`."""
+    key = degree = 0
+    for (a, b), exp in mono:
+        if (a, b) == VAR00:
+            e += exp
+        elif exp < 0:
+            raise ValueError("exponents of rho_ab other than rho_00 must be "
+                             "nonnegative")
+        else:
+            key += exp << _shift(a, b)
+            degree += exp
+    if not (-_ONE <= e < _ONE and degree < _GUARD):
+        raise _out_of_range()
+    return key + (degree << _WIDTH) + e + _ONE
+
+
+def _unpack(key):
+    """(rho_00 exponent, ((a, b), exp) pairs in field order) of a key."""
+    powers = []
+    shift = 2 * _WIDTH
+    rest = key >> shift
+    while rest:
+        exp = rest & _MASK
+        if exp:
+            powers.append((_var_at(shift), exp))
+        rest >>= _WIDTH
+        shift += _WIDTH
+    return (key & _MASK) - _ONE, powers
 
 
 def mono_weight(mono):
@@ -69,13 +152,7 @@ class RhoPoly:
         """Build numerator / rho_00^den from {((a, b), exp) tuple: coeff}."""
         out = {}
         for mono, c in (num or {}).items():
-            e, rest = -den, []
-            for var, exp in mono:
-                if var == VAR00:
-                    e += exp
-                else:
-                    rest += [var] * exp
-            key = (e, tuple(sorted(rest)))
+            key = _pack(mono, -den)
             out[key] = out.get(key, 0) + c
         self.num = {m: c for m, c in out.items() if c}
 
@@ -95,9 +172,7 @@ class RhoPoly:
 
     @classmethod
     def var(cls, a, b):
-        if a < 0 or b < 0:
-            raise ValueError("variable indices must be nonnegative")
-        return cls._make({(1, ()) if (a, b) == VAR00 else (0, ((a, b),)): 1})
+        return cls._make({_pack((((a, b), 1),), 0): 1})
 
     @classmethod
     def zero(cls):
@@ -110,7 +185,7 @@ class RhoPoly:
     @property
     def den(self):
         """Power of rho_00 under the numerator that ``terms()`` yields."""
-        return max(0, -min((e for e, _ in self.num), default=0))
+        return max(0, _ONE - min((m & _MASK for m in self.num), default=_ONE))
 
     # -- ring structure ----------------------------------------------------
 
@@ -184,17 +259,23 @@ class RhoPoly:
         """Sum of p * q over `pairs`; either factor may be an int or Fraction.
 
         Every product goes straight into one dict, so the sum drops its
-        cancelled terms once instead of once per pair.
+        cancelled terms once instead of once per pair.  A monomial product
+        is one int addition; the output keys are checked once against the
+        packed range.
         """
         out = {}
         for p, q in pairs:
-            q_num = _num(q)
-            for (e1, v1), c1 in _num(p).items():
-                for (e2, v2), c2 in q_num.items():
-                    mono = (e1 + e2, tuple(sorted(v1 + v2)))
+            right = _num(q).items()
+            for m1, c1 in _num(p).items():
+                m1 -= _ONE
+                for m2, c2 in right:
+                    mono = m1 + m2
                     prev = out.get(mono)
                     out[mono] = c1 * c2 if prev is None else prev + c1 * c2
-        return cls._make({m: c for m, c in out.items() if c})
+        num = {m: c for m, c in out.items() if c}
+        if any(m & _GUARDS for m in num):
+            raise _out_of_range()
+        return cls._make(num)
 
     def __bool__(self):
         return bool(self.num)
@@ -213,14 +294,14 @@ class RhoPoly:
         """Exact reciprocal, defined only for q * rho_00^d values."""
         if not self.num:
             raise NonInvertibleConstantTerm("cannot invert the zero element")
-        (e, rest), coeff = next(iter(self.num.items()))
-        if len(self.num) != 1 or rest:
+        key, coeff = next(iter(self.num.items()))
+        if len(self.num) != 1 or key >> _WIDTH:
             raise NonInvertibleConstantTerm(
                 "only rational multiples of rho_00 powers are invertible")
         inv = 1 / Fraction(coeff)
         if inv.denominator == 1:
             inv = inv.numerator
-        return RhoPoly._make({(-e, ()): inv})
+        return RhoPoly._make({_pack((), _ONE - key): inv})
 
     # -- structure queries ---------------------------------------------------
 
@@ -232,8 +313,9 @@ class RhoPoly:
         """
         den = self.den
         out = []
-        for (e, rest), c in self.num.items():
-            mono = tuple((var, len(list(run))) for var, run in groupby(rest))
+        for key, c in self.num.items():
+            e, powers = _unpack(key)
+            mono = tuple(sorted(powers))
             if e + den:
                 mono = ((VAR00, e + den),) + mono
             out.append((mono, c))
@@ -248,10 +330,11 @@ class RhoPoly:
         if self.den and not rho00:
             raise NonInvertibleConstantTerm("substitution with rho_00 = 0")
         total = Fraction(0)
-        for (e, rest), c in self.num.items():
+        for key, c in self.num.items():
+            e, powers = _unpack(key)
             term = Fraction(c) * rho00 ** e
-            for var in rest:
-                term *= values.get(var, 0)
+            for var, exp in powers:
+                term *= values.get(var, 0) ** exp
             total += term
         return total
 
