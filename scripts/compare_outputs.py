@@ -16,11 +16,13 @@ checkout's `src/`).  Every request below runs once per tree, each in a fresh
 * deeper orders in json, where the jets' denominators grow largest: eq311
   a_5 and a_6 on dense seed 501, and the curvature route's a_3 and a_4 on
   the curvature seeds (the workload jets, of order 32 and 22, hold enough
-  terms for both).
+  terms for both);
+* eq311 a_6 and a_7 in json on the sphere seeds, whose sparse jets leave
+  the most slots of the integral kernels empty.
 
 The exit code, standard output and standard error must match byte for byte,
 except for the `wallTimeSeconds` lines of the JSON reports.  Prints
-`identical (44 requests)` and exits 0, or prints the first differing request
+`identical (47 requests)` and exits 0, or prints the first differing request
 and exits 1.
 """
 
@@ -38,7 +40,8 @@ ROOT = Path(__file__).resolve().parent.parent
 FORMATS = ("plain", "latex", "json")
 SEEDS = (501, 502, 503)
 #: workload -> (seeds, orders n) of the deeper-order json requests
-DEEPER = {"dense": ((501,), (5, 6)), "curvature": (SEEDS, (3, 4))}
+DEEPER = {"dense": ((501,), (5, 6)), "curvature": (SEEDS, (3, 4)),
+          "sphere": (SEEDS, (6, 7))}
 
 #: Runs heatjets.cli.main on argv[2:] with the tree argv[1] first on the path.
 RUNNER = """\

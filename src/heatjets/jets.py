@@ -21,20 +21,24 @@ needed to small degree.  Addition trusts only min(N, M); differentiation by
 The empty jet of order N is the function that vanishes to order N; its
 valuation is reported as N + 1 (the first unknown degree).
 
-Products of concrete jets run on integers.  ``_mul_capped`` takes each
-factor over one common denominator (the lcm of its coefficients'
-denominators), multiplies and accumulates the int numerators per output
-slot, and builds one ``Fraction`` per nonzero slot, so one product costs one
-gcd per slot instead of one per coefficient pair.  Every concrete route (the
-eq311 and eq310 Laplacians, the Newton inverse, the curvature pull-back)
-multiplies jets through this one kernel; ``RhoPoly`` products take one fused
-``RhoPoly.dot`` per slot instead.
+Products of concrete jets run on integers.  Each factor is taken over one
+common denominator (the lcm of its coefficients' denominators), and
+``_integral_product`` multiplies and accumulates the int numerators per
+output slot and builds one ``Fraction`` per nonzero slot, so one product
+costs one gcd per slot instead of one per coefficient pair.  Every concrete
+route (the Newton inverse, the curvature pull-back, the eq311 and eq310
+Laplacians) multiplies jets through this one kernel; ``RhoPoly`` products
+take one fused ``RhoPoly.dot`` per slot instead.
+
+``laplacian`` applies Delta f = -(1/rho)(f_uu + f_vv) in one integral pass:
+the int numerators of -(f_uu + f_vv) over f's common denominator go straight
+into the product kernel, so no ``Fraction`` is built before the product's.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import IndexOutOfRange, NonInvertibleConstantTerm, OrderExhausted
 from .rhopoly import RhoPoly
@@ -65,6 +69,92 @@ def _integral_terms(coeffs, stride):
     return den, sorted(
         (a + b, a * stride + b, c.numerator * (den // c.denominator))
         for (a, b), c in coeffs.items() if a + b < stride)
+
+
+def _laplacian_terms(coeffs, stride):
+    """-(f_uu + f_vv) of int/Fraction coefficients, as ``_integral_terms``.
+
+    The numerators over f's common denominator D_f are accumulated as ints:
+    (a, b) feeds (a - 2, b) with a(a - 1) and (a, b - 2) with b(b - 1).  The
+    returned denominator is D_f divided by its gcd with every numerator,
+    which is the lcm of the reduced coefficients' denominators, so the
+    product builds the same types as one taken on the jet of f_uu + f_vv.
+    f's terms have degree at most stride + 1, so every output degree is
+    below the stride.
+    """
+    den = lcm(*[c.denominator for c in coeffs.values()])
+    acc = {}
+    for (a, b), c in coeffs.items():
+        n = c.numerator * (den // c.denominator)
+        if a > 1:
+            k = (a - 2) * stride + b
+            acc[k] = acc.get(k, 0) - a * (a - 1) * n
+        if b > 1:
+            k = a * stride + b - 2
+            acc[k] = acc.get(k, 0) - b * (b - 1) * n
+    g = gcd(den, *acc.values())
+    return den // g, sorted((sum(divmod(k, stride)), k, n // g)
+                            for k, n in acc.items() if n)
+
+
+def _integral_product(left, right, cap):
+    """The jet of order cap of two ``(D, terms)`` factors, keyed by cap + 1.
+
+    The int numerators are multiplied and accumulated in slots keyed
+    a * (cap + 1) + b, so a product's key is the sum of its factors' keys,
+    and each nonzero slot becomes one ``Fraction(acc, D1 * D2)`` (an int when
+    D1 * D2 == 1).  The right factor's terms are sorted by degree, so each
+    left term stops at the first right term that takes the product past the
+    cap.
+    """
+    den1, left = left
+    den2, right = right
+    acc = {}
+    for d1, k1, n1 in left:
+        for d2, k2, n2 in right:
+            if d1 + d2 > cap:
+                break
+            k = k1 + k2
+            acc[k] = acc.get(k, 0) + n1 * n2
+    stride = cap + 1
+    den = den1 * den2
+    if den == 1:
+        out = {divmod(k, stride): v for k, v in acc.items() if v}
+    else:
+        out = {divmod(k, stride): Fraction(v, den)
+               for k, v in acc.items() if v}
+    return Jet2D(out, cap, _canonical=True)
+
+
+def laplacian(f, inverse_factor):
+    """-(1/rho)(f_uu + f_vv), trusted to order f.order - 2.
+
+    ``inverse_factor(need)`` returns the jet of 1/rho trusted to order
+    ``need``, the degree the product consumes: the output order minus the
+    valuation of f_uu + f_vv.  When that sum vanishes to the output order,
+    the result is the zero jet and 1/rho is not asked for.  Concrete jets
+    take one integral pass (``_laplacian_terms``) into ``_integral_product``;
+    ``RhoPoly`` coefficients on either side take the jet operations.
+    """
+    order = f.order - 2
+    if order < 0:
+        raise OrderExhausted(
+            f"derivative of total order 2 exhausts jet order {f.order}")
+    if not _has_rhopoly(f):
+        stride = order + 1
+        den, terms = _laplacian_terms(f.coeffs, stride)
+        if not terms:
+            return Jet2D.zero(order)
+        inv = inverse_factor(order - terms[0][0])
+        if not _has_rhopoly(inv):
+            return _integral_product(_integral_terms(inv.coeffs, stride),
+                                     (den, terms), order)
+        return -(inv * (f.diff(2, 0) + f.diff(0, 2)))  # symbolic 1/rho
+    s = f.diff(2, 0) + f.diff(0, 2)
+    need = order - s.valuation()
+    if need < 0:
+        return Jet2D.zero(order)
+    return -(inverse_factor(need) * s)
 
 
 class Jet2D:
@@ -179,13 +269,8 @@ class Jet2D:
 
         Exact scalars go through the integral kernel: each factor is taken
         over one common denominator (the lcm D of its denominators, every
-        coefficient becoming the int numerator * (D // denominator)), the
-        numerators are multiplied and accumulated as plain ints in slots
-        keyed a * (cap + 1) + b, so a product's key is the sum of its
-        factors' keys, and each nonzero slot becomes one
-        ``Fraction(acc, D1 * D2)`` (an int when D1 * D2 == 1).  The right
-        factor's terms are sorted by degree, so each left term stops at the
-        first right term that takes the product past the cap.
+        coefficient becoming the int numerator * (D // denominator)) and
+        multiplied by ``_integral_product``.
         """
         if _has_rhopoly(self) or _has_rhopoly(other):
             slots = {}
@@ -206,22 +291,8 @@ class Jet2D:
                     out[key] = value
             return Jet2D(out, cap, _canonical=True)
         stride = cap + 1
-        den1, left = _integral_terms(self.coeffs, stride)
-        den2, right = _integral_terms(other.coeffs, stride)
-        acc = {}
-        for d1, k1, n1 in left:
-            for d2, k2, n2 in right:
-                if d1 + d2 > cap:
-                    break
-                k = k1 + k2
-                acc[k] = acc.get(k, 0) + n1 * n2
-        den = den1 * den2
-        if den == 1:
-            out = {divmod(k, stride): v for k, v in acc.items() if v}
-        else:
-            out = {divmod(k, stride): Fraction(v, den)
-                   for k, v in acc.items() if v}
-        return Jet2D(out, cap, _canonical=True)
+        return _integral_product(_integral_terms(self.coeffs, stride),
+                                 _integral_terms(other.coeffs, stride), cap)
 
     # -- calculus ----------------------------------------------------------
 

@@ -17,13 +17,18 @@ consumes the reciprocal up to degree order(result) - valuation(f_uu + f_vv).
 for so far (by ``Jet2D.inverse``) and truncates that jet for smaller requests.
 ``gaussian_curvature_jet`` can borrow that cache, so a caller that needs K and
 Delta K inverts rho once.
+
+Both operators apply through ``jets.laplacian``: on concrete jets, f_uu + f_vv
+is formed on int numerators and fed straight into the shared integral
+product kernel, and the frozen operator is the same product with the
+order-0 factor 1/rho(0, 0).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .jets import Jet2D, invert_coefficient
+from .jets import Jet2D, invert_coefficient, laplacian
 
 
 class ConformalLaplacian:
@@ -41,13 +46,7 @@ class ConformalLaplacian:
         return self._inv.truncate(order)
 
     def apply(self, f: Jet2D) -> Jet2D:
-        s = f.diff(2, 0) + f.diff(0, 2)
-        out_order = s.order
-        need = out_order - s.valuation()
-        if need < 0:
-            return Jet2D.zero(out_order)
-        inv = self.inverse_factor(need)
-        return -(inv * s)
+        return laplacian(f, self.inverse_factor)
 
     def apply_power(self, f: Jet2D, k: int) -> Jet2D:
         for _ in range(k):
@@ -62,8 +61,11 @@ class FrozenLaplacian:
         self.inv0 = invert_coefficient(rho.constant_term())
 
     def apply(self, f: Jet2D) -> Jet2D:
-        s = f.diff(2, 0) + f.diff(0, 2)
-        return s * (-self.inv0)
+        return laplacian(f, self._inverse_factor)
+
+    def _inverse_factor(self, order: int) -> Jet2D:
+        """The constant 1/rho(0, 0) as a jet trusted to `order`."""
+        return Jet2D.constant(self.inv0, order)
 
 
 def gaussian_curvature_jet(rho: Jet2D,

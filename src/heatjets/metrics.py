@@ -42,7 +42,7 @@ class MetricSpec:
 
 
 #: [-]digits[/digits]: no exponent, so a value has no more digits than text
-RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _rational(value, path):
@@ -50,9 +50,11 @@ def _rational(value, path):
         return Fraction(value)
     if not isinstance(value, str):
         raise SchemaError(path, "expected a rational string \"p/q\"")
-    if RATIONAL.fullmatch(value):
+    match = RATIONAL.fullmatch(value)
+    if match:
+        p, q = match.groups()
         try:
-            return Fraction(value)
+            return Fraction(int(p), int(q or 1))
         except (ValueError, ZeroDivisionError):  # q = 0, or too long
             pass
     raise SchemaError(path, f"not a rational \"p/q\": {value!r}")

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatjets.errors import NonInvertibleConstantTerm, OrderExhausted
+from heatjets.heatinv import generic_rho_jet
 from heatjets.jets import Jet2D
 from heatjets.laplace import (ConformalLaplacian, FrozenLaplacian,
                               gaussian_curvature_jet)
+from heatjets.rhopoly import RhoPoly
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -36,6 +38,71 @@ def metric_jets(draw, order=6):
     # drawn last so a repeated (0, 0) index cannot zero it out
     coeffs[(0, 0)] = draw(rationals.filter(bool))
     return Jet2D(coeffs, order)
+
+
+@st.composite
+def operand_jets(draw):
+    """Jets of order 0..7: rational, int-only, or with f_uu + f_vv = 0."""
+    order = draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(("rational", "int", "harmonic")))
+    if kind == "harmonic":  # constant, linear, u^2 - v^2 and uv terms
+        c = [draw(rationals) for _ in range(5)]
+        coeffs = {(0, 0): c[0], (1, 0): c[1], (0, 1): c[2], (2, 0): c[3],
+                  (0, 2): -c[3], (1, 1): c[4]}
+        return Jet2D(coeffs, max(order, 2))
+    values = rationals if kind == "rational" else st.integers(-30, 30)
+    coeffs = {}
+    for _ in range(draw(st.integers(0, 12))):
+        a = draw(st.integers(0, order))
+        b = draw(st.integers(0, order - a))
+        coeffs[(a, b)] = draw(values)
+    return Jet2D(coeffs, order)
+
+
+def reference_apply(f, factor):
+    """-(factor(need) * (f_uu + f_vv)) on jet operations, as the Laplacians
+    defined it before they took the integral pass."""
+    s = f.diff(2, 0) + f.diff(0, 2)
+    need = s.order - s.valuation()
+    if need < 0:
+        return Jet2D.zero(s.order)
+    return -(factor(need) * s)
+
+
+def operators(rho):
+    """(operator, factor) pairs: 1/rho for Delta, 1/rho(0, 0) for Delta_0."""
+    lap, frozen = ConformalLaplacian(rho), FrozenLaplacian(rho)
+    return ((lap, lap.inverse_factor),
+            (frozen, lambda need: Jet2D.constant(frozen.inv0, need)))
+
+
+def assert_same_jet(got, want):
+    assert got == want
+    assert ({k: type(c) for k, c in got.coeffs.items()}
+            == {k: type(c) for k, c in want.coeffs.items()})
+
+
+@settings(max_examples=150)
+@given(metric_jets(order=7), operand_jets())
+def test_apply_matches_jet_operations(rho, f):
+    for op, factor in operators(rho):
+        if f.order < 2:
+            with pytest.raises(OrderExhausted) as got:
+                op.apply(f)
+            with pytest.raises(OrderExhausted) as want:
+                reference_apply(f, factor)
+            assert str(got.value) == str(want.value)
+        else:
+            assert_same_jet(op.apply(f), reference_apply(f, factor))
+
+
+def test_apply_with_symbolic_coefficients():
+    # a generic rho with a concrete f, and a RhoPoly f with a concrete rho
+    f = Jet2D({(2, 1): Fraction(1, 2), (0, 3): 3, (1, 0): 5}, 4)
+    generic = f * RhoPoly.var(1, 1)
+    for rho, g in ((generic_rho_jet(2), f), (flat(Fraction(7, 3), 4), generic)):
+        for op, factor in operators(rho):
+            assert_same_jet(op.apply(g), reference_apply(g, factor))
 
 
 def test_flat_laplacian_known_values():

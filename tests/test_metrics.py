@@ -71,14 +71,21 @@ def test_sphere_schema_errors():
 
 def test_rational_grammar():
     # only [-]digits[/digits]: an exponent would turn a few bytes into
-    # thousands of digits
-    for bad in ("1e5000", "1.5", " 1", "+1", "1_0", "1/-2", "0x10"):
+    # thousands of digits; a zero denominator and a part past the int
+    # conversion limit are refused too
+    long = "7" * 5000
+    for bad in ("1e5000", "1.5", " 1", "+1", "1_0", "1/-2", "0x10", "1/0",
+                long, "1/" + long):
         with pytest.raises(SchemaError) as err:
             parse_metric_spec({"kind": "sphereStereographic", "R": bad})
         assert err.value.path == "R"
     spec = parse_metric_spec('{"kind":"reciprocalLinear",'
                              '"a0":"2","a1":"-3/7","a2":4}')
     assert spec.linear == (2, Fraction(-3, 7), 4)
+    spec = parse_metric_spec('{"kind":"reciprocalLinear",'
+                             '"a0":"007","a1":"-0","a2":"-6/004"}')
+    assert spec.linear == (7, 0, Fraction(-3, 2))
+    assert all(type(c) is Fraction for c in spec.linear)
 
 
 def test_unreadable_json_is_schema_error():
