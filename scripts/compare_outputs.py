@@ -18,11 +18,15 @@ checkout's `src/`).  Every request below runs once per tree, each in a fresh
   the curvature seeds (the workload jets, of order 32 and 22, hold enough
   terms for both);
 * eq311 a_6 and a_7 in json on the sphere seeds, whose sparse jets leave
-  the most slots of the integral kernels empty.
+  the most slots of the integral kernels empty;
+* the named family reciprocalLinear (a0 = 2, a1 = 3, a2 = 5): eq311 a_1..a_3
+  in plain, latex and json with `--approx 12`, eq310 a_1..a_3 in json, and
+  the curvature route, which exits 3 (its curvature depends on one linear
+  form only), so the exit code and standard error are compared too.
 
 The exit code, standard output and standard error must match byte for byte,
 except for the `wallTimeSeconds` lines of the JSON reports.  Prints
-`identical (47 requests)` and exits 0, or prints the first differing request
+`identical (52 requests)` and exits 0, or prints the first differing request
 and exits 1.
 """
 
@@ -42,6 +46,7 @@ SEEDS = (501, 502, 503)
 #: workload -> (seeds, orders n) of the deeper-order json requests
 DEEPER = {"dense": ((501,), (5, 6)), "curvature": (SEEDS, (3, 4)),
           "sphere": (SEEDS, (6, 7))}
+RECIPROCAL = {"kind": "reciprocalLinear", "a0": "2", "a1": "3", "a2": "5"}
 
 #: Runs heatjets.cli.main on argv[2:] with the tree argv[1] first on the path.
 RUNNER = """\
@@ -89,6 +94,16 @@ def requests(workloads, tmp: Path):
                 deeper = dataclasses.replace(request, ns=ns)
                 yield (f"{workload} seed {seed} {request.path} n={ns} json",
                        deeper.argv(metric))
+    metric = tmp / "reciprocal.json"
+    metric.write_text(json.dumps(RECIPROCAL))
+    argv = ["compute", "--n", "1", "--n", "2", "--n", "3",
+            "--metric", str(metric)]
+    for fmt in FORMATS:
+        yield (f"reciprocalLinear eq311 {fmt}",
+               [*argv, "--format", fmt, "--approx", "12"])
+    yield ("reciprocalLinear eq310 json",
+           [*argv, "--path", "eq310", "--format", "json"])
+    yield "reciprocalLinear curvature", [*argv, "--path", "curvature"]
 
 
 def run(src, argv):

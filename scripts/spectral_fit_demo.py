@@ -45,7 +45,7 @@ def main():
               f"{mpmath.nstr(fit.t_grid[-1], 4)}], {len(fit.t_grid)} nodes")
         for n, (value, est) in enumerate(zip(exact, fit.error_estimates)):
             target = (mpmath.mpf(value.q.numerator) / value.q.denominator
-                      / mpmath.pi ** value.pi_power)
+                      / mpmath.pi)
             got = fit.coefficients[n]
             rel = abs(got - target) / abs(target)
             print(f"a_{n}: fitted {mpmath.nstr(got, 20)}")

@@ -34,6 +34,7 @@ from .errors import (
 )
 from .heatinv import (
     WEYL_A0,
+    PiScaled,
     generic_rho_jet,
     heat_invariant,
     heat_invariant_via_frozen,
@@ -44,7 +45,6 @@ from .heatinv import (
 )
 from .jets import Jet2D
 from .metrics import expand_metric, load_metric_spec
-from .rhopoly import PiScaled
 
 #: Most decimal digits ``--approx`` prints.  The mpmath evaluation grows
 #: faster than linearly in the digits, so a larger request is refused
@@ -127,8 +127,7 @@ def _check_printable(what: str, values) -> None:
 def _approx_string(value: PiScaled, digits: int) -> str:
     import mpmath
     with mpmath.workdps(digits + 10):
-        x = mpmath.mpf(value.q.numerator) / value.q.denominator
-        x = x / mpmath.pi ** value.pi_power
+        x = mpmath.mpf(value.q.numerator) / value.q.denominator / mpmath.pi
         return mpmath.nstr(x, digits)
 
 
@@ -178,8 +177,7 @@ def _cmd_compute(args) -> int:
         payload = []
         for n, value, order, wall in results:
             if isinstance(value, PiScaled):
-                doc = {"kind": "numeric", "q": str(value.q),
-                       "piPower": value.pi_power}
+                doc = {"kind": "numeric", "q": str(value.q), "piPower": 1}
                 if args.approx is not None:
                     doc["approx"] = _approx_string(value, args.approx)
             else:

@@ -37,11 +37,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateCurvatureCoordinates, OrderExhausted
-from .heatinv import (HeatInvariantResult, _nested_laplacian_sum,
+from .heatinv import (HeatInvariantResult, PiScaled, _nested_laplacian_sum,
                       _require_order)
 from .jets import Jet2D
 from .laplace import ConformalLaplacian, gaussian_curvature_jet
-from .rhopoly import PiScaled, RhoPoly
+from .rhopoly import RhoPoly
 
 FRAME_MIN_ORDER = 5
 
@@ -135,5 +135,5 @@ def heat_invariant_curvature_form(n: int, rho: Jet2D) -> HeatInvariantResult:
     x = z * f - w * e
     r2 = z * z + x * x * (1 / (e * frame.g - f ** 2))
     total = _nested_laplacian_sum(lap, n, 1 / e, r2)
-    return HeatInvariantResult(n=n, form=PiScaled(total, 1),
+    return HeatInvariantResult(n=n, form=PiScaled(total),
                                truncation_order=order)

@@ -27,8 +27,9 @@ Laplacian Delta_0 and sums binomially weighted mixed powers
 Delta^k Delta_0^(m-k) applied to explicit seed polynomials.  The two routes
 share no constants and must agree exactly; the test suite relies on that.
 
-Everything here is exact: rationals, rational polynomials, and a tracked
-power of 1/pi.  Decimal output is a presentation concern handled elsewhere.
+Everything here is exact: every a_n is a rational, or a rational polynomial,
+times one 1/pi, the factor (4 pi)^(-m/2) of dimension m = 2.  Decimal output
+is a presentation concern handled elsewhere.
 """
 
 from __future__ import annotations
@@ -41,12 +42,7 @@ from math import comb, factorial, gcd, lcm, prod
 from .errors import IndexOutOfRange, OrderExhausted
 from .jets import Jet2D
 from .laplace import ConformalLaplacian, FrozenLaplacian
-from .rhopoly import PiScaled, RhoPoly, mono_degree
-
-#: Universal leading (Weyl) coefficient in dimension 2: a_0 = 1/(4 pi).
-#: Not produced by the main sum (its index ranges are empty at n = 0);
-#: sourced from eigenvalue-counting asymptotics instead.
-WEYL_A0 = PiScaled(Fraction(1, 4), 1)
+from .rhopoly import RhoPoly, mono_degree
 
 
 def gamma_half_rational(j: int) -> Fraction:
@@ -75,7 +71,7 @@ def heat_constant(n: int, k: int, s: int, m: int) -> PiScaled:
         g = gamma_half_rational(k + l - n - s) * gamma_half_rational(s + m - k - l)
         total += g / (factorial(k) * factorial(l) * factorial(m - k - l)
                       * factorial(2 * k - 2 * n - 2 * s) * factorial(2 * s))
-    return PiScaled(Fraction((-1) ** n, 4) * total, 1)
+    return PiScaled(Fraction((-1) ** n, 4) * total)
 
 
 def _radial_terms(n: int, scale, r2: Jet2D):
@@ -129,20 +125,33 @@ def generic_rho_jet(order: int) -> Jet2D:
 
 
 @dataclass(frozen=True)
+class PiScaled:
+    """The exact rational q times 1/pi: a numeric a_n, or a constant C_nksm."""
+    q: Fraction
+
+    def __bool__(self):
+        return bool(self.q)
+
+
+#: Universal leading (Weyl) coefficient in dimension 2: a_0 = 1/(4 pi).
+#: Not produced by the main sum (its index ranges are empty at n = 0);
+#: sourced from eigenvalue-counting asymptotics instead.
+WEYL_A0 = PiScaled(Fraction(1, 4))
+
+
+@dataclass(frozen=True)
 class ClosedForm:
-    """a_n as an exact polynomial identity: poly * pi^(-pi_power).
+    """a_n as an exact polynomial identity: poly / pi.
 
     `poly` lives in the Taylor-coefficient variables rho_ab over a power of
     rho_00; every numerator monomial has derivative-order weight exactly 2n.
     """
     n: int
     poly: RhoPoly
-    pi_power: int
 
     def substitute(self, rho: Jet2D) -> PiScaled:
         """Evaluate at a concrete rational jet."""
-        q = self.poly.substitute(rho.coeffs)
-        return PiScaled(q, self.pi_power)
+        return PiScaled(self.poly.substitute(rho.coeffs))
 
 
 @dataclass(frozen=True)
@@ -159,9 +168,9 @@ def _is_symbolic(rho: Jet2D) -> bool:
 def _wrap(n, total, symbolic, order) -> HeatInvariantResult:
     if symbolic:
         # a vanishing constant term of a jet reads as the int 0
-        form = ClosedForm(n=n, poly=total or RhoPoly.zero(), pi_power=1)
+        form = ClosedForm(n=n, poly=total or RhoPoly.zero())
     else:
-        form = PiScaled(total, 1)
+        form = PiScaled(total)
     return HeatInvariantResult(n=n, form=form, truncation_order=order)
 
 
@@ -266,14 +275,12 @@ def _var_name(a: int, b: int, latex: bool) -> str:
     return rf"\rho_{{{sub}}}" if latex else f"rho_{sub}"
 
 
-def _denominator(q_den: int, pi_power: int, rho_power: int, latex: bool) -> str:
-    """The factors q_den, pi^pi_power and rho^rho_power other than 1, joined;
-    "" when all three are 1."""
+def _denominator(q_den: int, rho_power: int, latex: bool) -> str:
+    """q_den (unless 1), pi and rho^rho_power (unless rho_power is 0), joined."""
     factors = [str(q_den)] if q_den != 1 else []
-    for base, e in ((r"\pi" if latex else "pi", pi_power),
-                    (_var_name(0, 0, latex), rho_power)):
-        if e:
-            factors.append(_power(base, e, latex))
+    factors.append(r"\pi" if latex else "pi")
+    if rho_power:
+        factors.append(_power(_var_name(0, 0, latex), rho_power, latex))
     return (" " if latex else "*").join(factors)
 
 
@@ -339,9 +346,7 @@ def render_closed_form(form: ClosedForm, fmt: str = "plain") -> str:
         if p != 1:
             num_str = f"{p}{sep}{num_str}"
     sign = "-" if content < 0 else ""
-    den = _denominator(content.denominator, form.pi_power, form.poly.den, latex)
-    if not den:
-        return f"{sign}{num_str}"
+    den = _denominator(content.denominator, form.poly.den, latex)
     if latex:
         return rf"{sign}\frac{{{num_str}}}{{{den}}}"
     return f"{sign}{num_str} / ({den})"
@@ -355,7 +360,7 @@ def closed_form_to_json(form: ClosedForm) -> dict:
     return {
         "kind": "closedForm",
         "n": form.n,
-        "piPower": form.pi_power,
+        "piPower": 1,
         "rhoDenominatorPower": form.poly.den,
         "variables": "derivativeValues",
         "terms": terms,
@@ -363,16 +368,22 @@ def closed_form_to_json(form: ClosedForm) -> dict:
 
 
 def parse_closed_form_json(doc) -> ClosedForm:
-    """Inverse of closed_form_to_json; reconstructs the identical polynomial."""
+    """Inverse of closed_form_to_json; reconstructs the identical polynomial.
+
+    Raises ValueError unless the document's piPower is 1, the only power of
+    1/pi an a_n carries.
+    """
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if doc["piPower"] != 1:
+        raise ValueError(f"piPower must be 1, got {doc['piPower']!r}")
     num = {}
     for term in doc["terms"]:
         mono = tuple(sorted(((a, b), e) for a, b, e in term["monomial"]))
         coeff = Fraction(term["coefficient"]) * _taylor_scale(mono)
         num[mono] = num.get(mono, 0) + coeff
     poly = RhoPoly(num, doc["rhoDenominatorPower"])
-    return ClosedForm(n=doc["n"], poly=poly, pi_power=doc["piPower"])
+    return ClosedForm(n=doc["n"], poly=poly)
 
 
 def render_pi_scaled(value: PiScaled, fmt: str = "plain") -> str:
@@ -381,9 +392,7 @@ def render_pi_scaled(value: PiScaled, fmt: str = "plain") -> str:
     if not value.q:
         return "0"
     p = value.q.numerator
-    den = _denominator(value.q.denominator, value.pi_power, 0, latex)
-    if not den:
-        return str(p)
+    den = _denominator(value.q.denominator, 0, latex)
     if latex:
         sign = "-" if p < 0 else ""
         return rf"{sign}\frac{{{abs(p)}}}{{{den}}}"

@@ -4,7 +4,16 @@ A ``Jet2D`` of order N represents a function of (u, v) near the origin known
 modulo O(|(u, v)|^(N+1)): coefficients are stored sparsely for total degree
 a + b <= N and every higher coefficient is unknown, not zero.  Coefficients
 may be ``int``/``Fraction`` (concrete metrics) or ``RhoPoly`` (the generic
-conformal factor); the element type never mixes within one pipeline.
+conformal factor).  The two rings meet only in the symbolic pipelines, where
+concrete jets are multiplied by ``RhoPoly`` values:
+
+* symbolic eq311 multiplies the concrete powers of u^2 + v^2 by the
+  ``RhoPoly`` scalar rho_0^j D c_nk (``heatinv._radial_terms``);
+* symbolic eq310 applies both Laplacians, whose 1/rho is a ``RhoPoly``, to
+  its concrete seed jets (the symbolic 1/rho branch of ``laplacian``).
+
+A product of a ``RhoPoly`` and an int or ``Fraction`` is a ``RhoPoly``, so a
+jet that has met the generic factor stays in the ``RhoPoly`` ring.
 
 Order bookkeeping is valuation-aware.  If f is trusted to order N with lowest
 nonzero total degree vf, and g to order M with valuation vg, then the unknown

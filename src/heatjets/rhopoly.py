@@ -43,10 +43,6 @@ pipeline runs on integers throughout.
 p * q over many pairs, built in one dict.  ``Jet2D`` products use it once
 per output slot, where a chain of two-term sums would copy the slot's
 numerator at every step.
-
-``PiScaled`` carries exact scalars of the shape q * pi^(-e): every constant
-of the heat-coefficient formulas is an exact rational times a nonnegative
-power of 1/pi.
 """
 
 from __future__ import annotations
@@ -355,66 +351,3 @@ class RhoPoly:
             return f"RhoPoly(({body}) / rho00^{self.den})"
         return f"RhoPoly({body})"
 
-
-class PiScaled:
-    """An exact scalar q * pi^(-e) with rational q and integer e >= 0.
-
-    Zero is canonicalized to pi-power 0 and acts as the universal additive
-    identity; otherwise addition requires matching pi-powers.
-    """
-
-    __slots__ = ("q", "pi_power")
-
-    def __init__(self, q, pi_power=0):
-        q = q if isinstance(q, Fraction) else Fraction(q)
-        if pi_power < 0:
-            raise ValueError("pi_power must be nonnegative")
-        if not q:
-            pi_power = 0
-        self.q = q
-        self.pi_power = pi_power
-
-    def __add__(self, other):
-        if not isinstance(other, PiScaled):
-            return NotImplemented
-        if not self.q:
-            return other
-        if not other.q:
-            return self
-        if self.pi_power != other.pi_power:
-            raise ValueError(
-                f"cannot add pi powers {self.pi_power} and {other.pi_power}")
-        return PiScaled(self.q + other.q, self.pi_power)
-
-    def __neg__(self):
-        return PiScaled(-self.q, self.pi_power)
-
-    def __sub__(self, other):
-        if not isinstance(other, PiScaled):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, PiScaled):
-            return PiScaled(self.q * other.q, self.pi_power + other.pi_power)
-        if isinstance(other, (int, Fraction)):
-            return PiScaled(self.q * other, self.pi_power)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.q)
-
-    def __eq__(self, other):
-        if not isinstance(other, PiScaled):
-            return NotImplemented
-        return self.q == other.q and self.pi_power == other.pi_power
-
-    def __hash__(self):
-        return hash((self.q, self.pi_power))
-
-    def __repr__(self):
-        if self.pi_power == 0:
-            return f"PiScaled({self.q})"
-        return f"PiScaled({self.q}/pi^{self.pi_power})"

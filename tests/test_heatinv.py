@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from heatjets.errors import IndexOutOfRange, OrderExhausted
-from heatjets.heatinv import (WEYL_A0, ClosedForm, _radial_terms,
+from heatjets.heatinv import (WEYL_A0, ClosedForm, PiScaled, _radial_terms,
                               closed_form_to_json, gamma_half_rational,
                               generic_rho_jet, heat_constant, heat_invariant,
                               heat_invariant_via_frozen,
@@ -17,7 +17,7 @@ from heatjets.heatinv import (WEYL_A0, ClosedForm, _radial_terms,
                               symbolic_heat_invariant)
 from heatjets.jets import Jet2D
 from heatjets.laplace import ConformalLaplacian
-from heatjets.rhopoly import PiScaled, RhoPoly, mono_degree
+from heatjets.rhopoly import RhoPoly, mono_degree
 
 GOLDEN_A1_PLAIN = "(rho_u^2 + rho_v^2 - rho*rho_uu - rho*rho_vv) / (24*pi*rho^3)"
 GOLDEN_A2_PLAIN = (
@@ -73,8 +73,8 @@ def test_gamma_half_rational_values():
 
 
 def test_heat_constant_hand_values():
-    assert heat_constant(1, 2, 0, 2) == PiScaled(Fraction(-1, 32), 1)
-    assert heat_constant(1, 2, 1, 2) == PiScaled(Fraction(-1, 32), 1)
+    assert heat_constant(1, 2, 0, 2) == PiScaled(Fraction(-1, 32))
+    assert heat_constant(1, 2, 1, 2) == PiScaled(Fraction(-1, 32))
 
 
 def test_heat_constant_range_checks():
@@ -106,7 +106,6 @@ def test_radial_terms_are_the_summed_heat_constants():
 def test_symbolic_a1_matches_golden_formula():
     cf = symbolic_heat_invariant(1).form
     assert cf.poly == golden_a1_poly()
-    assert cf.pi_power == 1
 
 
 def test_symbolic_a1_via_frozen_matches_golden():
@@ -145,7 +144,7 @@ def test_render_zero():
         (RhoPoly.const(Fraction(-1, 12)), "latex", r"-\frac{1}{12 \pi}"),
     ]
     for poly, fmt, expected in cases:
-        form = ClosedForm(n=1, poly=poly, pi_power=1)
+        form = ClosedForm(n=1, poly=poly)
         assert render_closed_form(form, fmt) == expected, (poly, fmt)
 
 
@@ -155,8 +154,14 @@ def test_json_round_trip():
         doc = json.loads(json.dumps(closed_form_to_json(cf)))
         back = parse_closed_form_json(doc)
         assert back.poly == cf.poly
-        assert back.pi_power == cf.pi_power
         assert back.n == n
+
+
+def test_parse_rejects_other_pi_powers():
+    doc = closed_form_to_json(closed_form(1))
+    assert doc["piPower"] == 1
+    with pytest.raises(ValueError, match="piPower must be 1, got 2"):
+        parse_closed_form_json({**doc, "piPower": 2})
 
 
 def test_flat_metric_zeros():
@@ -169,14 +174,14 @@ def test_flat_metric_zeros():
 
 def test_unit_sphere_a1_exact():
     rho = sphere_rho(1, 8)
-    assert heat_invariant(1, rho).form == PiScaled(Fraction(1, 12), 1)
+    assert heat_invariant(1, rho).form == PiScaled(Fraction(1, 12))
     assert render_pi_scaled(heat_invariant(1, rho).form) == "1/(12*pi)"
 
 
 def test_sphere_a1_scales_with_curvature():
     # a1 = K/(12 pi) with K = 1/R^2
     rho = sphere_rho(2, 8)
-    assert heat_invariant(1, rho).form == PiScaled(Fraction(1, 48), 1)
+    assert heat_invariant(1, rho).form == PiScaled(Fraction(1, 48))
 
 
 def test_sphere_higher_coefficients_exact():
@@ -186,7 +191,7 @@ def test_sphere_higher_coefficients_exact():
     for n, c in ((3, Fraction(1, 315)), (4, Fraction(1, 1260)),
                  (5, Fraction(1, 3465))):
         assert heat_invariant(n, rho.truncate(8 * n)).form == \
-            PiScaled(c / radius ** (2 * n), 1)
+            PiScaled(c / radius ** (2 * n))
 
 
 def test_cross_path_equality_random_jets():
@@ -223,7 +228,7 @@ def test_scaling_covariance():
         base = heat_invariant(n, rho).form
         for c in (Fraction(2), Fraction(3, 5)):
             scaled = heat_invariant(n, rho * c).form
-            assert scaled == base * c ** (-n)
+            assert scaled.q == base.q * c ** (-n)
 
 
 def test_rotation_invariance():
@@ -317,18 +322,19 @@ def test_n_must_be_positive():
 
 
 def test_weyl_constant():
-    assert WEYL_A0 == PiScaled(Fraction(1, 4), 1)
+    assert WEYL_A0 == PiScaled(Fraction(1, 4))
     assert render_pi_scaled(WEYL_A0) == "1/(4*pi)"
 
 
 def test_pi_scaled_renderings():
-    assert render_pi_scaled(PiScaled(Fraction(-3, 8), 2)) == "-3/(8*pi^2)"
-    assert render_pi_scaled(PiScaled(Fraction(5), 0)) == "5"
-    assert render_pi_scaled(PiScaled(Fraction(2, 3), 0)) == "2/3"
-    assert render_pi_scaled(PiScaled(Fraction(1), 1)) == "1/pi"
-    assert render_pi_scaled(PiScaled(0)) == "0"
+    assert render_pi_scaled(PiScaled(Fraction(-3, 8))) == "-3/(8*pi)"
+    assert render_pi_scaled(PiScaled(Fraction(-3, 8)), "latex") == \
+        r"-\frac{3}{8 \pi}"
+    assert render_pi_scaled(PiScaled(Fraction(1))) == "1/pi"
+    assert render_pi_scaled(PiScaled(Fraction(0))) == "0"
+    assert not PiScaled(Fraction(0))
     with pytest.raises(ValueError):
-        render_pi_scaled(PiScaled(Fraction(1, 12), 1), "json")
+        render_pi_scaled(PiScaled(Fraction(1, 12)), "json")
 
 
 def test_generic_rho_jet_shape():

@@ -17,7 +17,6 @@ from heatjets.oracle import (
     golden_a1,
     sphere_heat_trace,
 )
-from heatjets.rhopoly import PiScaled
 
 
 def test_spectrum_basics():
@@ -133,20 +132,19 @@ def test_golden_a1_matches_engine():
     from heatjets.heatinv import symbolic_heat_invariant
 
     poly, pi_power = golden_a1()
-    form = symbolic_heat_invariant(1).form
-    assert pi_power == form.pi_power
-    assert form.poly == poly
+    assert pi_power == 1
+    assert symbolic_heat_invariant(1).form.poly == poly
 
 
 def test_golden_a1_on_sphere_jet():
-    from heatjets.heatinv import ClosedForm
+    from heatjets.heatinv import ClosedForm, PiScaled
     from heatjets.jets import Jet2D
 
-    poly, pi_power = golden_a1()
-    form = ClosedForm(n=1, poly=poly, pi_power=pi_power)
+    poly, _ = golden_a1()
+    form = ClosedForm(n=1, poly=poly)
     rho = Jet2D({(0, 0): Fraction(4), (2, 0): Fraction(-8),
                  (0, 2): Fraction(-8)}, order=2)
-    assert form.substitute(rho) == PiScaled(Fraction(1, 12), 1)
+    assert form.substitute(rho) == PiScaled(Fraction(1, 12))
 
 
 def test_spectral_fit_demo_script():

@@ -1,4 +1,4 @@
-"""Ring-level checks for RhoPoly and PiScaled."""
+"""Ring-level checks for RhoPoly."""
 
 from fractions import Fraction
 
@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from heatjets.cli import PRECONDITION_ERRORS
 from heatjets.errors import IndexOutOfRange, NonInvertibleConstantTerm
 from heatjets.heatinv import generic_rho_jet
-from heatjets.rhopoly import (MAX_VAR_ORDER, VAR00, PiScaled, RhoPoly,
-                              mono_weight)
+from heatjets.rhopoly import MAX_VAR_ORDER, VAR00, RhoPoly, mono_weight
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=6)
@@ -300,21 +299,3 @@ def test_one_step_past_the_packed_range_is_refused():
             build()
     assert hi.inverse() == power(VAR00, 0, den=E00 - 1)
 
-
-def test_pi_scaled_arithmetic():
-    a = PiScaled(Fraction(1, 3), 1)
-    b = PiScaled(Fraction(1, 6), 1)
-    assert a + b == PiScaled(Fraction(1, 2), 1)
-    assert a - a == PiScaled(0)
-    assert (a - a) + b == b
-    assert PiScaled(0) + a == a
-    assert a * b == PiScaled(Fraction(1, 18), 2)
-    assert a * 3 == PiScaled(1, 1)
-    with pytest.raises(ValueError):
-        a + PiScaled(1, 2)
-
-
-def test_pi_scaled_zero_is_canonical():
-    z = PiScaled(Fraction(0), 5)
-    assert z.pi_power == 0
-    assert not z
