@@ -4,8 +4,8 @@ The diagonal heat kernel of a surface expands as K(t,x,x) ~ sum a_n(x)
 t^(n-1); this package computes the a_n exactly, either as closed-form
 polynomials in the derivatives of the conformal factor or as rational
 multiples of 1/pi for a concrete metric jet.  The computation is
-exact rational arithmetic throughout.  mpmath is loaded only by the
-spectral oracle (``oracle``), by ``heatinv verify`` and by ``--approx``.
+exact rational arithmetic throughout, and so is every acceptance check;
+mpmath is loaded only by ``--approx``.
 
 Import each name from the module that defines it: ``jets`` (``Jet2D``),
 ``rhopoly`` (``RhoPoly``), ``heatinv`` (the eq311 and eq310 routes,

@@ -5,8 +5,8 @@ entry is (number, name, budget in seconds, check); a check returns ``None``
 on success or a one-line failure message.  Checks never use ``assert``, so
 they keep checking under ``python -O``.
 
-Every check except the spectral fit (criterion 4) is exact arithmetic.  The
-random jets come from seeded generators, so every run sees the same inputs.
+Every check is exact arithmetic.  The random jets come from seeded
+generators, so every run sees the same inputs.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
-
-import mpmath
 
 from .commutator import (
     RationalMatrix,
@@ -32,12 +30,13 @@ from .heatinv import (
     heat_invariant_via_frozen,
     render_closed_form,
     render_pi_scaled,
+    required_order,
     symbolic_heat_invariant,
 )
 from .jets import Jet2D
 from .laplace import ConformalLaplacian, gaussian_curvature_jet
 from .metrics import expand_metric, parse_metric_spec
-from .oracle import SphereSpectrum, fit_diagonal_coefficients, golden_a1
+from .oracle import golden_a1, sphere_heat_coefficients
 from .rhopoly import mono_degree
 
 
@@ -92,15 +91,13 @@ def _sphere_a1_exact():
         return f"unit sphere a_1 = {text}, expected 1/(12*pi)"
 
 
-def _sphere_a2_spectral_fit():
-    exact = heat_invariant(2, _unit_sphere_jet(16)).form
-    fit = fit_diagonal_coefficients(SphereSpectrum(Fraction(1)), n_terms=3)
-    with mpmath.workdps(40):
-        target = (mpmath.mpf(exact.q.numerator) / exact.q.denominator
-                  / mpmath.pi)
-        rel = abs(fit.coefficients[2] - target) / abs(target)
-        if not rel < mpmath.mpf(10) ** -6:
-            return f"spectral a_2 off by {mpmath.nstr(rel, 5)} relative"
+def _sphere_spectrum_exact():
+    rho = _unit_sphere_jet(required_order(8, "eq311"))
+    for n, q in enumerate(sphere_heat_coefficients(8)[1:], start=1):
+        value = heat_invariant(n, rho.truncate(required_order(n, "eq311")))
+        if value.form != PiScaled(q):
+            return (f"unit sphere a_{n} = {render_pi_scaled(value.form)}, "
+                    f"the spectrum gives ({q})/pi")
 
 
 def _cross_path_equality():
@@ -223,7 +220,7 @@ CRITERIA = (
     Criterion(1, "a1-closed-form-identity", 1.0, _a1_closed_form_identity),
     Criterion(2, "flat-zeros", 10.0, _flat_zeros),
     Criterion(3, "sphere-a1-exact", 5.0, _sphere_a1_exact),
-    Criterion(4, "sphere-a2-spectral-fit", 120.0, _sphere_a2_spectral_fit),
+    Criterion(4, "sphere-spectrum-exact", 10.0, _sphere_spectrum_exact),
     Criterion(5, "cross-path-equality", 300.0, _cross_path_equality),
     Criterion(6, "curvature-path-equality", 120.0, _curvature_path_equality),
     Criterion(7, "commutator-three-way", 30.0, _commutator_three_way),

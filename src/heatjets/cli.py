@@ -3,7 +3,7 @@
 Three subcommands:
 
   compute    closed forms (symbolic) or exact values (numeric) of a_n
-  verify     built-in acceptance checks, quick or full
+  verify     built-in acceptance checks, all of them exact
   curvature  curvature frame of a metric at the base point
 
 Exit codes: 0 success, 2 schema or usage error, 3 mathematical
@@ -89,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_compute)
 
     v = sub.add_parser("verify", help="run built-in acceptance checks")
-    v.add_argument("--level", choices=("quick", "full"), default="quick")
     v.set_defaults(func=_cmd_verify)
 
     k = sub.add_parser(
@@ -218,10 +217,8 @@ def _cmd_curvature(args) -> int:
 
 def _cmd_verify(args) -> int:
     from .acceptance import CRITERIA
-    # quick leaves out criterion 4, the one floating-point check
-    criteria = [c for c in CRITERIA if args.level == "full" or c.number != 4]
     failures = 0
-    for criterion in criteria:
+    for criterion in CRITERIA:
         start = time.perf_counter()
         try:
             detail = criterion.check()
@@ -233,7 +230,7 @@ def _cmd_verify(args) -> int:
         else:
             failures += 1
             print(f"FAIL {criterion.name} {elapsed}: {detail}")
-    print(f"{len(criteria) - failures}/{len(criteria)} criteria passed")
+    print(f"{len(CRITERIA) - failures}/{len(CRITERIA)} criteria passed")
     return 4 if failures else 0
 
 

@@ -10,8 +10,8 @@ is encoded by three scalars at the point:
 Since z and w vanish at the origin, these are gradients there:
 E = |grad K|^2 / rho, F = <grad K, grad Delta K> / rho and
 G = |grad Delta K|^2 / rho, read off the first-order coefficients of the K
-and Delta K jets.  ``frame_via_identities`` recomputes E, F and G from the
-expanded product-rule identities as an independent check.
+and Delta K jets.  The tests recompute E, F and G from the expanded
+product-rule identities as an independent check.
 
 The heat coefficients then take a coordinate-free shape.  The polynomials
 P_k = c_nk (rho_0 (u^2 + v^2))^(k-n) of the direct path depend on u and v
@@ -58,13 +58,6 @@ class CurvatureFrame:
     degenerate: bool
 
 
-def _curvature_jets(rho: Jet2D):
-    """(Laplacian of rho, K jet, Delta K jet) for a concrete metric."""
-    lap = ConformalLaplacian(rho)
-    k = gaussian_curvature_jet(rho, lap)
-    return lap, k, lap.apply(k)
-
-
 def _frame_and_coordinates(rho: Jet2D):
     """(curvature frame, its Laplacian, z jet, w jet) from one jet computation."""
     if isinstance(rho.constant_term(), RhoPoly):
@@ -73,7 +66,9 @@ def _frame_and_coordinates(rho: Jet2D):
         raise OrderExhausted(
             f"curvature frame needs a jet of order >= {FRAME_MIN_ORDER}, "
             f"got {rho.order}")
-    lap, k, dk = _curvature_jets(rho)
+    lap = ConformalLaplacian(rho)
+    k = gaussian_curvature_jet(rho, lap)
+    dk = lap.apply(k)
     k0 = Fraction(k.constant_term())
     dk0 = Fraction(dk.constant_term())
     ku, kv = Fraction(k.coefficient(1, 0)), Fraction(k.coefficient(0, 1))
@@ -97,25 +92,6 @@ def curvature_frame(rho: Jet2D) -> CurvatureFrame:
     """
     return _frame_and_coordinates(
         rho.truncate(min(rho.order, FRAME_MIN_ORDER)))[0]
-
-
-def frame_via_identities(rho: Jet2D):
-    """(E, F, G) recomputed from the expanded product-rule identities.
-
-    2E = 2 K DK - Delta(K^2), 2F = K D^2K + (DK)^2 - Delta(K DK),
-    2G = 2 DK D^2K - Delta((DK)^2), all at the origin; an independent check
-    of the gradient formulas of the frame, which share only K and DK.
-    """
-    lap, k, dk = _curvature_jets(rho)
-    k0 = Fraction(k.constant_term())
-    dk0 = Fraction(dk.constant_term())
-    d2k0 = Fraction(lap.apply(dk).constant_term())
-    e = (2 * k0 * dk0 - Fraction(lap.apply(k * k).constant_term())) / 2
-    f = (k0 * d2k0 + dk0 ** 2
-         - Fraction(lap.apply(k * dk).constant_term())) / 2
-    g = (2 * dk0 * d2k0
-         - Fraction(lap.apply(dk * dk).constant_term())) / 2
-    return e, f, g
 
 
 def heat_invariant_curvature_form(n: int, rho: Jet2D) -> HeatInvariantResult:

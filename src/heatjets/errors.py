@@ -22,14 +22,6 @@ class DegenerateCurvatureCoordinates(HeatjetsError):
     """The Jacobian of (K, Laplacian K) vanishes at the base point."""
 
 
-class TailNotConverged(HeatjetsError):
-    """The dropped tail of a spectral sum exceeds the requested tolerance."""
-
-
-class IllConditionedFit(HeatjetsError):
-    """The extrapolation ladder lost all significant digits."""
-
-
 class ValueTooLong(HeatjetsError):
     """An exact value has more digits than Python converts to text."""
 

@@ -310,12 +310,12 @@ def test_curvature_subcommand(capsys, metric_file):
     assert any(line.startswith("E = ") for line in lines)
 
 
-def test_verify_quick(capsys):
-    code, out, _ = run(capsys, ["verify", "--level", "quick"])
+def test_verify(capsys):
+    code, out, _ = run(capsys, ["verify"])
     assert code == 0
     lines = out.splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
-    assert lines[-1].endswith("criteria passed")
+    assert lines[-1] == "10/10 criteria passed"
 
 
 def test_verify_failures_exit_four(capsys, monkeypatch):
@@ -329,7 +329,7 @@ def test_verify_failures_exit_four(capsys, monkeypatch):
         acceptance.Criterion(2, "fails", 1.0, lambda: "wrong value"),
         acceptance.Criterion(3, "raises", 1.0, crash),
     ))
-    code, out, _ = run(capsys, ["verify", "--level", "full"])
+    code, out, _ = run(capsys, ["verify"])
     assert code == 4
     passed, failed, crashed, summary = out.splitlines()
     assert passed.startswith("PASS passes (") and passed.endswith("s)")
@@ -471,15 +471,18 @@ def test_exit_codes_hold_for_any_input(fuzz_metric, data):
 
 
 def test_cli_import_loads_only_what_compute_runs():
-    # `verify` and `--approx` import these when they run; `compute` and
-    # `curvature` never need them
     import heatjets.cli as cli
     src = str(Path(cli.__file__).resolve().parents[1])
-    unwanted = ("mpmath", "heatjets.oracle", "heatjets.commutator",
-                "heatjets.acceptance")
-    code = (f"import sys; sys.path.insert(0, {src!r}); import heatjets.cli; "
-            f"print(sorted(m for m in {unwanted!r} if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-I", "-c", code],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    for module, unwanted in (
+            # `verify` and `--approx` import these when they run; `compute`
+            # and `curvature` never need them
+            ("heatjets.cli", ("mpmath", "heatjets.oracle",
+                              "heatjets.commutator", "heatjets.acceptance")),
+            # every criterion is exact, so `verify` needs no mpmath either
+            ("heatjets.acceptance", ("mpmath",))):
+        code = (f"import sys; sys.path.insert(0, {src!r}); import {module}; "
+                f"print(sorted(m for m in {unwanted!r} if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-I", "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n", module

@@ -7,14 +7,13 @@ from fractions import Fraction
 import pytest
 
 from heatjets.curvature import (FRAME_MIN_ORDER, curvature_frame,
-                                frame_via_identities,
                                 heat_invariant_curvature_form)
 from heatjets.errors import (DegenerateCurvatureCoordinates, IndexOutOfRange,
                              OrderExhausted)
 from heatjets.heatinv import (generic_rho_jet, heat_invariant,
                               heat_invariant_via_frozen, required_order)
 from heatjets.jets import Jet2D
-from heatjets.laplace import ConformalLaplacian
+from heatjets.laplace import ConformalLaplacian, gaussian_curvature_jet
 
 
 def sphere_rho(radius, order):
@@ -22,6 +21,27 @@ def sphere_rho(radius, order):
     base = Jet2D({(0, 0): r2, (2, 0): Fraction(1), (0, 2): Fraction(1)},
                  order)
     return (base * base).inverse() * (4 * r2 ** 2)
+
+
+def frame_via_identities(rho):
+    """(E, F, G) recomputed from the expanded product-rule identities.
+
+    2E = 2 K DK - Delta(K^2), 2F = K D^2K + (DK)^2 - Delta(K DK),
+    2G = 2 DK D^2K - Delta((DK)^2), all at the origin; an independent check
+    of the gradient formulas of the frame, which share only K and DK.
+    """
+    lap = ConformalLaplacian(rho)
+    k = gaussian_curvature_jet(rho, lap)
+    dk = lap.apply(k)
+    k0 = Fraction(k.constant_term())
+    dk0 = Fraction(dk.constant_term())
+    d2k0 = Fraction(lap.apply(dk).constant_term())
+    e = (2 * k0 * dk0 - Fraction(lap.apply(k * k).constant_term())) / 2
+    f = (k0 * d2k0 + dk0 ** 2
+         - Fraction(lap.apply(k * dk).constant_term())) / 2
+    g = (2 * dk0 * d2k0
+         - Fraction(lap.apply(dk * dk).constant_term())) / 2
+    return e, f, g
 
 
 def reciprocal_linear_rho(a0, a1, a2, order):

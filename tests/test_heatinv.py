@@ -17,6 +17,7 @@ from heatjets.heatinv import (WEYL_A0, ClosedForm, PiScaled, _radial_terms,
                               symbolic_heat_invariant)
 from heatjets.jets import Jet2D
 from heatjets.laplace import ConformalLaplacian
+from heatjets.oracle import sphere_heat_coefficients
 from heatjets.rhopoly import RhoPoly, mono_degree
 
 GOLDEN_A1_PLAIN = "(rho_u^2 + rho_v^2 - rho*rho_uu - rho*rho_vv) / (24*pi*rho^3)"
@@ -185,13 +186,21 @@ def test_sphere_a1_scales_with_curvature():
 
 
 def test_sphere_higher_coefficients_exact():
-    # a_n = c_n / (pi R^(2n)) from the sphere heat trace
-    radius = Fraction(3, 2)
-    rho = sphere_rho(radius, 40)
-    for n, c in ((3, Fraction(1, 315)), (4, Fraction(1, 1260)),
-                 (5, Fraction(1, 3465))):
-        assert heat_invariant(n, rho.truncate(8 * n)).form == \
-            PiScaled(c / radius ** (2 * n))
+    # a_n = q_n / (pi R^(2n)) from the sphere spectrum; the disc
+    # rho = 4/(1 - u^2 - v^2)^2 has curvature -1, so there a_n = (-1)^n q_n/pi
+    q = sphere_heat_coefficients(12)
+    for radius in (Fraction(1), Fraction(3, 2)):
+        rho = sphere_rho(radius, required_order(12, "eq311"))
+        for n in range(1, 13):
+            jet = rho.truncate(required_order(n, "eq311"))
+            assert heat_invariant(n, jet).form == \
+                PiScaled(q[n] / radius ** (2 * n))
+    base = Jet2D({(0, 0): Fraction(1), (2, 0): Fraction(-1),
+                  (0, 2): Fraction(-1)}, required_order(8, "eq311"))
+    disc = (base * base).inverse() * 4
+    for n in range(1, 9):
+        jet = disc.truncate(required_order(n, "eq311"))
+        assert heat_invariant(n, jet).form == PiScaled((-1) ** n * q[n])
 
 
 def test_cross_path_equality_random_jets():
