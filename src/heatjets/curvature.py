@@ -21,6 +21,10 @@ only through u^2 + v^2.  With rho_0 = 1/E and that one pull-back
 
 they give a_n = sum_k Delta^k P_k at the origin again, now polynomials in z
 and w, evaluated by the same Horner-nested pipeline as the direct path.
+(1/E) times the pulled-back u^2 + v^2 is rho_0 (u^2 + v^2) plus a cubic
+tail, so by the radial-sum lemma of ``heatinv`` this route is eq311 with
+another tail: its agreement with eq311 checks the frame (E, F, G) and that
+lemma, not an independent pipeline.
 The pull-back is read to order 2n + 2, so z and w to order 2n + 1 and rho
 to order 2n + 5 = ``heatinv.required_order(n, "curvature")``; the frame
 alone reads rho to order FRAME_MIN_ORDER = 5 (Delta K to first order).
@@ -111,5 +115,4 @@ def heat_invariant_curvature_form(n: int, rho: Jet2D) -> HeatInvariantResult:
     x = z * f - w * e
     r2 = z * z + x * x * (1 / (e * frame.g - f ** 2))
     total = _nested_laplacian_sum(lap, n, 1 / e, r2)
-    return HeatInvariantResult(n=n, form=PiScaled(total),
-                               truncation_order=order)
+    return HeatInvariantResult(form=PiScaled(total))

@@ -22,6 +22,12 @@ derivatives; feeding a concrete rational jet yields an exact number q/pi.
 a_n is a local invariant of weight 2n, so it reads the jet of rho only to
 order 2n; ``required_order`` states the order every route reads.
 
+The radial sum reads only the 2-jet of its radial function: the value
+S_n(f) = sum_k c_nk Delta^k(f^(k-n))(0) of ``_nested_laplacian_sum(lap, n,
+1, f)`` is a_n for every f = rho_0 (u^2 + v^2) + O(|(u, v)|^3), and another
+quadratic part changes it (property-tested for n <= 3).  The curvature
+route is this sum with another cubic tail.
+
 An equivalent second route expands the resolvent around the origin-frozen
 Laplacian Delta_0 and sums binomially weighted mixed powers
 Delta^k Delta_0^(m-k) applied to explicit seed polynomials.  The two routes
@@ -156,22 +162,18 @@ class ClosedForm:
 
 @dataclass(frozen=True)
 class HeatInvariantResult:
-    n: int
     form: object  # ClosedForm for a symbolic run, PiScaled for a numeric one
-    truncation_order: int
 
 
 def _is_symbolic(rho: Jet2D) -> bool:
     return isinstance(rho.constant_term(), RhoPoly)
 
 
-def _wrap(n, total, symbolic, order) -> HeatInvariantResult:
+def _wrap(n, total, symbolic) -> HeatInvariantResult:
     if symbolic:
         # a vanishing constant term of a jet reads as the int 0
-        form = ClosedForm(n=n, poly=total or RhoPoly.zero())
-    else:
-        form = PiScaled(total)
-    return HeatInvariantResult(n=n, form=form, truncation_order=order)
+        return HeatInvariantResult(ClosedForm(n, total or RhoPoly.zero()))
+    return HeatInvariantResult(PiScaled(total))
 
 
 def required_order(n: int, path: str) -> int:
@@ -209,11 +211,11 @@ def heat_invariant(n: int, rho: Jet2D) -> HeatInvariantResult:
     sum_k Delta^k P_k is evaluated by Horner nesting: 4n Laplacian
     applications in all.
     """
-    order = _require_order(n, rho, "eq311")
+    _require_order(n, rho, "eq311")
     total = _nested_laplacian_sum(ConformalLaplacian(rho), n,
                                   rho.constant_term(),
                                   Jet2D({(2, 0): 1, (0, 2): 1}, 2 * n + 2))
-    return _wrap(n, total, _is_symbolic(rho), order)
+    return _wrap(n, total, _is_symbolic(rho))
 
 
 def heat_invariant_via_frozen(n: int, rho: Jet2D) -> HeatInvariantResult:
@@ -226,7 +228,7 @@ def heat_invariant_via_frozen(n: int, rho: Jet2D) -> HeatInvariantResult:
     / ((2m-2n-2p)! (2p)!) = (u^2 + v^2)^(m-n) / (4^(m-n) (m-n)!), with g the
     rational Gamma(.+1/2) ratio.  It shares no constant with heat_invariant.
     """
-    order = _require_order(n, rho, "eq310")
+    _require_order(n, rho, "eq310")
     lap = ConformalLaplacian(rho)
     frozen = FrozenLaplacian(rho)
     rho0 = rho.constant_term()
@@ -244,7 +246,7 @@ def heat_invariant_via_frozen(n: int, rho: Jet2D) -> HeatInvariantResult:
             total = total + value * (weight * ((-1) ** k * comb(m, k)))
             if k:
                 image = frozen.apply(image)
-    return _wrap(n, total, _is_symbolic(rho), order)
+    return _wrap(n, total, _is_symbolic(rho))
 
 
 def symbolic_heat_invariant(n: int) -> HeatInvariantResult:

@@ -383,18 +383,16 @@ class Jet2D:
             acc = acc + w_pow * Fraction((-1) ** (i + 1), i)
         return acc
 
-    def compose_linear(self, m00, m01, m10, m11):
-        """Substitute u -> m00 u + m01 v, v -> m10 u + m11 v (exact entries)."""
-        n = self.order
-        # powers of the two substituted linear forms, as jets
-        lin_u = Jet2D({(1, 0): m00, (0, 1): m01}, n)
-        lin_v = Jet2D({(1, 0): m10, (0, 1): m11}, n)
-        pow_u = [Jet2D.constant(1, n)]
-        pow_v = [Jet2D.constant(1, n)]
+    def compose(self, p, q):
+        """f(p(u, v), q(u, v)) for jets p and q that vanish at the origin,
+        trusted to order min(self.order, p.order, q.order)."""
+        if p.constant_term() or q.constant_term():
+            raise ValueError("compose needs p and q without a constant term")
+        n = min(self.order, p.order, q.order)
+        pow_p, pow_q = [Jet2D.constant(1, n)], [Jet2D.constant(1, n)]
         for _ in range(n):
-            pow_u.append(pow_u[-1]._mul_capped(lin_u, n))
-            pow_v.append(pow_v[-1]._mul_capped(lin_v, n))
-        parts = Jet2D.zero(n)
-        for (a, b), c in self.coeffs.items():
-            parts = parts + pow_u[a]._mul_capped(pow_v[b], n) * c
-        return parts
+            pow_p.append(pow_p[-1]._mul_capped(p, n))
+            pow_q.append(pow_q[-1]._mul_capped(q, n))
+        return sum((pow_p[a]._mul_capped(pow_q[b], n) * c
+                    for (a, b), c in self.truncate(n).coeffs.items()),
+                   Jet2D.zero(n))

@@ -15,6 +15,8 @@ from heatjets.heatinv import (generic_rho_jet, heat_invariant,
 from heatjets.jets import Jet2D
 from heatjets.laplace import ConformalLaplacian, gaussian_curvature_jet
 
+from test_heatinv import holomorphic_chart, pull_back
+
 
 def sphere_rho(radius, order):
     r2 = Fraction(radius) ** 2
@@ -168,6 +170,30 @@ def test_curvature_route_counts(monkeypatch):
         assert calls["log_nonconstant"] == 0
 
 
+def test_chart_change_moves_only_the_jacobian():
+    # K, Delta K, E = |grad K|^2, F and G are invariants of the metric, so a
+    # holomorphic change of chart phi moves none of them, nor the route's
+    # a_1 and a_2; the Jacobian of (K, Delta K) is multiplied by
+    # |phi'(0)|^2 = 5 for phi(z) = (2 + i) z + (1 - i/2) z^2 + z^3/3
+    coefficients = {1: (2, 1), 2: (1, Fraction(-1, 2)), 3: (Fraction(1, 3), 0)}
+    rng = random.Random(41)
+    for _ in range(3):
+        rho = random_jet(rng, order=9)
+        p, q = holomorphic_chart(coefficients, 10)
+        moved = pull_back(rho, p, q)
+        before, after = curvature_frame(rho), curvature_frame(moved)
+        assert (after.k0, after.dk0, after.e, after.f, after.g) == \
+            (before.k0, before.dk0, before.e, before.f, before.g)
+        assert after.jacobian == 5 * before.jacobian
+        assert after.degenerate == before.degenerate
+        for n in (1, 2):
+            assert heat_invariant_curvature_form(n, moved).form == \
+                heat_invariant_curvature_form(n, rho).form
+    p, q = holomorphic_chart(coefficients, 11)
+    sphere = curvature_frame(pull_back(sphere_rho(1, 10), p, q))
+    assert sphere.k0 == 1 and sphere.degenerate
+
+
 def test_order_requirements():
     # The frame reads rho to order 5 and the route to order 2n + 5: one order
     # less is refused, and the value at that order is eq311's.
@@ -187,13 +213,6 @@ def test_order_requirements():
             == heat_invariant(n, rho).form
     with pytest.raises(IndexOutOfRange):
         heat_invariant_curvature_form(0, random_jet(rng, order=14))
-
-
-def test_truncation_order_is_the_order_read():
-    rho = random_jet(random.Random(9), order=22)
-    assert heat_invariant(1, rho).truncation_order == 2
-    assert heat_invariant_via_frozen(1, rho).truncation_order == 2
-    assert heat_invariant_curvature_form(1, rho).truncation_order == 7
 
 
 def test_symbolic_input_rejected():

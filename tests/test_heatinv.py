@@ -4,11 +4,15 @@ import functools
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heatjets.errors import IndexOutOfRange, OrderExhausted
-from heatjets.heatinv import (WEYL_A0, ClosedForm, PiScaled, _radial_terms,
+from heatjets.heatinv import (WEYL_A0, ClosedForm, PiScaled,
+                              _nested_laplacian_sum, _radial_terms,
                               closed_form_to_json, gamma_half_rational,
                               generic_rho_jet, heat_constant, heat_invariant,
                               heat_invariant_via_frozen,
@@ -102,6 +106,34 @@ def test_radial_terms_are_the_summed_heat_constants():
         _, unit = _radial_terms(n, 1, Jet2D({(2, 0): 1, (0, 2): 1}, 8 * n))
         assert all(type(c) is int for k in range(n + 1, 4 * n + 1)
                    for c in unit(k).coeffs.values())
+
+
+@st.composite
+def cubic_tails(draw, order):
+    """A sparse rational jet of valuation >= 3 and the given order."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        d = draw(st.integers(3, order))
+        a = draw(st.integers(0, d))
+        terms[(a, d - a)] = draw(
+            st.fractions(min_value=-5, max_value=5, max_denominator=6))
+    return Jet2D(terms, order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2 ** 16), data=st.data())
+def test_radial_sum_reads_only_the_two_jet(n, seed, data):
+    # S_n(f) = sum_k c_nk Delta^k(f^(k-n))(0) is eq311's a_n for every f
+    # with the 2-jet rho_0 (u^2 + v^2); a u v term changes it
+    rho = random_metric_jet(random.Random(seed), order=2 * n)
+    lap = ConformalLaplacian(rho)
+    rho0 = rho.constant_term()
+    f = Jet2D({(2, 0): rho0, (0, 2): rho0}, 2 * n + 2) + \
+        data.draw(cubic_tails(2 * n + 2))
+    value = heat_invariant(n, rho).form.q
+    assert _nested_laplacian_sum(lap, n, 1, f) == value
+    uv = Jet2D({(1, 1): 1}, 2 * n + 2)
+    assert _nested_laplacian_sum(lap, n, 1, f + uv) != value
 
 
 def test_symbolic_a1_matches_golden_formula():
@@ -240,13 +272,56 @@ def test_scaling_covariance():
             assert scaled.q == base.q * c ** (-n)
 
 
-def test_rotation_invariance():
-    rng = random.Random(11)
-    rho = random_metric_jet(rng)
-    c, s = Fraction(3, 5), Fraction(4, 5)
-    rotated = rho.compose_linear(c, -s, s, c)
-    for n in (1, 2):
-        assert heat_invariant(n, rotated).form == heat_invariant(n, rho).form
+def holomorphic_chart(coefficients, order):
+    """Jets (p, q) of order `order` with p + i q = sum_k c_k z^k, z = u + i v.
+
+    `coefficients` maps k >= 1 to the Gaussian rational c_k as (re, im);
+    z^k contributes C(k, j) i^j u^(k-j) v^j for j = 0..k.
+    """
+    p, q = {}, {}
+    for k, (x, y) in coefficients.items():
+        for j in range(k + 1):
+            re, im = ((x, y), (-y, x), (-x, -y), (y, -x))[j % 4]  # c_k i^j
+            p[(k - j, j)] = p.get((k - j, j), 0) + comb(k, j) * re
+            q[(k - j, j)] = q.get((k - j, j), 0) + comb(k, j) * im
+    return Jet2D(p, order), Jet2D(q, order)
+
+
+def pull_back(rho, p, q):
+    """rho(p, q) (p_u^2 + q_u^2): when p + i q = phi is holomorphic, this is
+    rho(phi) |phi'|^2, the conformal factor of the same metric in the chart
+    phi."""
+    p_u, q_u = p.diff(1, 0), q.diff(1, 0)
+    return rho.compose(p, q) * (p_u * p_u + q_u * q_u)
+
+
+gaussian_rationals = st.tuples(
+    *[st.fractions(min_value=-2, max_value=2, max_denominator=4)] * 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2 ** 16),
+       c1=gaussian_rationals.filter(any), a=gaussian_rationals,
+       b=gaussian_rationals)
+@example(n=2, seed=11, c1=(Fraction(3, 5), Fraction(4, 5)), a=(0, 0),
+         b=(0, 0))
+def test_chart_invariance(n, seed, c1, a, b):
+    # a_n is a local invariant of the metric: the holomorphic change of chart
+    # phi(z) = c1 z + a z^2 + b z^3 leaves it fixed
+    rho = random_metric_jet(random.Random(seed), order=2 * n)
+    p, q = holomorphic_chart({1: c1, 2: a, 3: b}, 2 * n + 1)
+    assert heat_invariant(n, pull_back(rho, p, q)).form == \
+        heat_invariant(n, rho).form
+
+
+def test_non_conformal_change_moves_a2():
+    # u -> u + u^2/2, v -> v with the same factor is no change of chart of
+    # the metric, so a_2 must move
+    rho = random_metric_jet(random.Random(11), order=4)
+    p = Jet2D({(1, 0): 1, (2, 0): Fraction(1, 2)}, 5)
+    q = Jet2D({(0, 1): 1}, 5)
+    assert heat_invariant(2, pull_back(rho, p, q)).form != \
+        heat_invariant(2, rho).form
 
 
 @functools.cache

@@ -262,21 +262,49 @@ def test_log_of_product_splits():
     assert both.log_nonconstant() == split
 
 
-def test_compose_linear_rotation_invariance():
+@settings(max_examples=60)
+@given(jets(max_order=4), jets(min_order=1, min_val=1),
+       jets(min_order=1, min_val=1))
+def test_compose_is_the_schoolbook_sum(f, p, q):
+    # f(p, q) = sum c p^a q^b, truncated to the order all three are known to
+    n = min(f.order, p.order, q.order)
+    expected = Jet2D.zero(n)
+    for (a, b), c in f.coeffs.items():
+        term = Jet2D.constant(c, n)
+        for factor in [p] * a + [q] * b:
+            term = term * factor
+        expected = expected + term.truncate(n)
+    assert f.compose(p, q) == expected
+
+
+def test_compose_rotation_fixes_u2_plus_v2():
     # u^2 + v^2 is fixed by the rational rotation (3/5, 4/5)
     r = Jet2D({(2, 0): Fraction(1), (0, 2): Fraction(1)}, 4)
     c, s = Fraction(3, 5), Fraction(4, 5)
-    rotated = r.compose_linear(c, -s, s, c)
+    rotated = r.compose(Jet2D({(1, 0): c, (0, 1): -s}, 4),
+                        Jet2D({(1, 0): s, (0, 1): c}, 4))
     assert rotated == r
 
 
-def test_compose_linear_round_trip():
+def test_compose_round_trip():
     f = Jet2D({(1, 0): Fraction(2), (0, 1): Fraction(-3),
                (2, 1): Fraction(1, 2)}, 4)
     c, s = Fraction(3, 5), Fraction(4, 5)
-    there = f.compose_linear(c, -s, s, c)
-    back = there.compose_linear(c, s, -s, c)
+    there = f.compose(Jet2D({(1, 0): c, (0, 1): -s}, 4),
+                      Jet2D({(1, 0): s, (0, 1): c}, 4))
+    back = there.compose(Jet2D({(1, 0): c, (0, 1): s}, 4),
+                         Jet2D({(1, 0): -s, (0, 1): c}, 4))
     assert back == f
+
+
+def test_compose_refuses_a_constant_term():
+    f = Jet2D({(1, 0): Fraction(1)}, 3)
+    u = Jet2D({(1, 0): Fraction(1)}, 3)
+    shifted = Jet2D({(0, 0): Fraction(1), (1, 0): Fraction(1)}, 3)
+    with pytest.raises(ValueError):
+        f.compose(shifted, u)
+    with pytest.raises(ValueError):
+        f.compose(u, shifted)
 
 
 def test_truncate_refuses_extension():
