@@ -112,8 +112,8 @@ def _nested_laplacian_sum(lap: ConformalLaplacian, n: int, scale, r2: Jet2D):
     By linearity the sum equals Delta^(n+1) Q at the origin, where
     Q = P_(n+1) + Delta(P_(n+2) + Delta(... + Delta P_(4n))): 4n
     applications of Delta.  Each P_k has valuation >= 2k - 2n and order 2k, so
-    every intermediate keeps the band order - valuation <= 2n and 1/rho is
-    never needed beyond degree 2n.  The nesting runs on the integral
+    every intermediate keeps the band order - valuation <= 2n and rho (or
+    1/rho) is never read beyond degree 2n.  The nesting runs on the integral
     multiples D P_k, and the constant term is divided by D once.
     """
     d, term = _radial_terms(n, scale, r2)
@@ -181,10 +181,11 @@ def required_order(n: int, path: str) -> int:
 
     a_n is a local invariant of weight 2n: every monomial of its closed form
     has derivative weight 2n (Gilkey, J. Diff. Geom. 10 (1975)), and the
-    eq311 and eq310 pipelines invert rho to degree 2n and no further.  The
-    curvature route reads the pull-back r2 of u^2 + v^2 to order 2n + 2, so
-    z = K - K(0) and w = Delta K - (Delta K)(0) to order 2n + 1 (r2 is
-    quadratic in them), hence K to order 2n + 3 and rho to order 2n + 5.
+    eq311 and eq310 pipelines read rho, or its inverse, to degree 2n and no
+    further.  The curvature route reads the pull-back r2 of u^2 + v^2 to
+    order 2n + 2, so z = K - K(0) and w = Delta K - (Delta K)(0) to order
+    2n + 1 (r2 is quadratic in them), hence K to order 2n + 3 and rho to
+    order 2n + 5.
     """
     if path == "curvature":
         return 2 * n + 5

@@ -9,8 +9,8 @@ concrete jets are multiplied by ``RhoPoly`` values:
 
 * symbolic eq311 multiplies the concrete powers of u^2 + v^2 by the
   ``RhoPoly`` scalar rho_0^j D c_nk (``heatinv._radial_terms``);
-* symbolic eq310 applies both Laplacians, whose 1/rho is a ``RhoPoly``, to
-  its concrete seed jets (the symbolic 1/rho branch of ``laplacian``).
+* symbolic eq310 applies both Laplacians of the generic factor to its
+  concrete seed jets, which they divide by rho (``heatjets.laplace``).
 
 A product of a ``RhoPoly`` and an int or ``Fraction`` is a ``RhoPoly``, so a
 jet that has met the generic factor stays in the ``RhoPoly`` ring.
@@ -23,9 +23,9 @@ tails contribute f*err_g = O(vf + M + 1) and g*err_f = O(vg + N + 1), so
 
 This is what keeps deep Laplacian pipelines cheap: repeatedly applying a
 second-order operator to a high-degree monomial yields jets whose band
-(order - valuation) stays bounded, so inverse conformal factors are only ever
-needed to small degree.  Addition trusts only min(N, M); differentiation by
-(i, j) lowers the order by i + j.
+(order - valuation) stays bounded, so the conformal factor and its inverse
+are only ever read to small degree.  Addition trusts only min(N, M);
+differentiation by (i, j) lowers the order by i + j.
 
 The empty jet of order N is the function that vanishes to order N; its
 valuation is reported as N + 1 (the first unknown degree).
@@ -39,9 +39,11 @@ route (the Newton inverse, the curvature pull-back, the eq311 and eq310
 Laplacians) multiplies jets through this one kernel; ``RhoPoly`` products
 take one fused ``RhoPoly.dot`` per slot instead.
 
-``laplacian`` applies Delta f = -(1/rho)(f_uu + f_vv) in one integral pass:
-the int numerators of -(f_uu + f_vv) over f's common denominator go straight
-into the product kernel, so no ``Fraction`` is built before the product's.
+``laplacian`` applies Delta f = -(1/rho)(f_uu + f_vv) to concrete jets in one
+integral pass: the int numerators of -(f_uu + f_vv) over f's common
+denominator go straight into the product kernel, so no ``Fraction`` is built
+before the product's.  Concrete jets multiply by the cached inverse;
+``RhoPoly`` jets divide by rho (``heatjets.laplace``).
 """
 
 from __future__ import annotations
@@ -136,34 +138,25 @@ def _integral_product(left, right, cap):
 
 
 def laplacian(f, inverse_factor):
-    """-(1/rho)(f_uu + f_vv), trusted to order f.order - 2.
+    """-(1/rho)(f_uu + f_vv) of concrete f and rho, trusted to f.order - 2.
 
     ``inverse_factor(need)`` returns the jet of 1/rho trusted to order
     ``need``, the degree the product consumes: the output order minus the
     valuation of f_uu + f_vv.  When that sum vanishes to the output order,
-    the result is the zero jet and 1/rho is not asked for.  Concrete jets
-    take one integral pass (``_laplacian_terms``) into ``_integral_product``;
-    ``RhoPoly`` coefficients on either side take the jet operations.
+    the result is the zero jet and 1/rho is not asked for.  The sum takes
+    one integral pass (``_laplacian_terms``) into ``_integral_product``.
     """
     order = f.order - 2
     if order < 0:
         raise OrderExhausted(
             f"derivative of total order 2 exhausts jet order {f.order}")
-    if not _has_rhopoly(f):
-        stride = order + 1
-        den, terms = _laplacian_terms(f.coeffs, stride)
-        if not terms:
-            return Jet2D.zero(order)
-        inv = inverse_factor(order - terms[0][0])
-        if not _has_rhopoly(inv):
-            return _integral_product(_integral_terms(inv.coeffs, stride),
-                                     (den, terms), order)
-        return -(inv * (f.diff(2, 0) + f.diff(0, 2)))  # symbolic 1/rho
-    s = f.diff(2, 0) + f.diff(0, 2)
-    need = order - s.valuation()
-    if need < 0:
+    stride = order + 1
+    den, terms = _laplacian_terms(f.coeffs, stride)
+    if not terms:
         return Jet2D.zero(order)
-    return -(inverse_factor(need) * s)
+    inv = inverse_factor(order - terms[0][0])
+    return _integral_product(_integral_terms(inv.coeffs, stride),
+                             (den, terms), order)
 
 
 class Jet2D:

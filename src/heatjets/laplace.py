@@ -8,36 +8,102 @@ and its freezing at the origin replaces 1/rho by the constant 1/rho(0, 0).
 Both act on Jet2D values over any exact coefficient ring and lower the jet
 order by two per application.
 
-The reciprocal 1/rho is expensive for a fully generic conformal factor, but
-the pipelines here never need it far: applying Delta repeatedly to a
-homogeneous polynomial keeps the band order - valuation of every
-intermediate jet bounded, so the product (1/rho) * (f_uu + f_vv) only
-consumes the reciprocal up to degree order(result) - valuation(f_uu + f_vv).
-``ConformalLaplacian`` therefore inverts rho only to the largest degree asked
-for so far (by ``Jet2D.inverse``) and truncates that jet for smaller requests.
-``gaussian_curvature_jet`` can borrow that cache, so a caller that needs K and
-Delta K inverts rho once.
+Concrete jets multiply by the cached inverse; ``RhoPoly`` jets divide by
+rho.  Applying Delta repeatedly to a homogeneous polynomial keeps the band
+order - valuation of every intermediate jet bounded, so either way rho is
+read only to degree order(result) - valuation(f_uu + f_vv):
 
-Both operators apply through ``jets.laplacian``: on concrete jets, f_uu + f_vv
-is formed on int numerators and fed straight into the shared integral
-product kernel, and the frozen operator is the same product with the
-order-0 factor 1/rho(0, 0).
+* on concrete jets, ``ConformalLaplacian`` inverts rho only to the largest
+  degree asked for so far (by ``Jet2D.inverse``) and truncates that jet for
+  smaller requests; ``jets.laplacian`` forms f_uu + f_vv on int numerators
+  and feeds it straight into the shared integral product kernel, and the
+  frozen operator is the same product with the order-0 factor 1/rho(0, 0).
+  ``gaussian_curvature_jet`` can borrow the cache, so a caller that needs K
+  and Delta K inverts rho once;
+* when f or rho has ``RhoPoly`` coefficients, ``_divided_laplacian`` solves
+  rho g = -(f_uu + f_vv) for g = Delta f degree by degree.  Each degree-d
+  coefficient of 1/rho is a dense polynomial in the rho_ab, while rho has
+  one monomial per coefficient for the generic factor, so the division
+  forms far fewer monomial products than the product with 1/rho.  The
+  frozen operator divides by the constant rho(0, 0).
+
+The ring of rho is read once, when an operator is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .jets import Jet2D, invert_coefficient, laplacian
+from .errors import OrderExhausted
+from .jets import Jet2D, _has_rhopoly, invert_coefficient, laplacian
+from .rhopoly import RhoPoly
+
+
+def _divided_laplacian(f, inv0, tail, known):
+    """Delta f trusted to order f.order - 2, solved from rho g = s.
+
+    s = -(f_uu + f_vv); `inv0` is 1/rho_00, `tail` lists ((p, q), -rho_pq
+    / rho_00) for the nonzero rho_pq, (p, q) != (0, 0), by degree, and rho
+    is known to degree `known`.  From the valuation v of g, which is that
+    of s, up to the output order,
+
+        g_ab = (1/rho_00) (s_ab - sum rho_pq g_(a-p, b-q)),   p + q >= 1,
+
+    and each slot is one ``RhoPoly.dot`` of the pairs
+    (-(a+2)(a+1)/rho_00, f_(a+2, b)), (-(b+2)(b+1)/rho_00, f_(a, b+2)) and
+    (-rho_pq/rho_00, g_(a-p, b-q)); the sum reads rho to degree
+    need = order - v.
+    """
+    order = f.order - 2
+    if order < 0:
+        raise OrderExhausted(
+            f"derivative of total order 2 exhausts jet order {f.order}")
+    scaled = {}  # k -> -k / rho_00
+    slots = {}   # (a, b) -> the pairs of s_ab
+    for (a, b), c in f.coeffs.items():
+        for k, key in ((a * (a - 1), (a - 2, b)), (b * (b - 1), (a, b - 2))):
+            if k:
+                if k not in scaled:
+                    scaled[k] = -k * inv0
+                slots.setdefault(key, []).append((scaled[k], c))
+    g = {}
+    v = None
+    for d in range(min((a + b for a, b in slots), default=order + 1),
+                   order + 1):
+        for a in range(d + 1):
+            b = d - a
+            pairs = slots.get((a, b), [])
+            if v is not None:
+                for (p, q), t in tail:
+                    if p + q > d - v:
+                        break
+                    if p <= a and q <= b:
+                        c = g.get((a - p, b - q))
+                        if c is not None:
+                            pairs.append((t, c))
+            if pairs:
+                value = RhoPoly.dot(pairs)
+                if value:
+                    g[(a, b)] = value
+        if v is None and g:
+            v = d
+            if order - v > known:
+                raise OrderExhausted(
+                    f"Delta f to order {order} reads rho to order "
+                    f"{order - v}, have {known}")
+    return Jet2D(g, order, _canonical=True)
 
 
 class ConformalLaplacian:
-    """Delta f = -(1/rho)(f_uu + f_vv) with a cached 1/rho jet."""
+    """Delta f = -(1/rho)(f_uu + f_vv): a cached 1/rho jet for concrete
+    jets, a division by rho for ``RhoPoly`` ones."""
 
     def __init__(self, rho: Jet2D):
         self.rho = rho
-        invert_coefficient(rho.constant_term())  # fail fast if degenerate
-        self._inv = None  # 1/rho to the largest order requested so far
+        self._inv0 = invert_coefficient(rho.constant_term())  # fail fast
+        self._symbolic = _has_rhopoly(rho)
+        self._inv = None   # 1/rho to the largest order requested so far
+        self._tail = None  # _divided_laplacian's tail, built on first use
 
     def inverse_factor(self, order: int) -> Jet2D:
         """The jet of 1/rho trusted to `order`, recomputed only to go higher."""
@@ -46,7 +112,13 @@ class ConformalLaplacian:
         return self._inv.truncate(order)
 
     def apply(self, f: Jet2D) -> Jet2D:
-        return laplacian(f, self.inverse_factor)
+        if not (self._symbolic or _has_rhopoly(f)):
+            return laplacian(f, self.inverse_factor)
+        if self._tail is None:
+            self._tail = sorted(
+                ((k, -c * self._inv0) for k, c in self.rho.coeffs.items()
+                 if k != (0, 0)), key=lambda item: sum(item[0]))
+        return _divided_laplacian(f, self._inv0, self._tail, self.rho.order)
 
     def apply_power(self, f: Jet2D, k: int) -> Jet2D:
         for _ in range(k):
@@ -59,8 +131,12 @@ class FrozenLaplacian:
 
     def __init__(self, rho: Jet2D):
         self.inv0 = invert_coefficient(rho.constant_term())
+        self._symbolic = isinstance(self.inv0, RhoPoly)
 
     def apply(self, f: Jet2D) -> Jet2D:
+        if self._symbolic or _has_rhopoly(f):
+            # the constant rho(0, 0) is known to every degree
+            return _divided_laplacian(f, self.inv0, (), f.order)
         return laplacian(f, self._inverse_factor)
 
     def _inverse_factor(self, order: int) -> Jet2D:

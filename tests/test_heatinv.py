@@ -3,6 +3,7 @@
 import functools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -340,21 +341,22 @@ def test_symbolic_a4_size():
 
 
 def test_symbolic_products_are_fused_and_integral(monkeypatch):
-    # Inside a jet product no RhoPoly is summed term by term, and every
-    # coefficient the eq311 pipeline of the generic factor forms is an int.
+    # Inside a Laplacian application no RhoPoly is summed term by term (each
+    # slot is one fused RhoPoly.dot), and every coefficient the eq311
+    # pipeline of the generic factor forms is an int.
     depth = [0]
     sums_inside = []
     coefficients = []
-    mul_capped, rho_sum = Jet2D._mul_capped, RhoPoly.sum.__func__
+    apply, rho_sum = ConformalLaplacian.apply, RhoPoly.sum.__func__
 
-    def counted_mul(self, other, cap):
+    def counted_apply(self, f):
         depth[0] += 1
         try:
-            result = mul_capped(self, other, cap)
+            result = apply(self, f)
         finally:
             depth[0] -= 1
-        for c in result.coeffs.values():
-            if isinstance(c, RhoPoly):
+        for jet in (f, result):
+            for c in jet.coeffs.values():
                 coefficients.extend(c.num.values())
         return result
 
@@ -363,11 +365,38 @@ def test_symbolic_products_are_fused_and_integral(monkeypatch):
             sums_inside.append(items)
         return rho_sum(cls, items)
 
-    monkeypatch.setattr(Jet2D, "_mul_capped", counted_mul)
+    monkeypatch.setattr(ConformalLaplacian, "apply", counted_apply)
     monkeypatch.setattr(RhoPoly, "sum", classmethod(counted_sum))
     assert symbolic_heat_invariant(2).form.poly == closed_form(2).poly
     assert not sums_inside
     assert coefficients and all(type(c) is int for c in coefficients)
+
+
+def test_symbolic_routes_form_no_inverse(monkeypatch):
+    # The Laplacians of the generic factor divide by rho: neither route
+    # forms a Newton inverse, and eq311 still makes 4n applications.
+    calls = Counter()
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(Jet2D, "inverse")
+    counted(ConformalLaplacian, "inverse_factor")
+    counted(ConformalLaplacian, "apply")
+    for n in (1, 2, 3):
+        calls.clear()
+        symbolic_heat_invariant(n)
+        assert calls == {"apply": 4 * n}
+    for n in (1, 2):
+        calls.clear()
+        heat_invariant_via_frozen(n, generic_rho_jet(2 * n))
+        assert calls["apply"] and not (calls["inverse"]
+                                       or calls["inverse_factor"])
 
 
 def test_homogeneity_of_closed_forms():

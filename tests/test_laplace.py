@@ -4,12 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from heatjets.errors import NonInvertibleConstantTerm, OrderExhausted
 from heatjets.heatinv import generic_rho_jet
-from heatjets.jets import Jet2D
+from heatjets.jets import Jet2D, _has_rhopoly
 from heatjets.laplace import (ConformalLaplacian, FrozenLaplacian,
                               gaussian_curvature_jet)
 from heatjets.rhopoly import RhoPoly
@@ -96,13 +96,73 @@ def test_apply_matches_jet_operations(rho, f):
             assert_same_jet(op.apply(f), reference_apply(f, factor))
 
 
-def test_apply_with_symbolic_coefficients():
-    # a generic rho with a concrete f, and a RhoPoly f with a concrete rho
-    f = Jet2D({(2, 1): Fraction(1, 2), (0, 3): 3, (1, 0): 5}, 4)
-    generic = f * RhoPoly.var(1, 1)
-    for rho, g in ((generic_rho_jet(2), f), (flat(Fraction(7, 3), 4), generic)):
-        for op, factor in operators(rho):
-            assert_same_jet(op.apply(g), reference_apply(g, factor))
+SPARSE = Jet2D({(2, 1): Fraction(1, 2), (0, 3): 3, (1, 0): 5}, 4)
+V = RhoPoly.var
+#: rho with multi-term coefficients up to degree 2, and an f whose
+#: f_uu + f_vv has valuation 0, so Delta f reads all of them
+MULTI_RHO = Jet2D({(0, 0): 2 * V(0, 0), (1, 0): V(1, 0) + 3 * V(0, 1),
+                   (0, 1): 1 + V(2, 0) * Fraction(1, 2),
+                   (2, 0): V(0, 0) * V(1, 1) - 1,
+                   (1, 1): V(1, 0) ** 2 + V(0, 2),
+                   (0, 2): V(0, 1) * V(2, 0) + Fraction(2, 3)}, 2)
+LOW_VALUATION = Jet2D({(2, 0): 1, (1, 2): Fraction(1, 3), (3, 1): 2,
+                       (0, 4): -1}, 4)
+
+
+@st.composite
+def rho_polys(draw, min_terms=1):
+    """A RhoPoly of `min_terms` to three terms, each a rational times at most
+    two variables rho_ab with a + b <= 3."""
+    terms = []
+    for _ in range(draw(st.integers(min_terms, 3))):
+        term = RhoPoly.const(draw(rationals.filter(bool)))
+        for _ in range(draw(st.integers(0, 2))):
+            a = draw(st.integers(0, 3))
+            term = term * RhoPoly.var(a, draw(st.integers(0, 3 - a)))
+        terms.append(term)
+    return RhoPoly.sum(terms)
+
+
+@st.composite
+def symbolic_rho_jets(draw):
+    """rho over RhoPoly: the generic factor of order 0..5 with each rho_ab
+    scaled by a rational, or one of order 0..4 whose coefficients have two
+    or three terms; rho_00 is a rational multiple of the variable rho_00, so it
+    is invertible."""
+    generic = draw(st.booleans())
+    order = draw(st.integers(0, 5 if generic else 4))
+    coeffs = {}
+    for a in range(order + 1):
+        for b in range(order + 1 - a):
+            coeffs[(a, b)] = (RhoPoly.var(a, b) * draw(rationals.filter(bool))
+                              if generic else draw(rho_polys(2)))
+    coeffs[(0, 0)] = RhoPoly.var(0, 0) * draw(rationals.filter(bool))
+    return Jet2D(coeffs, order)
+
+
+@settings(max_examples=80, deadline=None)
+@given(symbolic_rho_jets() | metric_jets(order=5), operand_jets(),
+       st.none() | rho_polys())
+@example(generic_rho_jet(2), Jet2D.zero(4), None)
+@example(generic_rho_jet(2), SPARSE, None)
+@example(flat(Fraction(7, 3), 4), SPARSE, RhoPoly.var(1, 1))
+@example(MULTI_RHO, LOW_VALUATION, None)
+@example(MULTI_RHO, LOW_VALUATION, V(1, 2) - 1)
+def test_apply_with_symbolic_coefficients(rho, f, scale):
+    # RhoPoly on either side, or both: a RhoPoly f is a concrete one times
+    # `scale`.  A jet shorter than the output order minus the valuation of
+    # f_uu + f_vv is refused, as the inverse to that order was.
+    if scale is not None:
+        f = f * scale
+    assume(_has_rhopoly(rho) or _has_rhopoly(f))
+    for op, factor in operators(rho):
+        try:
+            want = reference_apply(f, factor)
+        except OrderExhausted:
+            with pytest.raises(OrderExhausted):
+                op.apply(f)
+        else:
+            assert_same_jet(op.apply(f), want)
 
 
 def test_flat_laplacian_known_values():
