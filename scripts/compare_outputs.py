@@ -19,14 +19,20 @@ checkout's `src/`).  Every request below runs once per tree, each in a fresh
   terms for both);
 * eq311 a_6 and a_7 in json on the sphere seeds, whose sparse jets leave
   the most slots of the integral kernels empty;
+* eq310 a_5 in json on dense seed 501, the longest frozen-operator chain;
 * the named family reciprocalLinear (a0 = 2, a1 = 3, a2 = 5): eq311 a_1..a_3
   in plain, latex and json with `--approx 12`, eq310 a_1..a_3 in json, and
   the curvature route, which exits 3 (its curvature depends on one linear
-  form only), so the exit code and standard error are compared too.
+  form only), so the exit code and standard error are compared too;
+* the flat metric on all three routes (eq311 and eq310 print zeros, the
+  curvature route exits 3);
+* an all-integer jet of order 12 with constant term 1 (every denominator,
+  also those of 1/rho, is 1): eq311 a_1..a_4 in plain and json, eq310
+  a_1..a_4 and the curvature route's a_1 and a_2 in json.
 
 The exit code, standard output and standard error must match byte for byte,
 except for the `wallTimeSeconds` lines of the JSON reports.  Prints
-`identical (52 requests)` and exits 0, or prints the first differing request
+`identical (60 requests)` and exits 0, or prints the first differing request
 and exits 1.
 """
 
@@ -35,6 +41,7 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import json
+import random
 import subprocess
 import sys
 import tempfile
@@ -47,6 +54,18 @@ SEEDS = (501, 502, 503)
 DEEPER = {"dense": ((501,), (5, 6)), "curvature": (SEEDS, (3, 4)),
           "sphere": (SEEDS, (6, 7))}
 RECIPROCAL = {"kind": "reciprocalLinear", "a0": "2", "a1": "3", "a2": "5"}
+INTEGER_ORDER = 12
+
+
+def integer_jet():
+    """The all-integer jet document: seeded coefficients in [-9, 9] and
+    rho(0) = 1, so its inverse is integral too."""
+    rng = random.Random("integer")
+    coeffs = [[a, b, str(rng.randint(-9, 9))]
+              for a in range(INTEGER_ORDER + 1)
+              for b in range(INTEGER_ORDER + 1 - a) if a + b]
+    return {"kind": "jet", "order": INTEGER_ORDER,
+            "coeffs": [[0, 0, "1"], *coeffs]}
 
 #: Runs heatjets.cli.main on argv[2:] with the tree argv[1] first on the path.
 RUNNER = """\
@@ -94,6 +113,10 @@ def requests(workloads, tmp: Path):
                 deeper = dataclasses.replace(request, ns=ns)
                 yield (f"{workload} seed {seed} {request.path} n={ns} json",
                        deeper.argv(metric))
+            if workload == "dense" and seed == SEEDS[0]:
+                yield (f"dense seed {seed} eq310 n=5 json",
+                       ["compute", "--metric", str(metric), "--n", "5",
+                        "--path", "eq310", "--format", "json"])
     metric = tmp / "reciprocal.json"
     metric.write_text(json.dumps(RECIPROCAL))
     argv = ["compute", "--n", "1", "--n", "2", "--n", "3",
@@ -104,6 +127,23 @@ def requests(workloads, tmp: Path):
     yield ("reciprocalLinear eq310 json",
            [*argv, "--path", "eq310", "--format", "json"])
     yield "reciprocalLinear curvature", [*argv, "--path", "curvature"]
+    metric = tmp / "flat.json"
+    metric.write_text(json.dumps({"kind": "flat"}))
+    argv = ["compute", "--n", "1", "--n", "2", "--n", "3",
+            "--metric", str(metric)]
+    for path in ("eq311", "eq310", "curvature"):
+        yield f"flat {path}", [*argv, "--path", path, "--format", "json"]
+    metric = tmp / "integer.json"
+    metric.write_text(json.dumps(integer_jet()))
+    ns = [arg for n in range(1, 5) for arg in ("--n", str(n))]
+    argv = ["compute", *ns, "--metric", str(metric)]
+    for fmt in ("plain", "json"):
+        yield f"integer jet eq311 {fmt}", [*argv, "--format", fmt]
+    yield ("integer jet eq310 json",
+           [*argv, "--path", "eq310", "--format", "json"])
+    yield ("integer jet curvature json",
+           ["compute", "--n", "1", "--n", "2", "--metric", str(metric),
+            "--path", "curvature", "--format", "json"])
 
 
 def run(src, argv):

@@ -46,7 +46,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 
 from .errors import IndexOutOfRange, OrderExhausted
-from .jets import Jet2D
+from .jets import Jet2D, _has_rhopoly, _IntegralJet
 from .laplace import ConformalLaplacian, FrozenLaplacian
 from .rhopoly import RhoPoly, mono_degree
 
@@ -115,11 +115,22 @@ def _nested_laplacian_sum(lap: ConformalLaplacian, n: int, scale, r2: Jet2D):
     every intermediate keeps the band order - valuation <= 2n and rho (or
     1/rho) is never read beyond degree 2n.  The nesting runs on the integral
     multiples D P_k, and the constant term is divided by D once.
+
+    On concrete jets every P_k is taken once into the integral form
+    (``jets._IntegralJet``, packed with the stride of P_(4n)), the Horner
+    additions run on ints and the 4n applications pass that form from one to
+    the next, so no ``Fraction`` is built until the constant term.
     """
     d, term = _radial_terms(n, scale, r2)
-    q = term(4 * n)
+    top = term(4 * n)
+    symbolic = _has_rhopoly(top)
+    stride = top.order + 1
+
+    def convert(jet):
+        return jet if symbolic else _IntegralJet.of(jet, stride)
+    q = convert(top)
     for k in range(4 * n - 1, n, -1):
-        q = term(k) + lap.apply(q)
+        q = convert(term(k)) + lap.apply(q)
     return lap.apply_power(q, n + 1).constant_term() * Fraction(1, d)
 
 
@@ -233,6 +244,7 @@ def heat_invariant_via_frozen(n: int, rho: Jet2D) -> HeatInvariantResult:
     lap = ConformalLaplacian(rho)
     frozen = FrozenLaplacian(rho)
     rho0 = rho.constant_term()
+    symbolic = _is_symbolic(rho)
     total = 0
     for m in range(n + 1, 4 * n + 1):
         seed_coeffs = {}
@@ -241,13 +253,15 @@ def heat_invariant_via_frozen(n: int, rho: Jet2D) -> HeatInvariantResult:
                  / (factorial(2 * m - 2 * n - 2 * p) * factorial(2 * p)))
             seed_coeffs[(2 * m - 2 * n - 2 * p, 2 * p)] = w
         image = Jet2D(seed_coeffs, 2 * m)  # Delta_0^(m-k) f_m
+        if not symbolic:
+            image = _IntegralJet.of(image)
         weight = rho0 ** (m - n) * Fraction((-1) ** (m - n), 4 * factorial(m))
         for k in range(m, -1, -1):
             value = lap.apply_power(image, k).constant_term()
             total = total + value * (weight * ((-1) ** k * comb(m, k)))
             if k:
                 image = frozen.apply(image)
-    return _wrap(n, total, _is_symbolic(rho))
+    return _wrap(n, total, symbolic)
 
 
 def symbolic_heat_invariant(n: int) -> HeatInvariantResult:

@@ -36,14 +36,19 @@ common denominator (the lcm of its coefficients' denominators), and
 output slot and builds one ``Fraction`` per nonzero slot, so one product
 costs one gcd per slot instead of one per coefficient pair.  Every concrete
 route (the Newton inverse, the curvature pull-back, the eq311 and eq310
-Laplacians) multiplies jets through this one kernel; ``RhoPoly`` products
-take one fused ``RhoPoly.dot`` per slot instead.
+Laplacians) multiplies jets on ints; ``RhoPoly`` products take one fused
+``RhoPoly.dot`` per slot instead.  The Newton inverse carries its iterate as
+an int jet over its common denominator, so a step builds no ``Fraction``.
 
-``laplacian`` applies Delta f = -(1/rho)(f_uu + f_vv) to concrete jets in one
-integral pass: the int numerators of -(f_uu + f_vv) over f's common
-denominator go straight into the product kernel, so no ``Fraction`` is built
-before the product's.  Concrete jets multiply by the cached inverse;
-``RhoPoly`` jets divide by rho (``heatjets.laplace``).
+``laplacian`` applies Delta f = -(1/rho)(f_uu + f_vv) to a concrete jet in
+``_IntegralJet`` form: int numerators over one common denominator D, keyed
+by packed (a, b).  The numerators of -(f_uu + f_vv) go straight into the
+product with 1/rho, and the result stays in that form with its content
+gcd(D, numerators) divided out, so D stays the lcm of the reduced
+coefficients' denominators.  A chain of applications (eq311's Horner sum,
+eq310's powers) passes the form from one application to the next and
+builds one ``Fraction`` at its constant term.  Concrete jets multiply by the
+cached inverse; ``RhoPoly`` jets divide by rho (``heatjets.laplace``).
 """
 
 from __future__ import annotations
@@ -82,30 +87,18 @@ def _integral_terms(coeffs, stride):
         for (a, b), c in coeffs.items() if a + b < stride)
 
 
-def _laplacian_terms(coeffs, stride):
-    """-(f_uu + f_vv) of int/Fraction coefficients, as ``_integral_terms``.
+def _jet_of(den, acc, order, stride):
+    """The Jet2D of int numerators ``acc`` (packed keys) over ``den``.
 
-    The numerators over f's common denominator D_f are accumulated as ints:
-    (a, b) feeds (a - 2, b) with a(a - 1) and (a, b - 2) with b(b - 1).  The
-    returned denominator is D_f divided by its gcd with every numerator,
-    which is the lcm of the reduced coefficients' denominators, so the
-    product builds the same types as one taken on the jet of f_uu + f_vv.
-    f's terms have degree at most stride + 1, so every output degree is
-    below the stride.
+    Each nonzero slot becomes one ``Fraction(n, den)``, or the int n when
+    den is 1.
     """
-    den = lcm(*[c.denominator for c in coeffs.values()])
-    acc = {}
-    for (a, b), c in coeffs.items():
-        n = c.numerator * (den // c.denominator)
-        if a > 1:
-            k = (a - 2) * stride + b
-            acc[k] = acc.get(k, 0) - a * (a - 1) * n
-        if b > 1:
-            k = a * stride + b - 2
-            acc[k] = acc.get(k, 0) - b * (b - 1) * n
-    g = gcd(den, *acc.values())
-    return den // g, sorted((sum(divmod(k, stride)), k, n // g)
-                            for k, n in acc.items() if n)
+    if den == 1:
+        out = {divmod(k, stride): n for k, n in acc.items() if n}
+    else:
+        out = {divmod(k, stride): Fraction(n, den)
+               for k, n in acc.items() if n}
+    return Jet2D(out, order, _canonical=True)
 
 
 def _integral_product(left, right, cap):
@@ -113,10 +106,9 @@ def _integral_product(left, right, cap):
 
     The int numerators are multiplied and accumulated in slots keyed
     a * (cap + 1) + b, so a product's key is the sum of its factors' keys,
-    and each nonzero slot becomes one ``Fraction(acc, D1 * D2)`` (an int when
-    D1 * D2 == 1).  The right factor's terms are sorted by degree, so each
-    left term stops at the first right term that takes the product past the
-    cap.
+    and ``_jet_of`` builds the jet over D1 * D2.  The right factor's terms
+    are sorted by degree, so each left term stops at the first right term
+    that takes the product past the cap.
     """
     den1, left = left
     den2, right = right
@@ -127,36 +119,155 @@ def _integral_product(left, right, cap):
                 break
             k = k1 + k2
             acc[k] = acc.get(k, 0) + n1 * n2
-    stride = cap + 1
-    den = den1 * den2
+    return _jet_of(den1 * den2, acc, cap, cap + 1)
+
+
+def _numerators(jet):
+    """(D, D * jet): D is the lcm of the denominators of a concrete jet, so
+    D * jet has int coefficients; (1, jet) for a ``RhoPoly`` jet."""
+    if _has_rhopoly(jet):
+        return 1, jet
+    den = lcm(*[c.denominator for c in jet.coeffs.values()])
+    return den, Jet2D({k: c.numerator * (den // c.denominator)
+                       for k, c in jet.coeffs.items()},
+                      jet.order, _canonical=True)
+
+
+def _content_free(den, jet):
+    """(den / g, jet / g) of the int jet over ``den``, g its gcd with every
+    coefficient; unchanged when den is 1 (so also for ``RhoPoly`` jets)."""
     if den == 1:
-        out = {divmod(k, stride): v for k, v in acc.items() if v}
-    else:
-        out = {divmod(k, stride): Fraction(v, den)
-               for k, v in acc.items() if v}
-    return Jet2D(out, cap, _canonical=True)
+        return den, jet
+    g = gcd(den, *jet.coeffs.values())
+    if g == 1:
+        return den, jet
+    return den // g, Jet2D({k: c // g for k, c in jet.coeffs.items()},
+                           jet.order, _canonical=True)
 
 
-def laplacian(f, inverse_factor):
-    """-(1/rho)(f_uu + f_vv) of concrete f and rho, trusted to f.order - 2.
+class _IntegralJet:
+    """A concrete jet as int numerators over one common denominator.
 
-    ``inverse_factor(need)`` returns the jet of 1/rho trusted to order
-    ``need``, the degree the product consumes: the output order minus the
-    valuation of f_uu + f_vv.  When that sum vanishes to the output order,
-    the result is the zero jet and 1/rho is not asked for.  The sum takes
-    one integral pass (``_laplacian_terms``) into ``_integral_product``.
+    ``num`` maps the packed key a * stride + b of each slot to its int
+    numerator over ``den``; every key has a + b <= order < stride.  Keys of
+    one Laplacian chain share a stride, so a product's key is the sum of its
+    factors' keys and no key is repacked between applications.
+
+    ``laplacian`` returns the form straight from its product: numerators
+    not divided by their content and possibly zero.  ``reduced`` divides the
+    content out, so ``den`` is the lcm of the reduced coefficients'
+    denominators, and ``jet`` builds one ``Fraction`` per nonzero slot.
+    """
+
+    __slots__ = ("den", "num", "order", "stride")
+
+    def __init__(self, den, num, order, stride):
+        self.den, self.num, self.order, self.stride = den, num, order, stride
+
+    @classmethod
+    def of(cls, jet, stride=None):
+        """The form of a concrete Jet2D; the stride defaults to order + 1."""
+        if stride is None:
+            stride = jet.order + 1
+        den = lcm(*[c.denominator for c in jet.coeffs.values()])
+        return cls(den, {a * stride + b: c.numerator * (den // c.denominator)
+                         for (a, b), c in jet.coeffs.items()},
+                   jet.order, stride)
+
+    def jet(self):
+        return _jet_of(self.den, self.num, self.order, self.stride)
+
+    def reduced(self):
+        """The same values, the zero slots dropped and every numerator and
+        the denominator divided by g = gcd(den, *num).
+
+        lcm_i(D / gcd(D, n_i)) = D / gcd(D, n_1, ..., n_k), so the new
+        denominator is the lcm of the reduced coefficients' denominators.
+        """
+        g = gcd(self.den, *self.num.values())
+        return _IntegralJet(self.den // g,
+                            {k: n // g for k, n in self.num.items() if n},
+                            self.order, self.stride)
+
+    def constant_term(self):
+        return Fraction(self.num.get(0, 0), self.den)
+
+    def prefixes(self):
+        """(den, p): p[e] lists the (key, numerator) of degree <= e, for
+        e = 0..order, so a product capped at c reads p[c - d] per degree d."""
+        by_degree = [[] for _ in range(self.order + 1)]
+        for k, n in self.num.items():
+            by_degree[sum(divmod(k, self.stride))].append((k, n))
+        out, upto = [], []
+        for group in by_degree:
+            upto = upto + group
+            out.append(upto)
+        return self.den, out
+
+    def __add__(self, other):
+        """The sum over lcm(D1, D2), trusted to the smaller order."""
+        if self.stride != other.stride:
+            raise ValueError("integral jets of different strides")
+        order, stride = min(self.order, other.order), self.stride
+        den = lcm(self.den, other.den)
+        num = {}
+        for form in (self, other):
+            scale = den // form.den
+            for k, n in form.num.items():
+                num[k] = num.get(k, 0) + n * scale
+        if self.order == other.order:
+            num = {k: n for k, n in num.items() if n}
+        else:
+            num = {k: n for k, n in num.items()
+                   if n and sum(divmod(k, stride)) <= order}
+        return _IntegralJet(den, num, order, stride)
+
+
+def laplacian(f, inverse_terms):
+    """-(1/rho)(f_uu + f_vv) of an ``_IntegralJet`` f, trusted to order
+    f.order - 2, as an ``_IntegralJet`` of the same stride.
+
+    The int numerators of s = -(f_uu + f_vv) over f's denominator D_f are
+    accumulated per slot ((a, b) feeds (a - 2, b) with a(a - 1) and
+    (a, b - 2) with b(b - 1)) and divided by their gcd with D_f, so s is
+    over the lcm of its reduced coefficients' denominators.  Then
+    ``inverse_terms(need, stride)`` gives 1/rho trusted to order need = the
+    output order minus the valuation of s, as the ``prefixes`` of its
+    integral form, and each degree-d group of s multiplies the prefix that
+    stays within the output order.  When s vanishes to the output order the
+    result is zero and 1/rho is not asked for.  The product's numerators
+    come back over D_s * D_(1/rho), not yet ``reduced``.
     """
     order = f.order - 2
     if order < 0:
         raise OrderExhausted(
             f"derivative of total order 2 exhausts jet order {f.order}")
-    stride = order + 1
-    den, terms = _laplacian_terms(f.coeffs, stride)
-    if not terms:
-        return Jet2D.zero(order)
-    inv = inverse_factor(order - terms[0][0])
-    return _integral_product(_integral_terms(inv.coeffs, stride),
-                             (den, terms), order)
+    stride = f.stride
+    s = {}
+    for k, n in f.num.items():
+        a, b = divmod(k, stride)
+        if a > 1:
+            j = k - 2 * stride
+            s[j] = s.get(j, 0) - a * (a - 1) * n
+        if b > 1:
+            s[k - 2] = s.get(k - 2, 0) - b * (b - 1) * n
+    g = gcd(f.den, *s.values())
+    by_degree = {}  # degree -> [(key, numerator)] of s over D_f / g
+    for k, n in s.items():
+        if n:
+            d = sum(divmod(k, stride))
+            by_degree.setdefault(d, []).append((k, n // g))
+    if not by_degree:
+        return _IntegralJet(1, {}, order, stride)
+    den, prefixes = inverse_terms(order - min(by_degree), stride)
+    acc = {}
+    for d, group in by_degree.items():
+        right = prefixes[order - d]
+        for k1, n1 in group:
+            for k2, n2 in right:
+                k = k1 + k2
+                acc[k] = acc.get(k, 0) + n1 * n2
+    return _IntegralJet(f.den // g * den, acc, order, stride)
 
 
 class Jet2D:
@@ -333,7 +444,10 @@ class Jet2D:
         """Multiplicative inverse by Newton iteration x <- x(2 - f x).
 
         Each step doubles the trusted order; requires an invertible constant
-        term.  `order` defaults to the jet's own order.
+        term.  `order` defaults to the jet's own order.  On concrete jets x
+        and f are carried as int jets over their common denominators
+        (``_numerators``), so both products of a step run on ints and no
+        ``Fraction`` is built until the last step's product is divided out.
         """
         if order is None:
             order = self.order
@@ -341,17 +455,24 @@ class Jet2D:
             raise OrderExhausted(
                 f"inverse to order {order} needs jet order >= {order}, "
                 f"have {self.order}")
-        c0 = self.constant_term()
-        inv0 = invert_coefficient(c0)
-        x = Jet2D.constant(inv0, 0)
+        inv0 = invert_coefficient(self.constant_term())
+        if order == 0:
+            return Jet2D.constant(inv0, 0)
+        x_den, x = _numerators(Jet2D.constant(inv0, 0))
         m = 0
-        two = Jet2D.constant(2, order)
         while m < order:
             m = min(2 * m + 1, order)
-            fm = self.truncate(m)
-            fx = fm._mul_capped(x, m)
-            x = x._mul_capped(two - fx, m)
-        return x
+            f_den, f = _numerators(self.truncate(m))
+            den = f_den * x_den  # f x = (f_den f)(x_den x) / den
+            y_den, y = _content_free(
+                den, Jet2D.constant(2 * den, m) - f._mul_capped(x, m))
+            x_den, x = x_den * y_den, x._mul_capped(y, m)
+            if m < order:
+                x_den, x = _content_free(x_den, x)
+        if x_den == 1:
+            return x
+        return Jet2D({k: Fraction(c, x_den) for k, c in x.coeffs.items()},
+                     order, _canonical=True)
 
     def log_nonconstant(self):
         """log(f) minus its (transcendental) value at the origin.

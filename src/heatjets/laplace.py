@@ -15,9 +15,12 @@ read only to degree order(result) - valuation(f_uu + f_vv):
 
 * on concrete jets, ``ConformalLaplacian`` inverts rho only to the largest
   degree asked for so far (by ``Jet2D.inverse``) and truncates that jet for
-  smaller requests; ``jets.laplacian`` forms f_uu + f_vv on int numerators
-  and feeds it straight into the shared integral product kernel, and the
-  frozen operator is the same product with the order-0 factor 1/rho(0, 0).
+  smaller requests, and it caches the integral terms of each truncation
+  (``_inverse_terms``).  ``jets.laplacian`` forms f_uu + f_vv on int
+  numerators and multiplies it by those terms; the frozen operator is the
+  same product with the order-0 factor 1/rho(0, 0).  ``apply`` takes and
+  returns ``jets._IntegralJet``, so a chain of applications builds no
+  ``Fraction``; a Jet2D argument is converted on the way in and out.
   ``gaussian_curvature_jet`` can borrow the cache, so a caller that needs K
   and Delta K inverts rho once;
 * when f or rho has ``RhoPoly`` coefficients, ``_divided_laplacian`` solves
@@ -35,7 +38,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import OrderExhausted
-from .jets import Jet2D, _has_rhopoly, invert_coefficient, laplacian
+from .jets import (Jet2D, _has_rhopoly, _IntegralJet, invert_coefficient,
+                   laplacian)
 from .rhopoly import RhoPoly
 
 
@@ -103,6 +107,7 @@ class ConformalLaplacian:
         self._inv0 = invert_coefficient(rho.constant_term())  # fail fast
         self._symbolic = _has_rhopoly(rho)
         self._inv = None   # 1/rho to the largest order requested so far
+        self._terms = {}   # (need, stride) -> prefixes of 1/rho to need
         self._tail = None  # _divided_laplacian's tail, built on first use
 
     def inverse_factor(self, order: int) -> Jet2D:
@@ -111,16 +116,33 @@ class ConformalLaplacian:
             self._inv = self.rho.inverse(order)
         return self._inv.truncate(order)
 
-    def apply(self, f: Jet2D) -> Jet2D:
+    def _inverse_terms(self, need, stride):
+        """``_IntegralJet.prefixes`` of 1/rho trusted to `need`, cached."""
+        terms = self._terms.get((need, stride))
+        if terms is None:
+            terms = _IntegralJet.of(self.inverse_factor(need),
+                                    stride).prefixes()
+            self._terms[(need, stride)] = terms
+        return terms
+
+    def apply(self, f):
+        """Delta f of a Jet2D, or of an ``_IntegralJet``, which stays one.
+
+        A concrete Jet2D is taken into the integral form and back, so it
+        gets the coefficient types of the jet product with 1/rho: ints
+        exactly when that product's denominator is 1.
+        """
+        if isinstance(f, _IntegralJet):
+            return laplacian(f, self._inverse_terms).reduced()
         if not (self._symbolic or _has_rhopoly(f)):
-            return laplacian(f, self.inverse_factor)
+            return laplacian(_IntegralJet.of(f), self._inverse_terms).jet()
         if self._tail is None:
             self._tail = sorted(
                 ((k, -c * self._inv0) for k, c in self.rho.coeffs.items()
                  if k != (0, 0)), key=lambda item: sum(item[0]))
         return _divided_laplacian(f, self._inv0, self._tail, self.rho.order)
 
-    def apply_power(self, f: Jet2D, k: int) -> Jet2D:
+    def apply_power(self, f, k: int):
         for _ in range(k):
             f = self.apply(f)
         return f
@@ -133,15 +155,18 @@ class FrozenLaplacian:
         self.inv0 = invert_coefficient(rho.constant_term())
         self._symbolic = isinstance(self.inv0, RhoPoly)
 
-    def apply(self, f: Jet2D) -> Jet2D:
+    def apply(self, f):
+        """Delta_0 f of a Jet2D, or of an ``_IntegralJet``, which stays one."""
+        if isinstance(f, _IntegralJet):
+            return laplacian(f, self._inverse_terms).reduced()
         if self._symbolic or _has_rhopoly(f):
             # the constant rho(0, 0) is known to every degree
             return _divided_laplacian(f, self.inv0, (), f.order)
-        return laplacian(f, self._inverse_factor)
+        return laplacian(_IntegralJet.of(f), self._inverse_terms).jet()
 
-    def _inverse_factor(self, order: int) -> Jet2D:
-        """The constant 1/rho(0, 0) as a jet trusted to `order`."""
-        return Jet2D.constant(self.inv0, order)
+    def _inverse_terms(self, need, stride):
+        """The constant 1/rho(0, 0) as ``_IntegralJet.prefixes`` to `need`."""
+        return self.inv0.denominator, [[(0, self.inv0.numerator)]] * (need + 1)
 
 
 def gaussian_curvature_jet(rho: Jet2D,

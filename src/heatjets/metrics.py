@@ -45,11 +45,16 @@ class MetricSpec:
 RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def _rational(value, path):
+def _path(where):
+    """("coeffs", 3, 2) -> "coeffs[3][2]", formatted only to raise."""
+    return where[0] + "".join(f"[{i}]" for i in where[1:])
+
+
+def _rational(value, *where):
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if not isinstance(value, str):
-        raise SchemaError(path, "expected a rational string \"p/q\"")
+        raise SchemaError(_path(where), "expected a rational string \"p/q\"")
     match = RATIONAL.fullmatch(value)
     if match:
         p, q = match.groups()
@@ -57,14 +62,12 @@ def _rational(value, path):
             return Fraction(int(p), int(q or 1))
         except (ValueError, ZeroDivisionError):  # q = 0, or too long
             pass
-    raise SchemaError(path, f"not a rational \"p/q\": {value!r}")
+    raise SchemaError(_path(where), f"not a rational \"p/q\": {value!r}")
 
 
-def _index(value, path):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, "expected a nonnegative integer")
-    if value < 0:
-        raise SchemaError(path, "expected a nonnegative integer")
+def _index(value, *where):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise SchemaError(_path(where), "expected a nonnegative integer")
     return value
 
 
@@ -131,14 +134,15 @@ def parse_metric_spec(source) -> MetricSpec:
         raise SchemaError("coeffs", "expected a list of [a, b, \"p/q\"] triples")
     seen = {}
     for i, entry in enumerate(raw):
-        path = f"coeffs[{i}]"
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise SchemaError(path, "expected a triple [a, b, \"p/q\"]")
-        a = _index(entry[0], f"{path}[0]")
-        b = _index(entry[1], f"{path}[1]")
-        value = _rational(entry[2], f"{path}[2]")
+            raise SchemaError(f"coeffs[{i}]",
+                              "expected a triple [a, b, \"p/q\"]")
+        a = _index(entry[0], "coeffs", i, 0)
+        b = _index(entry[1], "coeffs", i, 1)
+        value = _rational(entry[2], "coeffs", i, 2)
         if (a, b) in seen:
-            raise SchemaError(path, f"duplicate coefficient ({a}, {b})")
+            raise SchemaError(f"coeffs[{i}]",
+                              f"duplicate coefficient ({a}, {b})")
         if a + b > order:
             raise InvalidMetric(
                 f"coefficient ({a}, {b}) exceeds declared order {order}")

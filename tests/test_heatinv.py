@@ -20,7 +20,7 @@ from heatjets.heatinv import (WEYL_A0, ClosedForm, PiScaled,
                               parse_closed_form_json, render_closed_form,
                               render_pi_scaled, required_order,
                               symbolic_heat_invariant)
-from heatjets.jets import Jet2D
+from heatjets.jets import Jet2D, _IntegralJet
 from heatjets.laplace import ConformalLaplacian
 from heatjets.oracle import sphere_heat_coefficients
 from heatjets.rhopoly import RhoPoly, mono_degree
@@ -261,6 +261,60 @@ def test_eq311_uses_4n_laplacian_applications(monkeypatch):
         calls.clear()
         heat_invariant(n, random_metric_jet(rng, order=8 * n))
         assert len(calls) == 4 * n
+
+
+def test_concrete_chain_stays_integral(monkeypatch):
+    # Every value eq311 passes between its 4n applications on a dense
+    # rational jet is an integral form with int numerators, and no Fraction
+    # is built inside an application, except where 1/rho is first formed
+    # to a new order.
+    passed, built, values = [], [], []
+    inside = Counter()
+    apply = ConformalLaplacian.apply
+    inverse_factor = ConformalLaplacian.inverse_factor
+    fraction_new = Fraction.__dict__["__new__"]
+
+    def counted_apply(self, f):
+        inside["apply"] += 1
+        try:
+            result = apply(self, f)
+        finally:
+            inside["apply"] -= 1
+        passed.extend((f, result))
+        return result
+
+    def uncounted_inverse(self, order):
+        inside["inverse"] += 1
+        try:
+            return inverse_factor(self, order)
+        finally:
+            inside["inverse"] -= 1
+
+    def counted_new(cls, *args, **kwargs):
+        if inside["apply"] and not inside["inverse"]:
+            built.append(args)
+        return fraction_new.__func__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ConformalLaplacian, "apply", counted_apply)
+    monkeypatch.setattr(ConformalLaplacian, "inverse_factor",
+                        uncounted_inverse)
+    rng = random.Random(19)
+    rhos = [random_metric_jet(rng, order=2 * n) for n in (1, 2, 3)]
+    Fraction.__new__ = staticmethod(counted_new)
+    try:
+        for n, rho in enumerate(rhos, 1):
+            passed.clear()
+            values.append(heat_invariant(n, rho).form)
+            assert len(passed) == 2 * 4 * n
+            assert all(type(f) is _IntegralJet and type(f.den) is int
+                       and all(type(c) is int for c in f.num.values())
+                       for f in passed)
+    finally:
+        Fraction.__new__ = fraction_new
+    assert not built
+    monkeypatch.undo()
+    assert values == [heat_invariant_via_frozen(n, rho).form
+                      for n, rho in enumerate(rhos, 1)]
 
 
 def test_scaling_covariance():

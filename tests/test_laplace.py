@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from heatjets.errors import NonInvertibleConstantTerm, OrderExhausted
 from heatjets.heatinv import generic_rho_jet
-from heatjets.jets import Jet2D, _has_rhopoly
+from heatjets.jets import Jet2D, _has_rhopoly, _IntegralJet
 from heatjets.laplace import (ConformalLaplacian, FrozenLaplacian,
                               gaussian_curvature_jet)
 from heatjets.rhopoly import RhoPoly
@@ -94,6 +95,45 @@ def test_apply_matches_jet_operations(rho, f):
             assert str(got.value) == str(want.value)
         else:
             assert_same_jet(op.apply(f), reference_apply(f, factor))
+
+
+#: rho with int coefficients and constant term 1, so 1/rho is integral
+INT_RHO = Jet2D({(0, 0): 1, (1, 0): 2, (0, 2): -3, (2, 1): 5}, 7)
+#: f_uu + f_vv = 0: u^2 - v^2, uv and a linear part
+HARMONIC = Jet2D({(2, 0): Fraction(3, 4), (0, 2): Fraction(-3, 4),
+                  (1, 1): Fraction(2, 3), (1, 0): 5}, 6)
+#: -(f_uu + f_vv) = -2/3 over 3, times 1/rho = 3: the content cancels D
+CANCELLING = Jet2D({(2, 0): Fraction(1, 3), (1, 1): Fraction(2, 3)}, 4)
+#: f_uu + f_vv has valuation 0, so Delta f reads rho to order 4
+DEEP = Jet2D({(2, 0): Fraction(1, 2), (3, 3): 2}, 6)
+
+
+@settings(max_examples=120, deadline=None)
+@given(metric_jets(order=7) | metric_jets(order=2), operand_jets())
+@example(INT_RHO, Jet2D.zero(5))
+@example(INT_RHO, HARMONIC)
+@example(INT_RHO, Jet2D({(4, 1): 3, (2, 2): -7, (0, 3): 2}, 7))
+@example(flat(Fraction(1, 3), 7), CANCELLING)
+@example(Jet2D({(0, 0): Fraction(5, 2), (1, 0): 1}, 2), DEEP)
+def test_apply_on_the_integral_form(rho, f):
+    # Delta of the integral form is an integral form of the same stride
+    # with int numerators, equal to the jet operations, over the lcm of its
+    # reduced coefficients' denominators
+    for op, factor in operators(rho):
+        form = _IntegralJet.of(f)
+        try:
+            want = reference_apply(f, factor)
+        except OrderExhausted:
+            with pytest.raises(OrderExhausted):
+                op.apply(form)
+            continue
+        got = op.apply(form)
+        assert type(got) is _IntegralJet and got.stride == form.stride
+        assert type(got.den) is int
+        assert all(type(n) is int and n for n in got.num.values())
+        assert got.jet() == want
+        assert got.den == lcm(*(Fraction(c).denominator
+                                for c in want.coeffs.values()))
 
 
 SPARSE = Jet2D({(2, 1): Fraction(1, 2), (0, 3): 3, (1, 0): 5}, 4)
