@@ -20,10 +20,13 @@ checkout's `src/`).  Every request below runs once per tree, each in a fresh
 * eq311 a_6 and a_7 in json on the sphere seeds, whose sparse jets leave
   the most slots of the integral kernels empty;
 * eq310 a_5 in json on dense seed 501, the longest frozen-operator chain;
+* the curvature frame (`heatinv curvature`: K, Delta K, E, F and G at the
+  base point) of the curvature seeds;
 * the named family reciprocalLinear (a0 = 2, a1 = 3, a2 = 5): eq311 a_1..a_3
-  in plain, latex and json with `--approx 12`, eq310 a_1..a_3 in json, and
-  the curvature route, which exits 3 (its curvature depends on one linear
-  form only), so the exit code and standard error are compared too;
+  in plain, latex and json with `--approx 12`, eq310 a_1..a_3 in json, its
+  curvature frame, and the curvature route, which exits 3 (its curvature
+  depends on one linear form only), so the exit code and standard error are
+  compared too;
 * the flat metric on all three routes (eq311 and eq310 print zeros, the
   curvature route exits 3);
 * an all-integer jet of order 12 with constant term 1 (every denominator,
@@ -32,7 +35,7 @@ checkout's `src/`).  Every request below runs once per tree, each in a fresh
 
 The exit code, standard output and standard error must match byte for byte,
 except for the `wallTimeSeconds` lines of the JSON reports.  Prints
-`identical (60 requests)` and exits 0, or prints the first differing request
+`identical (64 requests)` and exits 0, or prints the first differing request
 and exits 1.
 """
 
@@ -108,6 +111,9 @@ def requests(workloads, tmp: Path):
                 yield (f"{workload} seed {seed} eq310 json",
                        ["eq310" if a == request.path else a for a in argv]
                        + ["json"])
+            else:
+                yield (f"curvature seed {seed} frame",
+                       ["curvature", "--metric", str(metric)])
             seeds, ns = DEEPER.get(workload, ((), ()))
             if seed in seeds:
                 deeper = dataclasses.replace(request, ns=ns)
@@ -127,6 +133,7 @@ def requests(workloads, tmp: Path):
     yield ("reciprocalLinear eq310 json",
            [*argv, "--path", "eq310", "--format", "json"])
     yield "reciprocalLinear curvature", [*argv, "--path", "curvature"]
+    yield "reciprocalLinear frame", ["curvature", "--metric", str(metric)]
     metric = tmp / "flat.json"
     metric.write_text(json.dumps({"kind": "flat"}))
     argv = ["compute", "--n", "1", "--n", "2", "--n", "3",

@@ -30,29 +30,24 @@ differentiation by (i, j) lowers the order by i + j.
 The empty jet of order N is the function that vanishes to order N; its
 valuation is reported as N + 1 (the first unknown degree).
 
-Products of concrete jets run on integers.  Each factor is taken over one
-common denominator (the lcm of its coefficients' denominators), and
-``_integral_product`` multiplies and accumulates the int numerators per
-output slot and builds one ``Fraction`` per nonzero slot, so one product
-costs one gcd per slot instead of one per coefficient pair.  Every concrete
-route (the Newton inverse, the curvature pull-back, the eq311 and eq310
-Laplacians) multiplies jets on ints; ``RhoPoly`` products take one fused
-``RhoPoly.dot`` per slot instead.  The Newton inverse carries its iterate as
-an int jet over its common denominator, so a step builds no ``Fraction``.
-
-``laplacian`` applies Delta f = -(1/rho)(f_uu + f_vv) to a concrete jet in
-``_IntegralJet`` form: int numerators over one common denominator D, keyed
-by packed (a, b).  The numerators of -(f_uu + f_vv) go straight into the
-product with 1/rho, and the result stays in that form with its content
-gcd(D, numerators) divided out, so D stays the lcm of the reduced
-coefficients' denominators.  A chain of applications (eq311's Horner sum,
-eq310's powers) passes the form from one application to the next and
-builds one ``Fraction`` at its constant term.  Concrete jets multiply by the
-cached inverse; ``RhoPoly`` jets divide by rho (``heatjets.laplace``).
+Concrete jets have one integer form, ``_IntegralJet``: int numerators over
+one common denominator D, keyed by a packed int per slot, and one kernel,
+``_capped_product``, that multiplies two such forms up to a degree cap.  It
+multiplies and accumulates the int numerators per output slot, so a product
+costs one gcd per slot, when the result becomes a ``Jet2D`` again, instead
+of one per coefficient pair.  Every concrete product runs through it: the
+scalar branch of ``Jet2D._mul_capped`` (and with it the Newton inverse and
+the curvature pull-back) and ``laplacian``, which applies
+Delta f = -(1/rho)(f_uu + f_vv) to the integral form of f and keeps it in
+that form, so a chain of applications (eq311's Horner sum, eq310's powers)
+builds one ``Fraction`` at its constant term.  ``RhoPoly`` products take one
+fused ``RhoPoly.dot`` per slot instead, and ``RhoPoly`` jets divide by rho
+rather than multiply by 1/rho (``heatjets.laplace``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -72,110 +67,57 @@ def invert_coefficient(c):
 
 
 def _has_rhopoly(jet):
-    return any(isinstance(c, RhoPoly) for c in jet.coeffs.values())
-
-
-def _integral_terms(coeffs, stride):
-    """(D, [(a + b, a * stride + b, c * D)]) of int/Fraction coefficients.
-
-    D is the lcm of their denominators, so every c * D is an int; terms of
-    degree >= stride are left out and the rest are sorted by degree.
-    """
-    den = lcm(*[c.denominator for c in coeffs.values()])
-    return den, sorted(
-        (a + b, a * stride + b, c.numerator * (den // c.denominator))
-        for (a, b), c in coeffs.items() if a + b < stride)
-
-
-def _jet_of(den, acc, order, stride):
-    """The Jet2D of int numerators ``acc`` (packed keys) over ``den``.
-
-    Each nonzero slot becomes one ``Fraction(n, den)``, or the int n when
-    den is 1.
-    """
-    if den == 1:
-        out = {divmod(k, stride): n for k, n in acc.items() if n}
-    else:
-        out = {divmod(k, stride): Fraction(n, den)
-               for k, n in acc.items() if n}
-    return Jet2D(out, order, _canonical=True)
-
-
-def _integral_product(left, right, cap):
-    """The jet of order cap of two ``(D, terms)`` factors, keyed by cap + 1.
-
-    The int numerators are multiplied and accumulated in slots keyed
-    a * (cap + 1) + b, so a product's key is the sum of its factors' keys,
-    and ``_jet_of`` builds the jet over D1 * D2.  The right factor's terms
-    are sorted by degree, so each left term stops at the first right term
-    that takes the product past the cap.
-    """
-    den1, left = left
-    den2, right = right
-    acc = {}
-    for d1, k1, n1 in left:
-        for d2, k2, n2 in right:
-            if d1 + d2 > cap:
-                break
-            k = k1 + k2
-            acc[k] = acc.get(k, 0) + n1 * n2
-    return _jet_of(den1 * den2, acc, cap, cap + 1)
-
-
-def _numerators(jet):
-    """(D, D * jet): D is the lcm of the denominators of a concrete jet, so
-    D * jet has int coefficients; (1, jet) for a ``RhoPoly`` jet."""
-    if _has_rhopoly(jet):
-        return 1, jet
-    den = lcm(*[c.denominator for c in jet.coeffs.values()])
-    return den, Jet2D({k: c.numerator * (den // c.denominator)
-                       for k, c in jet.coeffs.items()},
-                      jet.order, _canonical=True)
-
-
-def _content_free(den, jet):
-    """(den / g, jet / g) of the int jet over ``den``, g its gcd with every
-    coefficient; unchanged when den is 1 (so also for ``RhoPoly`` jets)."""
-    if den == 1:
-        return den, jet
-    g = gcd(den, *jet.coeffs.values())
-    if g == 1:
-        return den, jet
-    return den // g, Jet2D({k: c // g for k, c in jet.coeffs.items()},
-                           jet.order, _canonical=True)
+    return RhoPoly in map(type, jet.coeffs.values())
 
 
 class _IntegralJet:
     """A concrete jet as int numerators over one common denominator.
 
-    ``num`` maps the packed key a * stride + b of each slot to its int
-    numerator over ``den``; every key has a + b <= order < stride.  Keys of
-    one Laplacian chain share a stride, so a product's key is the sum of its
-    factors' keys and no key is repacked between applications.
+    ``num`` maps the packed key d * stride + b of each slot (a, b), where
+    d = a + b <= order < stride, to its int numerator over ``den``.  The key
+    of a product's slot is the sum of its factors' keys, so keys of one
+    stride are never repacked, and keys sort by degree first: slot k has
+    degree k // stride, and the terms of degree <= e are those with key
+    below (e + 1) * stride.
 
-    ``laplacian`` returns the form straight from its product: numerators
-    not divided by their content and possibly zero.  ``reduced`` divides the
-    content out, so ``den`` is the lcm of the reduced coefficients'
-    denominators, and ``jet`` builds one ``Fraction`` per nonzero slot.
+    ``_capped_product`` returns the form with numerators not divided by
+    their content and possibly zero.  ``reduced`` divides the content out,
+    so ``den`` is the lcm of the reduced coefficients' denominators, and
+    ``jet`` builds one ``Fraction`` per nonzero slot.
     """
 
-    __slots__ = ("den", "num", "order", "stride")
+    __slots__ = ("den", "num", "order", "stride", "_terms")
 
     def __init__(self, den, num, order, stride):
         self.den, self.num, self.order, self.stride = den, num, order, stride
+        self._terms = None
 
     @classmethod
     def of(cls, jet, stride=None):
-        """The form of a concrete Jet2D; the stride defaults to order + 1."""
+        """The form of a concrete Jet2D over the lcm D of the denominators
+        of the terms it keeps.
+
+        The stride defaults to order + 1; terms of degree >= stride are
+        left out, so the form is trusted to order min(order, stride - 1).
+        """
         if stride is None:
             stride = jet.order + 1
-        den = lcm(*[c.denominator for c in jet.coeffs.values()])
-        return cls(den, {a * stride + b: c.numerator * (den // c.denominator)
-                         for (a, b), c in jet.coeffs.items()},
-                   jet.order, stride)
+        ratios = {(a + b) * stride + b: c.as_integer_ratio()
+                  for (a, b), c in jet.coeffs.items() if a + b < stride}
+        den = lcm(*[d for _, d in ratios.values()])
+        return cls(den, {k: n * (den // d) for k, (n, d) in ratios.items()},
+                   min(jet.order, stride - 1), stride)
 
     def jet(self):
-        return _jet_of(self.den, self.num, self.order, self.stride)
+        """The Jet2D: one ``Fraction(n, den)`` per nonzero slot, or the int
+        n when den is 1."""
+        stride, den = self.stride, self.den
+        out = {}
+        for k, n in self.num.items():
+            if n:
+                d, b = divmod(k, stride)
+                out[(d - b, b)] = n if den == 1 else Fraction(n, den)
+        return Jet2D(out, self.order, _canonical=True)
 
     def reduced(self):
         """The same values, the zero slots dropped and every numerator and
@@ -192,17 +134,15 @@ class _IntegralJet:
     def constant_term(self):
         return Fraction(self.num.get(0, 0), self.den)
 
-    def prefixes(self):
-        """(den, p): p[e] lists the (key, numerator) of degree <= e, for
-        e = 0..order, so a product capped at c reads p[c - d] per degree d."""
-        by_degree = [[] for _ in range(self.order + 1)]
-        for k, n in self.num.items():
-            by_degree[sum(divmod(k, self.stride))].append((k, n))
-        out, upto = [], []
-        for group in by_degree:
-            upto = upto + group
-            out.append(upto)
-        return self.den, out
+    def upto(self, e):
+        """The (key, numerator) terms of degree <= e, sorted by key.
+
+        The sorted terms are built on first use and kept, so a cached
+        factor is sorted once and each call is one bisection and a slice.
+        """
+        if self._terms is None:
+            self._terms = sorted(self.num.items())
+        return self._terms[:bisect_left(self._terms, ((e + 1) * self.stride,))]
 
     def __add__(self, other):
         """The sum over lcm(D1, D2), trusted to the smaller order."""
@@ -215,12 +155,32 @@ class _IntegralJet:
             scale = den // form.den
             for k, n in form.num.items():
                 num[k] = num.get(k, 0) + n * scale
-        if self.order == other.order:
-            num = {k: n for k, n in num.items() if n}
-        else:
-            num = {k: n for k, n in num.items()
-                   if n and sum(divmod(k, stride)) <= order}
-        return _IntegralJet(den, num, order, stride)
+        end = (order + 1) * stride
+        return _IntegralJet(den, {k: n for k, n in num.items()
+                                  if n and k < end}, order, stride)
+
+
+def _capped_product(left, right, cap):
+    """left * right to total degree cap, over left.den * right.den.
+
+    The two forms share a stride > cap.  The left terms run in degree
+    order; a left term of degree d multiplies ``right.upto(cap - d)``, taken
+    once per degree, and the int numerators are multiplied and accumulated
+    per output key.  The result is not ``reduced``.  This is the one
+    integer multiply-accumulate loop: every concrete jet product and every
+    concrete Laplacian runs through it.
+    """
+    stride = left.stride
+    acc = {}
+    degree = -1
+    for k1, n1 in left.upto(cap):
+        d = k1 // stride
+        if d != degree:
+            degree, right_terms = d, right.upto(cap - d)
+        for k2, n2 in right_terms:
+            k = k1 + k2
+            acc[k] = acc.get(k, 0) + n1 * n2
+    return _IntegralJet(left.den * right.den, acc, cap, stride)
 
 
 def laplacian(f, inverse_terms):
@@ -232,11 +192,10 @@ def laplacian(f, inverse_terms):
     (a, b - 2) with b(b - 1)) and divided by their gcd with D_f, so s is
     over the lcm of its reduced coefficients' denominators.  Then
     ``inverse_terms(need, stride)`` gives 1/rho trusted to order need = the
-    output order minus the valuation of s, as the ``prefixes`` of its
-    integral form, and each degree-d group of s multiplies the prefix that
-    stays within the output order.  When s vanishes to the output order the
-    result is zero and 1/rho is not asked for.  The product's numerators
-    come back over D_s * D_(1/rho), not yet ``reduced``.
+    output order minus the valuation of s, as an ``_IntegralJet``, and
+    ``_capped_product`` multiplies the two.  When s vanishes to the output
+    order the result is zero and 1/rho is not asked for.  The product's
+    numerators come back over D_s * D_(1/rho), not yet ``reduced``.
     """
     order = f.order - 2
     if order < 0:
@@ -245,29 +204,21 @@ def laplacian(f, inverse_terms):
     stride = f.stride
     s = {}
     for k, n in f.num.items():
-        a, b = divmod(k, stride)
+        d, b = divmod(k, stride)
+        a = d - b
         if a > 1:
             j = k - 2 * stride
             s[j] = s.get(j, 0) - a * (a - 1) * n
         if b > 1:
-            s[k - 2] = s.get(k - 2, 0) - b * (b - 1) * n
+            j = k - 2 * stride - 2
+            s[j] = s.get(j, 0) - b * (b - 1) * n
     g = gcd(f.den, *s.values())
-    by_degree = {}  # degree -> [(key, numerator)] of s over D_f / g
-    for k, n in s.items():
-        if n:
-            d = sum(divmod(k, stride))
-            by_degree.setdefault(d, []).append((k, n // g))
-    if not by_degree:
+    s = {k: n // g for k, n in s.items() if n}
+    if not s:
         return _IntegralJet(1, {}, order, stride)
-    den, prefixes = inverse_terms(order - min(by_degree), stride)
-    acc = {}
-    for d, group in by_degree.items():
-        right = prefixes[order - d]
-        for k1, n1 in group:
-            for k2, n2 in right:
-                k = k1 + k2
-                acc[k] = acc.get(k, 0) + n1 * n2
-    return _IntegralJet(f.den // g * den, acc, order, stride)
+    need = order - min(s) // stride
+    return _capped_product(_IntegralJet(f.den // g, s, order, stride),
+                           inverse_terms(need, stride), order)
 
 
 class Jet2D:
@@ -380,10 +331,10 @@ class Jet2D:
         With RhoPoly coefficients on either side, the coefficient pairs are
         grouped by output slot and each slot is one fused ``RhoPoly.dot``.
 
-        Exact scalars go through the integral kernel: each factor is taken
-        over one common denominator (the lcm D of its denominators, every
-        coefficient becoming the int numerator * (D // denominator)) and
-        multiplied by ``_integral_product``.
+        Exact scalars go through ``_capped_product``: each factor is taken
+        into the integral form with stride cap + 1, and the product comes
+        back as one ``Fraction`` per nonzero slot (an int when both common
+        denominators are 1).
         """
         if _has_rhopoly(self) or _has_rhopoly(other):
             slots = {}
@@ -404,8 +355,8 @@ class Jet2D:
                     out[key] = value
             return Jet2D(out, cap, _canonical=True)
         stride = cap + 1
-        return _integral_product(_integral_terms(self.coeffs, stride),
-                                 _integral_terms(other.coeffs, stride), cap)
+        return _capped_product(_IntegralJet.of(self, stride),
+                               _IntegralJet.of(other, stride), cap).jet()
 
     # -- calculus ----------------------------------------------------------
 
@@ -444,10 +395,9 @@ class Jet2D:
         """Multiplicative inverse by Newton iteration x <- x(2 - f x).
 
         Each step doubles the trusted order; requires an invertible constant
-        term.  `order` defaults to the jet's own order.  On concrete jets x
-        and f are carried as int jets over their common denominators
-        (``_numerators``), so both products of a step run on ints and no
-        ``Fraction`` is built until the last step's product is divided out.
+        term.  `order` defaults to the jet's own order.  Both products of a
+        step go through ``_mul_capped``, so on concrete jets they run on
+        ints and on ``RhoPoly`` jets as fused dots.
         """
         if order is None:
             order = self.order
@@ -455,24 +405,13 @@ class Jet2D:
             raise OrderExhausted(
                 f"inverse to order {order} needs jet order >= {order}, "
                 f"have {self.order}")
-        inv0 = invert_coefficient(self.constant_term())
-        if order == 0:
-            return Jet2D.constant(inv0, 0)
-        x_den, x = _numerators(Jet2D.constant(inv0, 0))
+        x = Jet2D.constant(invert_coefficient(self.constant_term()), 0)
+        two = Jet2D.constant(2, order)
         m = 0
         while m < order:
             m = min(2 * m + 1, order)
-            f_den, f = _numerators(self.truncate(m))
-            den = f_den * x_den  # f x = (f_den f)(x_den x) / den
-            y_den, y = _content_free(
-                den, Jet2D.constant(2 * den, m) - f._mul_capped(x, m))
-            x_den, x = x_den * y_den, x._mul_capped(y, m)
-            if m < order:
-                x_den, x = _content_free(x_den, x)
-        if x_den == 1:
-            return x
-        return Jet2D({k: Fraction(c, x_den) for k, c in x.coeffs.items()},
-                     order, _canonical=True)
+            x = x._mul_capped(two - self.truncate(m)._mul_capped(x, m), m)
+        return x
 
     def log_nonconstant(self):
         """log(f) minus its (transcendental) value at the origin.

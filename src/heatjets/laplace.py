@@ -15,10 +15,11 @@ read only to degree order(result) - valuation(f_uu + f_vv):
 
 * on concrete jets, ``ConformalLaplacian`` inverts rho only to the largest
   degree asked for so far (by ``Jet2D.inverse``) and truncates that jet for
-  smaller requests, and it caches the integral terms of each truncation
-  (``_inverse_terms``).  ``jets.laplacian`` forms f_uu + f_vv on int
-  numerators and multiplies it by those terms; the frozen operator is the
-  same product with the order-0 factor 1/rho(0, 0).  ``apply`` takes and
+  smaller requests, and it caches each truncation in the integral form
+  (``_inverse_terms``), whose terms are sorted once.  ``jets.laplacian``
+  forms f_uu + f_vv on int numerators and multiplies it by that form in
+  the one integral kernel, ``jets._capped_product``; the frozen operator
+  passes the constant 1/rho(0, 0) as a one-term form.  ``apply`` takes and
   returns ``jets._IntegralJet``, so a chain of applications builds no
   ``Fraction``; a Jet2D argument is converted on the way in and out.
   ``gaussian_curvature_jet`` can borrow the cache, so a caller that needs K
@@ -107,7 +108,7 @@ class ConformalLaplacian:
         self._inv0 = invert_coefficient(rho.constant_term())  # fail fast
         self._symbolic = _has_rhopoly(rho)
         self._inv = None   # 1/rho to the largest order requested so far
-        self._terms = {}   # (need, stride) -> prefixes of 1/rho to need
+        self._terms = {}   # (need, stride) -> integral form of 1/rho to need
         self._tail = None  # _divided_laplacian's tail, built on first use
 
     def inverse_factor(self, order: int) -> Jet2D:
@@ -117,11 +118,11 @@ class ConformalLaplacian:
         return self._inv.truncate(order)
 
     def _inverse_terms(self, need, stride):
-        """``_IntegralJet.prefixes`` of 1/rho trusted to `need`, cached."""
+        """1/rho trusted to `need` as an ``_IntegralJet``, cached, so its
+        terms are sorted once for every product that reads them."""
         terms = self._terms.get((need, stride))
         if terms is None:
-            terms = _IntegralJet.of(self.inverse_factor(need),
-                                    stride).prefixes()
+            terms = _IntegralJet.of(self.inverse_factor(need), stride)
             self._terms[(need, stride)] = terms
         return terms
 
@@ -165,8 +166,9 @@ class FrozenLaplacian:
         return laplacian(_IntegralJet.of(f), self._inverse_terms).jet()
 
     def _inverse_terms(self, need, stride):
-        """The constant 1/rho(0, 0) as ``_IntegralJet.prefixes`` to `need`."""
-        return self.inv0.denominator, [[(0, self.inv0.numerator)]] * (need + 1)
+        """The constant 1/rho(0, 0): one term, known to every degree."""
+        return _IntegralJet(self.inv0.denominator, {0: self.inv0.numerator},
+                            need, stride)
 
 
 def gaussian_curvature_jet(rho: Jet2D,

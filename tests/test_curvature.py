@@ -15,14 +15,7 @@ from heatjets.heatinv import (generic_rho_jet, heat_invariant,
 from heatjets.jets import Jet2D
 from heatjets.laplace import ConformalLaplacian, gaussian_curvature_jet
 
-from test_heatinv import holomorphic_chart, pull_back
-
-
-def sphere_rho(radius, order):
-    r2 = Fraction(radius) ** 2
-    base = Jet2D({(0, 0): r2, (2, 0): Fraction(1), (0, 2): Fraction(1)},
-                 order)
-    return (base * base).inverse() * (4 * r2 ** 2)
+from test_heatinv import holomorphic_chart, pull_back, sphere_rho
 
 
 def frame_via_identities(rho):

@@ -57,6 +57,7 @@ def golden_a1_poly():
 
 
 def sphere_rho(radius, order):
+    """rho = 4 R^4 / (R^2 + u^2 + v^2)^2 in stereographic coordinates."""
     r2 = Fraction(radius) ** 2
     base = Jet2D({(0, 0): r2, (2, 0): Fraction(1), (0, 2): Fraction(1)},
                  order)
@@ -204,18 +205,6 @@ def test_flat_metric_zeros():
             rho = Jet2D.constant(c, 8 * n)
             assert not heat_invariant(n, rho).form
             assert not heat_invariant_via_frozen(n, rho).form
-
-
-def test_unit_sphere_a1_exact():
-    rho = sphere_rho(1, 8)
-    assert heat_invariant(1, rho).form == PiScaled(Fraction(1, 12))
-    assert render_pi_scaled(heat_invariant(1, rho).form) == "1/(12*pi)"
-
-
-def test_sphere_a1_scales_with_curvature():
-    # a1 = K/(12 pi) with K = 1/R^2
-    rho = sphere_rho(2, 8)
-    assert heat_invariant(1, rho).form == PiScaled(Fraction(1, 48))
 
 
 def test_sphere_higher_coefficients_exact():

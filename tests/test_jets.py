@@ -3,12 +3,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heatjets.errors import (IndexOutOfRange, NonInvertibleConstantTerm,
                              OrderExhausted)
+from heatjets.heatinv import generic_rho_jet
 from heatjets.jets import Jet2D
+from heatjets.laplace import gaussian_curvature_jet
+from heatjets.oracle import golden_a1
 from heatjets.rhopoly import RhoPoly
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -121,9 +124,18 @@ def test_mul_matches_polynomial_convolution():
     assert prod.coeffs == schoolbook_product(f, g, prod.order)
 
 
+#: a factor with a constant term, and one of valuation 2
+ONE_PLUS = Jet2D({(0, 0): Fraction(2, 3), (1, 2): 5, (0, 1): -1}, 4)
+VALUED = Jet2D({(2, 0): Fraction(1, 2), (1, 2): -3}, 4)
+
+
 @settings(max_examples=200)
 @given(jets(max_order=6, coefficients=scalars),
        jets(max_order=6, coefficients=scalars), st.integers(0, 14))
+@example(Jet2D.zero(4), ONE_PLUS, 4)  # empty left factor
+@example(ONE_PLUS, Jet2D.zero(4), 4)  # empty right factor
+@example(ONE_PLUS, VALUED, 0)
+@example(VALUED, Jet2D({(1, 2): 7, (0, 4): 1}, 4), 1)  # below both valuations
 def test_integral_kernel_matches_schoolbook_product(f, g, cap):
     # caps run from below the lowest product degree to above f.order + g.order
     prod = f._mul_capped(g, cap)
@@ -233,6 +245,17 @@ def test_inverse_round_trip(f):
 def test_inverse_requires_unit_constant_term():
     with pytest.raises(NonInvertibleConstantTerm):
         Jet2D({(1, 0): Fraction(1)}, 3).inverse()
+
+
+def test_newton_inverse_on_the_generic_factor():
+    # the Newton loop runs on RhoPoly jets as on concrete ones: rho times
+    # its inverse is 1, and K = -(1/(2 rho)) div(grad rho / rho) at the
+    # origin is 12 pi a_1
+    rho = generic_rho_jet(4)
+    assert rho * rho.inverse() == Jet2D.constant(RhoPoly.one(), 4)
+    poly, _ = golden_a1()
+    k0 = gaussian_curvature_jet(generic_rho_jet(2)).constant_term()
+    assert k0 == 12 * poly
 
 
 def test_sphere_conformal_factor_jet():

@@ -15,18 +15,13 @@ from heatjets.laplace import (ConformalLaplacian, FrozenLaplacian,
                               gaussian_curvature_jet)
 from heatjets.rhopoly import RhoPoly
 
+from test_heatinv import sphere_rho
+
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 def flat(c, order):
     return Jet2D.constant(Fraction(c), order)
-
-
-def sphere_rho(radius, order):
-    """rho = 4 R^4 / (R^2 + u^2 + v^2)^2 in stereographic coordinates."""
-    r2 = Fraction(radius) ** 2
-    base = Jet2D({(0, 0): r2, (2, 0): Fraction(1), (0, 2): Fraction(1)}, order)
-    return (base * base).inverse() * (4 * r2 ** 2)
 
 
 @st.composite
