@@ -19,7 +19,8 @@ checkout's `src/`).  Every request below runs once per tree, each in a fresh
   terms for both);
 * eq311 a_6 and a_7 in json on the sphere seeds, whose sparse jets leave
   the most slots of the integral kernels empty;
-* eq310 a_5 in json on dense seed 501, the longest frozen-operator chain;
+* eq310 a_5 and a_6 in json on dense seed 501; a_6 is the longest
+  frozen-operator chain;
 * the curvature frame (`heatinv curvature`: K, Delta K, E, F and G at the
   base point) of the curvature seeds;
 * the named family reciprocalLinear (a0 = 2, a1 = 3, a2 = 5): eq311 a_1..a_3
@@ -35,7 +36,7 @@ checkout's `src/`).  Every request below runs once per tree, each in a fresh
 
 The exit code, standard output and standard error must match byte for byte,
 except for the `wallTimeSeconds` lines of the JSON reports.  Prints
-`identical (64 requests)` and exits 0, or prints the first differing request
+`identical (65 requests)` and exits 0, or prints the first differing request
 and exits 1.
 """
 
@@ -120,9 +121,10 @@ def requests(workloads, tmp: Path):
                 yield (f"{workload} seed {seed} {request.path} n={ns} json",
                        deeper.argv(metric))
             if workload == "dense" and seed == SEEDS[0]:
-                yield (f"dense seed {seed} eq310 n=5 json",
-                       ["compute", "--metric", str(metric), "--n", "5",
-                        "--path", "eq310", "--format", "json"])
+                for n in ("5", "6"):
+                    yield (f"dense seed {seed} eq310 n={n} json",
+                           ["compute", "--metric", str(metric), "--n", n,
+                            "--path", "eq310", "--format", "json"])
     metric = tmp / "reciprocal.json"
     metric.write_text(json.dumps(RECIPROCAL))
     argv = ["compute", "--n", "1", "--n", "2", "--n", "3",

@@ -42,7 +42,7 @@ from fractions import Fraction
 
 from .errors import DegenerateCurvatureCoordinates, OrderExhausted
 from .heatinv import (HeatInvariantResult, PiScaled, _nested_laplacian_sum,
-                      _require_order)
+                      _radial_terms, _require_order)
 from .jets import Jet2D
 from .laplace import ConformalLaplacian, gaussian_curvature_jet
 from .rhopoly import RhoPoly
@@ -114,5 +114,6 @@ def heat_invariant_curvature_form(n: int, rho: Jet2D) -> HeatInvariantResult:
     # u^2 + v^2 pulled back to the curvature coordinates
     x = z * f - w * e
     r2 = z * z + x * x * (1 / (e * frame.g - f ** 2))
-    total = _nested_laplacian_sum(lap, n, 1 / e, r2)
+    d, terms = _radial_terms(n, 1 / e, r2)
+    total = _nested_laplacian_sum(lap, terms) * Fraction(1, d)
     return HeatInvariantResult(form=PiScaled(total))

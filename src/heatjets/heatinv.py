@@ -23,15 +23,17 @@ a_n is a local invariant of weight 2n, so it reads the jet of rho only to
 order 2n; ``required_order`` states the order every route reads.
 
 The radial sum reads only the 2-jet of its radial function: the value
-S_n(f) = sum_k c_nk Delta^k(f^(k-n))(0) of ``_nested_laplacian_sum(lap, n,
-1, f)`` is a_n for every f = rho_0 (u^2 + v^2) + O(|(u, v)|^3), and another
-quadratic part changes it (property-tested for n <= 3).  The curvature
-route is this sum with another cubic tail.
+S_n(f) = sum_k c_nk Delta^k(f^(k-n))(0), which ``_nested_laplacian_sum``
+gives for the terms ``_radial_terms(n, 1, f)`` up to their common
+denominator, is a_n for every f = rho_0 (u^2 + v^2) + O(|(u, v)|^3), and
+another quadratic part changes it (property-tested for n <= 3).  The
+curvature route is this sum with another cubic tail.
 
-An equivalent second route expands the resolvent around the origin-frozen
-Laplacian Delta_0 and sums binomially weighted mixed powers
-Delta^k Delta_0^(m-k) applied to explicit seed polynomials.  The two routes
-share no constants and must agree exactly; the test suite relies on that.
+A second route, the paper's expression (3.10), expands the resolvent
+around the origin-frozen Laplacian Delta_0 and sums binomially weighted
+mixed powers Delta^k Delta_0^(m-k) applied to explicit seed polynomials.
+It is linear in Delta^k too and runs through the same Horner chain, so its
+agreement with eq311 checks its own constants and Delta_0, not the chain.
 
 Everything here is exact: every a_n is a rational, or a rational polynomial,
 times one 1/pi, the factor (4 pi)^(-m/2) of dimension m = 2.  Decimal output
@@ -81,7 +83,8 @@ def heat_constant(n: int, k: int, s: int, m: int) -> PiScaled:
 
 
 def _radial_terms(n: int, scale, r2: Jet2D):
-    """(D, k -> D P_k): D P_k = D c_nk scale^(k-n) r2^(k-n) to order 2k.
+    """(D, T): T_k = D P_k = D c_nk scale^(k-n) r2^(k-n) to order 2k for
+    k = n+1..4n, and T_k = None (zero) for k = 0..n.
 
     D = lcm_k den(c_nk) puts every c_nk over one common denominator, so each
     D c_nk is an integer and the pipelines stay integral wherever scale and
@@ -91,47 +94,43 @@ def _radial_terms(n: int, scale, r2: Jet2D):
     r2 is read to 2n + 2; it has valuation 2, so the product's valuation
     rule gives r2^j the order 2n + 2j = 2k by itself.
     """
-    c = {k: Fraction((-1) ** n * comb(3 * n + 1, k - n + 1),
-                     4 ** (k - n + 1) * factorial(k) * factorial(k - n))
-         for k in range(n + 1, 4 * n + 1)}
-    d = lcm(*(q.denominator for q in c.values()))
+    c = [Fraction((-1) ** n * comb(3 * n + 1, j + 1),
+                  4 ** (j + 1) * factorial(j + n) * factorial(j))
+         for j in range(1, 3 * n + 1)]  # c_nk with j = k - n
+    d = lcm(*(q.denominator for q in c))
     r2 = r2.truncate(2 * n + 2)
-    powers = [r2]  # r2^j, j = 1..3n
-    for _ in range(3 * n - 1):
-        powers.append(powers[-1] * r2)
+    power = r2  # r2^j, j = 1..3n
+    terms = [None] * (n + 1)
+    for j, c_nk in enumerate(c, 1):
+        if j > 1:
+            power = power * r2
+        terms.append(power * (scale ** j * int(c_nk * d)))
+    return d, terms
 
-    def term(k):
-        j = k - n
-        return powers[j - 1] * (scale ** j * int(c[k] * d))
-    return d, term
 
+def _nested_laplacian_sum(lap: ConformalLaplacian, terms):
+    """(sum_k Delta^k T_k)(0) for terms T_0..T_top, None meaning zero.
 
-def _nested_laplacian_sum(lap: ConformalLaplacian, n: int, scale, r2: Jet2D):
-    """(sum_{k=n+1..4n} Delta^k P_k)(0), P_k from ``_radial_terms``.
+    By linearity the sum is Q_0(0) for Q_top = T_top and
+    Q_k = T_k + Delta Q_(k+1): top applications of Delta, and the only
+    loop that chains them.  The routes pass terms T_k of order 2k whose band
+    order - valuation is at most 2n, so every intermediate keeps that band
+    and rho (or 1/rho) is never read beyond degree 2n.
 
-    By linearity the sum equals Delta^(n+1) Q at the origin, where
-    Q = P_(n+1) + Delta(P_(n+2) + Delta(... + Delta P_(4n))): 4n
-    applications of Delta.  Each P_k has valuation >= 2k - 2n and order 2k, so
-    every intermediate keeps the band order - valuation <= 2n and rho (or
-    1/rho) is never read beyond degree 2n.  The nesting runs on the integral
-    multiples D P_k, and the constant term is divided by D once.
-
-    On concrete jets every P_k is taken once into the integral form
-    (``jets._IntegralJet``, packed with the stride of P_(4n)), the Horner
-    additions run on ints and the 4n applications pass that form from one to
+    On concrete jets every T_k is taken once into the integral form
+    (``jets._IntegralJet``, packed with the stride of T_top), the Horner
+    additions run on ints and the applications pass that form from one to
     the next, so no ``Fraction`` is built until the constant term.
     """
-    d, term = _radial_terms(n, scale, r2)
-    top = term(4 * n)
-    symbolic = _has_rhopoly(top)
-    stride = top.order + 1
-
-    def convert(jet):
-        return jet if symbolic else _IntegralJet.of(jet, stride)
-    q = convert(top)
-    for k in range(4 * n - 1, n, -1):
-        q = convert(term(k)) + lap.apply(q)
-    return lap.apply_power(q, n + 1).constant_term() * Fraction(1, d)
+    top = terms[-1]
+    if not _has_rhopoly(top):
+        stride = top.order + 1
+        terms = [t if t is None else _IntegralJet.of(t, stride)
+                 for t in terms]
+    q = terms[-1]
+    for t in reversed(terms[:-1]):
+        q = lap.apply(q) if t is None else t + lap.apply(q)
+    return q.constant_term()
 
 
 def generic_rho_jet(order: int) -> Jet2D:
@@ -224,28 +223,30 @@ def heat_invariant(n: int, rho: Jet2D) -> HeatInvariantResult:
     applications in all.
     """
     _require_order(n, rho, "eq311")
-    total = _nested_laplacian_sum(ConformalLaplacian(rho), n,
-                                  rho.constant_term(),
-                                  Jet2D({(2, 0): 1, (0, 2): 1}, 2 * n + 2))
-    return _wrap(n, total, _is_symbolic(rho))
+    d, terms = _radial_terms(n, rho.constant_term(),
+                             Jet2D({(2, 0): 1, (0, 2): 1}, 2 * n + 2))
+    total = _nested_laplacian_sum(ConformalLaplacian(rho), terms)
+    return _wrap(n, total * Fraction(1, d), _is_symbolic(rho))
 
 
 def heat_invariant_via_frozen(n: int, rho: Jet2D) -> HeatInvariantResult:
-    """a_n(origin) by the independent frozen-operator binomial route.
+    """a_n(origin) by the paper's frozen-operator binomial sum (3.10).
 
     a_n = sum_m rho_0^(m-n) (-1)^(m-n)/(4 m!) *
           sum_{k=0}^m (-1)^k C(m,k) Delta^k Delta_0^(m-k) (f_m) |_(0,0),
 
     where the seed f_m = sum_p g(m-n-p) g(p) u^(2m-2n-2p) v^(2p)
     / ((2m-2n-2p)! (2p)!) = (u^2 + v^2)^(m-n) / (4^(m-n) (m-n)!), with g the
-    rational Gamma(.+1/2) ratio.  It shares no constant with heat_invariant.
+    rational Gamma(.+1/2) ratio.  The sum is linear in Delta^k: the frozen
+    images are collected per k into G_k = sum_m w_m (-1)^k C(m,k)
+    Delta_0^(m-k) f_m, of order 2k, and sum_k Delta^k G_k runs through
+    eq311's Horner chain (4n applications of Delta, sum_m m of Delta_0).
+    Its seeds and weights are the paper's Gamma sums, not eq311's c_nk.
     """
     _require_order(n, rho, "eq310")
-    lap = ConformalLaplacian(rho)
     frozen = FrozenLaplacian(rho)
     rho0 = rho.constant_term()
-    symbolic = _is_symbolic(rho)
-    total = 0
+    g = [Jet2D.zero(2 * k) for k in range(4 * n + 1)]
     for m in range(n + 1, 4 * n + 1):
         seed_coeffs = {}
         for p in range(m - n + 1):
@@ -253,15 +254,13 @@ def heat_invariant_via_frozen(n: int, rho: Jet2D) -> HeatInvariantResult:
                  / (factorial(2 * m - 2 * n - 2 * p) * factorial(2 * p)))
             seed_coeffs[(2 * m - 2 * n - 2 * p, 2 * p)] = w
         image = Jet2D(seed_coeffs, 2 * m)  # Delta_0^(m-k) f_m
-        if not symbolic:
-            image = _IntegralJet.of(image)
         weight = rho0 ** (m - n) * Fraction((-1) ** (m - n), 4 * factorial(m))
         for k in range(m, -1, -1):
-            value = lap.apply_power(image, k).constant_term()
-            total = total + value * (weight * ((-1) ** k * comb(m, k)))
+            g[k] = g[k] + image * (weight * ((-1) ** k * comb(m, k)))
             if k:
                 image = frozen.apply(image)
-    return _wrap(n, total, symbolic)
+    total = _nested_laplacian_sum(ConformalLaplacian(rho), g)
+    return _wrap(n, total, _is_symbolic(rho))
 
 
 def symbolic_heat_invariant(n: int) -> HeatInvariantResult:

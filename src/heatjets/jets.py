@@ -9,8 +9,8 @@ concrete jets are multiplied by ``RhoPoly`` values:
 
 * symbolic eq311 multiplies the concrete powers of u^2 + v^2 by the
   ``RhoPoly`` scalar rho_0^j D c_nk (``heatinv._radial_terms``);
-* symbolic eq310 applies both Laplacians of the generic factor to its
-  concrete seed jets, which they divide by rho (``heatjets.laplace``).
+* symbolic eq310 multiplies the frozen images of its concrete seed jets
+  by 1/rho_00 (the frozen Laplacian) and by its ``RhoPoly`` weights.
 
 A product of a ``RhoPoly`` and an int or ``Fraction`` is a ``RhoPoly``, so a
 jet that has met the generic factor stays in the ``RhoPoly`` ring.
@@ -36,11 +36,12 @@ one common denominator D, keyed by a packed int per slot, and one kernel,
 multiplies and accumulates the int numerators per output slot, so a product
 costs one gcd per slot, when the result becomes a ``Jet2D`` again, instead
 of one per coefficient pair.  Every concrete product runs through it: the
-scalar branch of ``Jet2D._mul_capped`` (and with it the Newton inverse and
-the curvature pull-back) and ``laplacian``, which applies
+scalar branch of ``Jet2D._mul_capped`` (and with it the Newton inverse, the
+frozen Laplacian and the curvature pull-back) and ``laplacian``, which applies
 Delta f = -(1/rho)(f_uu + f_vv) to the integral form of f and keeps it in
-that form, so a chain of applications (eq311's Horner sum, eq310's powers)
-builds one ``Fraction`` at its constant term.  ``RhoPoly`` products take one
+that form, so the chain of applications (the Horner sum
+``heatinv._nested_laplacian_sum`` that every route runs) builds one
+``Fraction`` at its constant term.  ``RhoPoly`` products take one
 fused ``RhoPoly.dot`` per slot instead, and ``RhoPoly`` jets divide by rho
 rather than multiply by 1/rho (``heatjets.laplace``).
 """

@@ -6,20 +6,21 @@ For the metric rho(u, v) (du^2 + dv^2) the (nonnegative) Laplace operator is
 
 and its freezing at the origin replaces 1/rho by the constant 1/rho(0, 0).
 Both act on Jet2D values over any exact coefficient ring and lower the jet
-order by two per application.
+order by two per application.  The frozen operator is one line of jet
+arithmetic: f_uu + f_vv times the constant jet 1/rho(0, 0) in the jet
+product of its ring.
 
-Concrete jets multiply by the cached inverse; ``RhoPoly`` jets divide by
-rho.  Applying Delta repeatedly to a homogeneous polynomial keeps the band
-order - valuation of every intermediate jet bounded, so either way rho is
-read only to degree order(result) - valuation(f_uu + f_vv):
+For Delta, concrete jets multiply by the cached inverse; ``RhoPoly`` jets
+divide by rho.  Applying Delta repeatedly to a homogeneous polynomial keeps
+the band order - valuation of every intermediate jet bounded, so either way
+rho is read only to degree order(result) - valuation(f_uu + f_vv):
 
 * on concrete jets, ``ConformalLaplacian`` inverts rho only to the largest
   degree asked for so far (by ``Jet2D.inverse``) and truncates that jet for
   smaller requests, and it caches each truncation in the integral form
   (``_inverse_terms``), whose terms are sorted once.  ``jets.laplacian``
   forms f_uu + f_vv on int numerators and multiplies it by that form in
-  the one integral kernel, ``jets._capped_product``; the frozen operator
-  passes the constant 1/rho(0, 0) as a one-term form.  ``apply`` takes and
+  the one integral kernel, ``jets._capped_product``.  ``apply`` takes and
   returns ``jets._IntegralJet``, so a chain of applications builds no
   ``Fraction``; a Jet2D argument is converted on the way in and out.
   ``gaussian_curvature_jet`` can borrow the cache, so a caller that needs K
@@ -28,8 +29,7 @@ read only to degree order(result) - valuation(f_uu + f_vv):
   rho g = -(f_uu + f_vv) for g = Delta f degree by degree.  Each degree-d
   coefficient of 1/rho is a dense polynomial in the rho_ab, while rho has
   one monomial per coefficient for the generic factor, so the division
-  forms far fewer monomial products than the product with 1/rho.  The
-  frozen operator divides by the constant rho(0, 0).
+  forms far fewer monomial products than the product with 1/rho.
 
 The ring of rho is read once, when an operator is built.
 """
@@ -143,32 +143,18 @@ class ConformalLaplacian:
                  if k != (0, 0)), key=lambda item: sum(item[0]))
         return _divided_laplacian(f, self._inv0, self._tail, self.rho.order)
 
-    def apply_power(self, f, k: int):
-        for _ in range(k):
-            f = self.apply(f)
-        return f
-
 
 class FrozenLaplacian:
     """Delta_0 f = -(1/rho(0,0))(f_uu + f_vv), the origin-frozen operator."""
 
     def __init__(self, rho: Jet2D):
         self.inv0 = invert_coefficient(rho.constant_term())
-        self._symbolic = isinstance(self.inv0, RhoPoly)
 
-    def apply(self, f):
-        """Delta_0 f of a Jet2D, or of an ``_IntegralJet``, which stays one."""
-        if isinstance(f, _IntegralJet):
-            return laplacian(f, self._inverse_terms).reduced()
-        if self._symbolic or _has_rhopoly(f):
-            # the constant rho(0, 0) is known to every degree
-            return _divided_laplacian(f, self.inv0, (), f.order)
-        return laplacian(_IntegralJet.of(f), self._inverse_terms).jet()
-
-    def _inverse_terms(self, need, stride):
-        """The constant 1/rho(0, 0): one term, known to every degree."""
-        return _IntegralJet(self.inv0.denominator, {0: self.inv0.numerator},
-                            need, stride)
+    def apply(self, f: Jet2D) -> Jet2D:
+        """Delta_0 f: f_uu + f_vv times the constant 1/rho(0, 0), known to
+        every degree, in the jet product of its ring."""
+        s = f.diff(2, 0) + f.diff(0, 2)
+        return -(s * Jet2D.constant(self.inv0, s.order))
 
 
 def gaussian_curvature_jet(rho: Jet2D,

@@ -121,7 +121,8 @@ def test_curvature_path_matches_direct_path_n2():
     rho = random_jet(random.Random(31), order=22)
     value = heat_invariant_curvature_form(2, rho).form
     assert value == heat_invariant(2, rho).form
-    # eq310 shares no pipeline with the two nested routes
+    # eq310 shares the Horner chain with both routes, not their constants:
+    # this checks its seeds, weights and frozen operator
     assert value == heat_invariant_via_frozen(2, rho.truncate(16)).form
 
 

@@ -21,7 +21,7 @@ from heatjets.heatinv import (WEYL_A0, ClosedForm, PiScaled,
                               render_pi_scaled, required_order,
                               symbolic_heat_invariant)
 from heatjets.jets import Jet2D, _IntegralJet
-from heatjets.laplace import ConformalLaplacian
+from heatjets.laplace import ConformalLaplacian, FrozenLaplacian
 from heatjets.oracle import sphere_heat_coefficients
 from heatjets.rhopoly import RhoPoly, mono_degree
 
@@ -94,20 +94,23 @@ def test_heat_constant_range_checks():
 def test_radial_terms_are_the_summed_heat_constants():
     # The paper's Gamma sums C_nksm, summed over m, are the closed-form
     # weights of P_k = c_nk scale^(k-n) (u^2 + v^2)^(k-n): exact, n = 1..8.
-    # The helper returns D P_k with the common denominator D of the c_nk.
+    # The helper returns the terms T_0..T_4n of the nested sum: None for
+    # k <= n and D P_k above, with the common denominator D of the c_nk.
     scale = Fraction(3, 2)
     for n in range(1, 9):
-        d, term = _radial_terms(n, scale,
-                                Jet2D({(2, 0): 1, (0, 2): 1}, 8 * n))
+        d, terms = _radial_terms(n, scale,
+                                 Jet2D({(2, 0): 1, (0, 2): 1}, 8 * n))
+        assert len(terms) == 4 * n + 1 and terms[:n + 1] == [None] * (n + 1)
         for k in range(n + 1, 4 * n + 1):
             expected = {
                 (2 * (k - n - s), 2 * s): scale ** (k - n) * sum(
                     heat_constant(n, k, s, m).q for m in range(k, 4 * n + 1))
                 for s in range(k - n + 1)}
-            assert term(k) * Fraction(1, d) == Jet2D(expected, 2 * k), (n, k)
+            assert terms[k] * Fraction(1, d) == Jet2D(expected, 2 * k), \
+                (n, k)
         _, unit = _radial_terms(n, 1, Jet2D({(2, 0): 1, (0, 2): 1}, 8 * n))
-        assert all(type(c) is int for k in range(n + 1, 4 * n + 1)
-                   for c in unit(k).coeffs.values())
+        assert all(type(c) is int for t in unit[n + 1:]
+                   for c in t.coeffs.values())
 
 
 @st.composite
@@ -133,9 +136,13 @@ def test_radial_sum_reads_only_the_two_jet(n, seed, data):
     f = Jet2D({(2, 0): rho0, (0, 2): rho0}, 2 * n + 2) + \
         data.draw(cubic_tails(2 * n + 2))
     value = heat_invariant(n, rho).form.q
-    assert _nested_laplacian_sum(lap, n, 1, f) == value
+
+    def radial_sum(f):
+        d, terms = _radial_terms(n, 1, f)
+        return _nested_laplacian_sum(lap, terms) * Fraction(1, d)
+    assert radial_sum(f) == value
     uv = Jet2D({(1, 1): 1}, 2 * n + 2)
-    assert _nested_laplacian_sum(lap, n, 1, f + uv) != value
+    assert radial_sum(f + uv) != value
 
 
 def test_symbolic_a1_matches_golden_formula():
@@ -234,22 +241,37 @@ def test_cross_path_equality_random_jets():
                 heat_invariant_via_frozen(n, rho).form
     rho = random_metric_jet(rng, order=24)
     assert heat_invariant(3, rho).form == heat_invariant_via_frozen(3, rho).form
+    for n in (4, 5):
+        rho = random_metric_jet(rng, order=2 * n)
+        assert heat_invariant(n, rho).form == \
+            heat_invariant_via_frozen(n, rho).form
 
 
 def test_eq311_uses_4n_laplacian_applications(monkeypatch):
-    calls = []
-    apply = ConformalLaplacian.apply
+    # Both routes chain Delta 4n times in one Horner sum; eq310 also applies
+    # Delta_0 m times to each seed f_m, m = n+1..4n
+    calls = Counter()
 
-    def counted(self, f):
-        calls.append(f)
-        return apply(self, f)
+    def count(cls):
+        apply = cls.apply
 
-    monkeypatch.setattr(ConformalLaplacian, "apply", counted)
+        def counted(self, f):
+            calls[cls.__name__] += 1
+            return apply(self, f)
+        monkeypatch.setattr(cls, "apply", counted)
+
+    count(ConformalLaplacian)
+    count(FrozenLaplacian)
     rng = random.Random(4)
     for n in (1, 2, 3):
+        rho = random_metric_jet(rng, order=8 * n)
         calls.clear()
-        heat_invariant(n, random_metric_jet(rng, order=8 * n))
-        assert len(calls) == 4 * n
+        heat_invariant(n, rho)
+        assert calls == {"ConformalLaplacian": 4 * n}
+        calls.clear()
+        heat_invariant_via_frozen(n, rho)
+        assert calls == {"ConformalLaplacian": 4 * n,
+                         "FrozenLaplacian": sum(range(n + 1, 4 * n + 1))}
 
 
 def test_concrete_chain_stays_integral(monkeypatch):
@@ -349,6 +371,8 @@ gaussian_rationals = st.tuples(
        b=gaussian_rationals)
 @example(n=2, seed=11, c1=(Fraction(3, 5), Fraction(4, 5)), a=(0, 0),
          b=(0, 0))
+@example(n=2, seed=11, c1=(Fraction(3, 5), Fraction(4, 5)),
+         a=(Fraction(1, 2), Fraction(-1, 3)), b=(0, 0))
 def test_chart_invariance(n, seed, c1, a, b):
     # a_n is a local invariant of the metric: the holomorphic change of chart
     # phi(z) = c1 z + a z^2 + b z^3 leaves it fixed
