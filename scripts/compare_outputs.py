@@ -32,11 +32,15 @@ checkout's `src/`).  Every request below runs once per tree, each in a fresh
   curvature route exits 3);
 * an all-integer jet of order 12 with constant term 1 (every denominator,
   also those of 1/rho, is 1): eq311 a_1..a_4 in plain and json, eq310
-  a_1..a_4 and the curvature route's a_1 and a_2 in json.
+  a_1..a_4 and the curvature route's a_1 and a_2 in json;
+* the input-error contract, each in plain and json (exit 2, the message on
+  standard error or in the JSON report): an unknown metric kind, a sphere
+  of radius 0, a jet whose coeffs[1][2] is not a rational (its error names
+  that path), and the usage error of `--approx` on a symbolic request.
 
 The exit code, standard output and standard error must match byte for byte,
 except for the `wallTimeSeconds` lines of the JSON reports.  Prints
-`identical (65 requests)` and exits 0, or prints the first differing request
+`identical (73 requests)` and exits 0, or prints the first differing request
 and exits 1.
 """
 
@@ -70,6 +74,14 @@ def integer_jet():
               for b in range(INTEGER_ORDER + 1 - a) if a + b]
     return {"kind": "jet", "order": INTEGER_ORDER,
             "coeffs": [[0, 0, "1"], *coeffs]}
+
+#: name -> a metric document that `heatinv compute` refuses with exit 2
+BAD_METRICS = {
+    "unknown kind": {"kind": "torus"},
+    "sphere R = 0": {"kind": "sphereStereographic", "R": "0"},
+    "jet coefficient not rational": {
+        "kind": "jet", "order": 2, "coeffs": [[0, 0, "1"], [2, 0, "1.5"]]},
+}
 
 #: Runs heatjets.cli.main on argv[2:] with the tree argv[1] first on the path.
 RUNNER = """\
@@ -153,6 +165,15 @@ def requests(workloads, tmp: Path):
     yield ("integer jet curvature json",
            ["compute", "--n", "1", "--n", "2", "--metric", str(metric),
             "--path", "curvature", "--format", "json"])
+    for name, doc in BAD_METRICS.items():
+        metric = tmp / f"{name.replace(' ', '-')}.json"
+        metric.write_text(json.dumps(doc))
+        for fmt in ("plain", "json"):
+            yield (f"{name} {fmt}", ["compute", "--n", "1", "--metric",
+                                     str(metric), "--format", fmt])
+    for fmt in ("plain", "json"):
+        yield (f"symbolic --approx {fmt}",
+               ["compute", "--n", "1", "--approx", "5", "--format", fmt])
 
 
 def run(src, argv):

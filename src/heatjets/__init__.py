@@ -13,4 +13,8 @@ Import each name from the module that defines it: ``jets`` (``Jet2D``),
 the renderers), ``curvature``, ``laplace``,
 ``metrics``, ``oracle``, ``commutator`` and ``errors``.  The package root
 re-exports nothing, so ``import heatjets.cli`` loads only what the CLI runs.
+From the standard library that is argparse (with gettext), json, re, math
+and fractions (with decimal and numbers).  The result and specification
+types are plain ``__slots__`` classes on ``record.Record``, so no
+dataclasses, typing or inspect is loaded.
 """

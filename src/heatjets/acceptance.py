@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
 
 from .commutator import (
     RationalMatrix,
@@ -37,14 +36,13 @@ from .jets import Jet2D
 from .laplace import ConformalLaplacian, gaussian_curvature_jet
 from .metrics import expand_metric, parse_metric_spec
 from .oracle import golden_a1, sphere_heat_coefficients
+from .record import Record
 from .rhopoly import mono_degree
 
 
-class Criterion(NamedTuple):
-    number: int
-    name: str
-    budget_seconds: float
-    check: Callable[[], Optional[str]]
+class Criterion(Record):
+    """One entry of ``CRITERIA``; `check` returns None or a failure message."""
+    __slots__ = ("number", "name", "budget_seconds", "check")
 
 
 def _random_jet(rng: random.Random, order: int) -> Jet2D:

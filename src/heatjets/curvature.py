@@ -37,7 +37,6 @@ is detected exactly and reported as an error, never silently worked around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateCurvatureCoordinates, OrderExhausted
@@ -45,21 +44,18 @@ from .heatinv import (HeatInvariantResult, PiScaled, _nested_laplacian_sum,
                       _radial_terms, _require_order)
 from .jets import Jet2D
 from .laplace import ConformalLaplacian, gaussian_curvature_jet
+from .record import Record
 from .rhopoly import RhoPoly
 
 FRAME_MIN_ORDER = 5
 
 
-@dataclass(frozen=True)
-class CurvatureFrame:
-    """Pointwise curvature data: K, Delta K, the E/F/G scalars, degeneracy."""
-    k0: Fraction
-    dk0: Fraction
-    e: Fraction
-    f: Fraction
-    g: Fraction
-    jacobian: Fraction
-    degenerate: bool
+class CurvatureFrame(Record):
+    """Pointwise curvature data: K, Delta K, the E/F/G scalars, degeneracy.
+
+    Every field is a Fraction but `degenerate`, a bool.
+    """
+    __slots__ = ("k0", "dk0", "e", "f", "g", "jacobian", "degenerate")
 
 
 def _frame_and_coordinates(rho: Jet2D):

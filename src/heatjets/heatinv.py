@@ -43,13 +43,13 @@ is a presentation concern handled elsewhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 
 from .errors import IndexOutOfRange, OrderExhausted
 from .jets import Jet2D, _has_rhopoly, _IntegralJet
 from .laplace import ConformalLaplacian, FrozenLaplacian
+from .record import Record
 from .rhopoly import RhoPoly, mono_degree
 
 
@@ -140,10 +140,9 @@ def generic_rho_jet(order: int) -> Jet2D:
     return Jet2D(coeffs, order)
 
 
-@dataclass(frozen=True)
-class PiScaled:
+class PiScaled(Record):
     """The exact rational q times 1/pi: a numeric a_n, or a constant C_nksm."""
-    q: Fraction
+    __slots__ = ("q",)
 
     def __bool__(self):
         return bool(self.q)
@@ -155,24 +154,21 @@ class PiScaled:
 WEYL_A0 = PiScaled(Fraction(1, 4))
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(Record):
     """a_n as an exact polynomial identity: poly / pi.
 
     `poly` lives in the Taylor-coefficient variables rho_ab over a power of
     rho_00; every numerator monomial has derivative-order weight exactly 2n.
     """
-    n: int
-    poly: RhoPoly
+    __slots__ = ("n", "poly")
 
     def substitute(self, rho: Jet2D) -> PiScaled:
         """Evaluate at a concrete rational jet."""
         return PiScaled(self.poly.substitute(rho.coeffs))
 
 
-@dataclass(frozen=True)
-class HeatInvariantResult:
-    form: object  # ClosedForm for a symbolic run, PiScaled for a numeric one
+class HeatInvariantResult(Record):
+    __slots__ = ("form",)  # ClosedForm if symbolic, PiScaled if numeric
 
 
 def _is_symbolic(rho: Jet2D) -> bool:

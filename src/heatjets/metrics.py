@@ -23,22 +23,24 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidMetric, OrderExhausted, SchemaError
 from .jets import Jet2D
+from .record import Record
 
 KINDS = ("flat", "sphereStereographic", "reciprocalLinear", "jet")
 
 
-@dataclass(frozen=True)
-class MetricSpec:
-    kind: str
-    radius: Fraction | None = None
-    linear: tuple | None = None          # (a0, a1, a2) for reciprocalLinear
-    coeffs: tuple | None = None          # ((a, b, Fraction), ...) for jet
-    order: int | None = None             # declared order for jet
+class MetricSpec(Record):
+    """A parsed metric document; the fields that its kind does not use are
+    None."""
+    __slots__ = ("kind",
+                 "radius",   # Fraction R for sphereStereographic
+                 "linear",   # (a0, a1, a2) for reciprocalLinear
+                 "coeffs",   # ((a, b, Fraction), ...) for jet
+                 "order")    # declared order for jet
+    _defaults = dict.fromkeys(__slots__[1:])
 
 
 #: [-]digits[/digits]: no exponent, so a value has no more digits than text

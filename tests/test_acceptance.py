@@ -16,10 +16,11 @@ from heatjets.acceptance import CRITERIA
 @pytest.mark.parametrize("criterion", CRITERIA,
                          ids=lambda c: f"{c.number}-{c.name}")
 def test_criterion(criterion):
-    number, name, budget, check = criterion
+    number, name, budget = (criterion.number, criterion.name,
+                            criterion.budget_seconds)
     start = time.perf_counter()
     try:
-        detail = check()
+        detail = criterion.check()
     except BaseException:
         emit(f"CRITERION {number} [{name}]: FAIL")
         raise

@@ -473,16 +473,21 @@ def test_exit_codes_hold_for_any_input(fuzz_metric, data):
 def test_cli_import_loads_only_what_compute_runs():
     import heatjets.cli as cli
     src = str(Path(cli.__file__).resolve().parents[1])
+    # The records are __slots__ classes: dataclasses would load inspect
+    # (with ast, dis and tokenize) and NamedTuple typing, all at start-up.
+    # -S keeps a site .pth file from importing any of them first.
+    stdlib = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize")
     for module, unwanted in (
             # `verify` and `--approx` import these when they run; `compute`
             # and `curvature` never need them
-            ("heatjets.cli", ("mpmath", "heatjets.oracle",
-                              "heatjets.commutator", "heatjets.acceptance")),
+            ("heatjets.cli", (*stdlib, "mpmath", "numpy", "sympy",
+                              "heatjets.oracle", "heatjets.commutator",
+                              "heatjets.acceptance")),
             # every criterion is exact, so `verify` needs no mpmath either
-            ("heatjets.acceptance", ("mpmath",))):
+            ("heatjets.acceptance", (*stdlib, "mpmath"))):
         code = (f"import sys; sys.path.insert(0, {src!r}); import {module}; "
                 f"print(sorted(m for m in {unwanted!r} if m in sys.modules))")
-        proc = subprocess.run([sys.executable, "-I", "-c", code],
+        proc = subprocess.run([sys.executable, "-I", "-S", "-c", code],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n", module
