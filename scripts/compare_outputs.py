@@ -33,6 +33,11 @@ checkout's `src/`).  Every request below runs once per tree, each in a fresh
 * an all-integer jet of order 12 with constant term 1 (every denominator,
   also those of 1/rho, is 1): eq311 a_1..a_4 in plain and json, eq310
   a_1..a_4 and the curvature route's a_1 and a_2 in json;
+* a jet of order 11 whose denominators are the coprime primes 10007 and
+  10009, which stresses the content division of the integral jets: eq311,
+  eq310 and the curvature route's a_1..a_3 in json, and its curvature
+  frame;
+* the sphere of radius 7/5 at a_8 in json;
 * the input-error contract, each in plain and json (exit 2, the message on
   standard error or in the JSON report): an unknown metric kind, a sphere
   of radius 0, a jet whose coeffs[1][2] is not a rational (its error names
@@ -40,7 +45,7 @@ checkout's `src/`).  Every request below runs once per tree, each in a fresh
 
 The exit code, standard output and standard error must match byte for byte,
 except for the `wallTimeSeconds` lines of the JSON reports.  Prints
-`identical (73 requests)` and exits 0, or prints the first differing request
+`identical (78 requests)` and exits 0, or prints the first differing request
 and exits 1.
 """
 
@@ -63,6 +68,7 @@ DEEPER = {"dense": ((501,), (5, 6)), "curvature": (SEEDS, (3, 4)),
           "sphere": (SEEDS, (6, 7))}
 RECIPROCAL = {"kind": "reciprocalLinear", "a0": "2", "a1": "3", "a2": "5"}
 INTEGER_ORDER = 12
+COPRIME_ORDER = 11
 
 
 def integer_jet():
@@ -74,6 +80,18 @@ def integer_jet():
               for b in range(INTEGER_ORDER + 1 - a) if a + b]
     return {"kind": "jet", "order": INTEGER_ORDER,
             "coeffs": [[0, 0, "1"], *coeffs]}
+
+
+def coprime_jet():
+    """The jet document of order COPRIME_ORDER with seeded numerators in
+    [-9, 9] over 10007 or 10009 and rho(0) = 10009/10007."""
+    rng = random.Random("coprime")
+    coeffs = [[a, b, f"{rng.randint(-9, 9)}/{rng.choice((10007, 10009))}"]
+              for a in range(COPRIME_ORDER + 1)
+              for b in range(COPRIME_ORDER + 1 - a) if a + b]
+    return {"kind": "jet", "order": COPRIME_ORDER,
+            "coeffs": [[0, 0, "10009/10007"], *coeffs]}
+
 
 #: name -> a metric document that `heatinv compute` refuses with exit 2
 BAD_METRICS = {
@@ -165,6 +183,19 @@ def requests(workloads, tmp: Path):
     yield ("integer jet curvature json",
            ["compute", "--n", "1", "--n", "2", "--metric", str(metric),
             "--path", "curvature", "--format", "json"])
+    metric = tmp / "coprime.json"
+    metric.write_text(json.dumps(coprime_jet()))
+    ns = [arg for n in range(1, 4) for arg in ("--n", str(n))]
+    for path in ("eq311", "eq310", "curvature"):
+        yield (f"coprime jet {path} json",
+               ["compute", *ns, "--metric", str(metric), "--path", path,
+                "--format", "json"])
+    yield "coprime jet frame", ["curvature", "--metric", str(metric)]
+    metric = tmp / "sphere-7-5.json"
+    metric.write_text(json.dumps({"kind": "sphereStereographic", "R": "7/5"}))
+    yield ("sphere R = 7/5 a_8 json",
+           ["compute", "--n", "8", "--metric", str(metric), "--format",
+            "json"])
     for name, doc in BAD_METRICS.items():
         metric = tmp / f"{name.replace(' ', '-')}.json"
         metric.write_text(json.dumps(doc))

@@ -71,10 +71,10 @@ def _frame_and_coordinates(rho: Jet2D):
     dk = lap.apply(k)
     k0 = Fraction(k.constant_term())
     dk0 = Fraction(dk.constant_term())
-    ku, kv = Fraction(k.coefficient(1, 0)), Fraction(k.coefficient(0, 1))
-    du, dv = Fraction(dk.coefficient(1, 0)), Fraction(dk.coefficient(0, 1))
+    ku, kv = k.coefficient(1, 0), k.coefficient(0, 1)
+    du, dv = dk.coefficient(1, 0), dk.coefficient(0, 1)
     rho0 = Fraction(rho.constant_term())
-    jac = ku * dv - kv * du
+    jac = Fraction(ku * dv - kv * du)
     frame = CurvatureFrame(k0=k0, dk0=dk0, e=(ku * ku + kv * kv) / rho0,
                            f=(ku * du + kv * dv) / rho0,
                            g=(du * du + dv * dv) / rho0, jacobian=jac,

@@ -37,7 +37,11 @@ agreement with eq311 checks its own constants and Delta_0, not the chain.
 
 Everything here is exact: every a_n is a rational, or a rational polynomial,
 times one 1/pi, the factor (4 pi)^(-m/2) of dimension m = 2.  Decimal output
-is a presentation concern handled elsewhere.
+is a presentation concern handled elsewhere.  A concrete jet has one
+representation, int numerators over one denominator (``heatjets.jets``), so
+the radial terms, the Horner chain and its applications run on ints, and a
+numeric a_n builds a number of ``Fraction`` values that depends on n only,
+not on the size of the jet.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 
 from .errors import IndexOutOfRange, OrderExhausted
-from .jets import Jet2D, _has_rhopoly, _IntegralJet
+from .jets import Jet2D
 from .laplace import ConformalLaplacian, FrozenLaplacian
 from .record import Record
 from .rhopoly import RhoPoly, mono_degree
@@ -117,16 +121,10 @@ def _nested_laplacian_sum(lap: ConformalLaplacian, terms):
     order - valuation is at most 2n, so every intermediate keeps that band
     and rho (or 1/rho) is never read beyond degree 2n.
 
-    On concrete jets every T_k is taken once into the integral form
-    (``jets._IntegralJet``, packed with the stride of T_top), the Horner
-    additions run on ints and the applications pass that form from one to
-    the next, so no ``Fraction`` is built until the constant term.
+    Concrete jets have one integral representation, so the Horner additions
+    and the applications run on int numerators and no ``Fraction`` is built
+    until the constant term.
     """
-    top = terms[-1]
-    if not _has_rhopoly(top):
-        stride = top.order + 1
-        terms = [t if t is None else _IntegralJet.of(t, stride)
-                 for t in terms]
     q = terms[-1]
     for t in reversed(terms[:-1]):
         q = lap.apply(q) if t is None else t + lap.apply(q)
@@ -179,7 +177,8 @@ def _wrap(n, total, symbolic) -> HeatInvariantResult:
     if symbolic:
         # a vanishing constant term of a jet reads as the int 0
         return HeatInvariantResult(ClosedForm(n, total or RhoPoly.zero()))
-    return HeatInvariantResult(PiScaled(total))
+    # a concrete constant term is an int where its denominator is 1
+    return HeatInvariantResult(PiScaled(Fraction(total)))
 
 
 def required_order(n: int, path: str) -> int:

@@ -30,30 +30,48 @@ differentiation by (i, j) lowers the order by i + j.
 The empty jet of order N is the function that vanishes to order N; its
 valuation is reported as N + 1 (the first unknown degree).
 
-Concrete jets have one integer form, ``_IntegralJet``: int numerators over
-one common denominator D, keyed by a packed int per slot, and one kernel,
-``_capped_product``, that multiplies two such forms up to a degree cap.  It
-multiplies and accumulates the int numerators per output slot, so a product
-costs one gcd per slot, when the result becomes a ``Jet2D`` again, instead
-of one per coefficient pair.  Every concrete product runs through it: the
-scalar branch of ``Jet2D._mul_capped`` (and with it the Newton inverse, the
-frozen Laplacian and the curvature pull-back) and ``laplacian``, which applies
-Delta f = -(1/rho)(f_uu + f_vv) to the integral form of f and keeps it in
-that form, so the chain of applications (the Horner sum
-``heatinv._nested_laplacian_sum`` that every route runs) builds one
-``Fraction`` at its constant term.  ``RhoPoly`` products take one
-fused ``RhoPoly.dot`` per slot instead, and ``RhoPoly`` jets divide by rho
-rather than multiply by 1/rho (``heatjets.laplace``).
+A concrete jet (int or ``Fraction`` coefficients) has one representation:
+int numerators ``num`` over one common denominator ``den`` > 0, with their
+content divided out, so ``den`` is the lcm of the coefficients' denominators
+and the form is unique.  ``num`` maps the packed key d * STRIDE + b of each
+nonzero slot (a, b), d = a + b, to its numerator.  The key of a product's
+slot is the sum of its factors' keys, and keys sort by degree first: the
+terms of degree <= e are those with key below (e + 1) * STRIDE.  One fixed
+stride lets jets of any order multiply without repacking; orders at or above
+it are refused with ``IndexOutOfRange``.
+
+Every concrete operation runs on this form and builds no ``Fraction`` per
+slot: products, multiples by a scalar p/q (the numerators times p, the
+denominator times q, the content divided out), sums, derivatives,
+truncation, the Newton inverse and ``compose``.  The one
+multiply-accumulate loop, ``_capped_product``, accumulates the int
+numerators per output slot, so a product costs one gcd over its slots
+instead of one per coefficient pair.  It serves
+``Jet2D._mul_capped`` and ``laplacian``, which applies
+Delta f = -(1/rho)(f_uu + f_vv) to a concrete jet, so a chain of
+applications (the Horner sum ``heatinv._nested_laplacian_sum`` that every
+route runs) builds one ``Fraction``, at its constant term.
+
+``coeffs`` is a read view {(a, b): coefficient} built on first read: the
+int numerators where ``den`` is 1, one ``Fraction`` per slot otherwise.  A
+jet with a ``RhoPoly`` coefficient keeps that dict as its only form (``num``
+and ``den`` are None); its products take one fused ``RhoPoly.dot`` per slot,
+and its Laplacians divide by rho rather than multiply by 1/rho
+(``heatjets.laplace``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, perm
 
 from .errors import IndexOutOfRange, NonInvertibleConstantTerm, OrderExhausted
 from .rhopoly import RhoPoly
+
+#: Key stride of the concrete form; every jet order is below it, so a key
+#: (and the sum of two keys of a product) stays below 2^30.
+STRIDE = 1 << 15
 
 
 def invert_coefficient(c):
@@ -63,187 +81,119 @@ def invert_coefficient(c):
     if isinstance(c, (int, Fraction)):
         if not c:
             raise NonInvertibleConstantTerm("zero constant term")
-        return Fraction(1, 1) / c
+        return Fraction(c.denominator, c.numerator)
     raise TypeError(f"cannot invert coefficient of type {type(c).__name__}")
 
 
 def _has_rhopoly(jet):
-    return RhoPoly in map(type, jet.coeffs.values())
+    return jet.num is None
 
 
-class _IntegralJet:
-    """A concrete jet as int numerators over one common denominator.
+def _check_order(order):
+    if order >= STRIDE:
+        raise IndexOutOfRange(
+            f"jet order {order} is not below the key stride {STRIDE}")
 
-    ``num`` maps the packed key d * stride + b of each slot (a, b), where
-    d = a + b <= order < stride, to its int numerator over ``den``.  The key
-    of a product's slot is the sum of its factors' keys, so keys of one
-    stride are never repacked, and keys sort by degree first: slot k has
-    degree k // stride, and the terms of degree <= e are those with key
-    below (e + 1) * stride.
 
-    ``_capped_product`` returns the form with numerators not divided by
-    their content and possibly zero.  ``reduced`` divides the content out,
-    so ``den`` is the lcm of the reduced coefficients' denominators, and
-    ``jet`` builds one ``Fraction`` per nonzero slot.
-    """
-
-    __slots__ = ("den", "num", "order", "stride", "_terms")
-
-    def __init__(self, den, num, order, stride):
-        self.den, self.num, self.order, self.stride = den, num, order, stride
-        self._terms = None
-
-    @classmethod
-    def of(cls, jet, stride=None):
-        """The form of a concrete Jet2D over the lcm D of the denominators
-        of the terms it keeps.
-
-        The stride defaults to order + 1; terms of degree >= stride are
-        left out, so the form is trusted to order min(order, stride - 1).
-        """
-        if stride is None:
-            stride = jet.order + 1
-        ratios = {(a + b) * stride + b: c.as_integer_ratio()
-                  for (a, b), c in jet.coeffs.items() if a + b < stride}
-        den = lcm(*[d for _, d in ratios.values()])
-        return cls(den, {k: n * (den // d) for k, (n, d) in ratios.items()},
-                   min(jet.order, stride - 1), stride)
-
-    def jet(self):
-        """The Jet2D: one ``Fraction(n, den)`` per nonzero slot, or the int
-        n when den is 1."""
-        stride, den = self.stride, self.den
-        out = {}
-        for k, n in self.num.items():
-            if n:
-                d, b = divmod(k, stride)
-                out[(d - b, b)] = n if den == 1 else Fraction(n, den)
-        return Jet2D(out, self.order, _canonical=True)
-
-    def reduced(self):
-        """The same values, the zero slots dropped and every numerator and
-        the denominator divided by g = gcd(den, *num).
-
-        lcm_i(D / gcd(D, n_i)) = D / gcd(D, n_1, ..., n_k), so the new
-        denominator is the lcm of the reduced coefficients' denominators.
-        """
-        g = gcd(self.den, *self.num.values())
-        return _IntegralJet(self.den // g,
-                            {k: n // g for k, n in self.num.items() if n},
-                            self.order, self.stride)
-
-    def constant_term(self):
-        return Fraction(self.num.get(0, 0), self.den)
-
-    def upto(self, e):
-        """The (key, numerator) terms of degree <= e, sorted by key.
-
-        The sorted terms are built on first use and kept, so a cached
-        factor is sorted once and each call is one bisection and a slice.
-        """
-        if self._terms is None:
-            self._terms = sorted(self.num.items())
-        return self._terms[:bisect_left(self._terms, ((e + 1) * self.stride,))]
-
-    def __add__(self, other):
-        """The sum over lcm(D1, D2), trusted to the smaller order."""
-        if self.stride != other.stride:
-            raise ValueError("integral jets of different strides")
-        order, stride = min(self.order, other.order), self.stride
-        den = lcm(self.den, other.den)
-        num = {}
-        for form in (self, other):
-            scale = den // form.den
-            for k, n in form.num.items():
-                num[k] = num.get(k, 0) + n * scale
-        end = (order + 1) * stride
-        return _IntegralJet(den, {k: n for k, n in num.items()
-                                  if n and k < end}, order, stride)
+def _slot(key):
+    """(a, b) of a packed key."""
+    d, b = divmod(key, STRIDE)
+    return d - b, b
 
 
 def _capped_product(left, right, cap):
-    """left * right to total degree cap, over left.den * right.den.
+    """left * right to total degree cap, for concrete jets.
 
-    The two forms share a stride > cap.  The left terms run in degree
-    order; a left term of degree d multiplies ``right.upto(cap - d)``, taken
-    once per degree, and the int numerators are multiplied and accumulated
-    per output key.  The result is not ``reduced``.  This is the one
-    integer multiply-accumulate loop: every concrete jet product and every
-    concrete Laplacian runs through it.
+    The left terms run in degree order; a left term of degree d multiplies
+    the right terms of degree <= cap - d, taken once per degree, and the int
+    numerators are multiplied and accumulated per output key over
+    left.den * right.den.  This is the one integer multiply-accumulate loop:
+    every concrete jet product and every concrete Laplacian runs through it.
     """
-    stride = left.stride
     acc = {}
     degree = -1
-    for k1, n1 in left.upto(cap):
-        d = k1 // stride
+    for k1, n1 in left._upto(cap):
+        d = k1 // STRIDE
         if d != degree:
-            degree, right_terms = d, right.upto(cap - d)
+            degree, right_terms = d, right._upto(cap - d)
         for k2, n2 in right_terms:
             k = k1 + k2
             acc[k] = acc.get(k, 0) + n1 * n2
-    return _IntegralJet(left.den * right.den, acc, cap, stride)
+    return Jet2D._form(left.den * right.den, acc, cap)
 
 
-def laplacian(f, inverse_terms):
-    """-(1/rho)(f_uu + f_vv) of an ``_IntegralJet`` f, trusted to order
-    f.order - 2, as an ``_IntegralJet`` of the same stride.
+def laplacian(f, inverse):
+    """-(1/rho)(f_uu + f_vv) of a concrete jet f, trusted to f.order - 2.
 
-    The int numerators of s = -(f_uu + f_vv) over f's denominator D_f are
+    The int numerators of s = -(f_uu + f_vv) over f's denominator are
     accumulated per slot ((a, b) feeds (a - 2, b) with a(a - 1) and
-    (a, b - 2) with b(b - 1)) and divided by their gcd with D_f, so s is
-    over the lcm of its reduced coefficients' denominators.  Then
-    ``inverse_terms(need, stride)`` gives 1/rho trusted to order need = the
-    output order minus the valuation of s, as an ``_IntegralJet``, and
+    (a, b - 2) with b(b - 1)).  Then ``inverse(need)`` gives 1/rho trusted to
+    order need = the output order minus the valuation of s, and
     ``_capped_product`` multiplies the two.  When s vanishes to the output
-    order the result is zero and 1/rho is not asked for.  The product's
-    numerators come back over D_s * D_(1/rho), not yet ``reduced``.
+    order the result is zero and 1/rho is not asked for.
     """
     order = f.order - 2
     if order < 0:
         raise OrderExhausted(
             f"derivative of total order 2 exhausts jet order {f.order}")
-    stride = f.stride
     s = {}
     for k, n in f.num.items():
-        d, b = divmod(k, stride)
+        d, b = divmod(k, STRIDE)
         a = d - b
         if a > 1:
-            j = k - 2 * stride
+            j = k - 2 * STRIDE
             s[j] = s.get(j, 0) - a * (a - 1) * n
         if b > 1:
-            j = k - 2 * stride - 2
+            j = k - 2 * STRIDE - 2
             s[j] = s.get(j, 0) - b * (b - 1) * n
-    g = gcd(f.den, *s.values())
-    s = {k: n // g for k, n in s.items() if n}
-    if not s:
-        return _IntegralJet(1, {}, order, stride)
-    need = order - min(s) // stride
-    return _capped_product(_IntegralJet(f.den // g, s, order, stride),
-                           inverse_terms(need, stride), order)
+    s = Jet2D._form(f.den, s, order)
+    if not s.num:
+        return s
+    return _capped_product(s, inverse(order - s.valuation()), order)
 
 
 class Jet2D:
-    """Sparse exact 2-D jet: dict {(a, b): coeff} with a + b <= order."""
+    """Sparse exact 2-D jet of the coefficients {(a, b): c}, a + b <= order:
+    int numerators ``num`` by packed key over ``den``, or the dict itself
+    when a coefficient is a ``RhoPoly``."""
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("order", "den", "num", "_coeffs", "_terms")
 
     def __init__(self, coeffs, order, _canonical=False):
         if order < 0:
             raise ValueError("jet order must be nonnegative")
-        if _canonical:
-            self.coeffs = coeffs
-        else:
-            self.coeffs = {k: c for k, c in coeffs.items()
-                           if c and k[0] + k[1] <= order}
-        self.order = order
+        _check_order(order)
+        if not _canonical:
+            coeffs = {k: c for k, c in coeffs.items()
+                      if c and k[0] + k[1] <= order}
+        self.order, self._terms = order, None
+        if RhoPoly in map(type, coeffs.values()):
+            self.den = self.num = None
+            self._coeffs = coeffs
+            return
+        ratios = {(a + b) * STRIDE + b: c.as_integer_ratio()
+                  for (a, b), c in coeffs.items()}
+        den = lcm(*[d for _, d in ratios.values()])
+        self.den, self._coeffs = den, None
+        self.num = {k: n * (den // d) for k, (n, d) in ratios.items()}
+
+    @classmethod
+    def _form(cls, den, num, order):
+        """The concrete jet of the int numerators `num` over den > 0: zero
+        slots dropped, numerators and den divided by gcd(den, *num)."""
+        g = gcd(den, *num.values())
+        jet = object.__new__(cls)
+        jet.order, jet.den = order, den // g
+        jet._coeffs = jet._terms = None
+        jet.num = ({k: n // g for k, n in num.items() if n} if g > 1
+                   else {k: n for k, n in num.items() if n})
+        return jet
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, value, order):
-        if not value:
-            return cls({}, order, _canonical=True)
-        return cls({(0, 0): value}, order, _canonical=True)
+        return cls({(0, 0): value}, order)
 
     @classmethod
     def zero(cls, order):
@@ -251,33 +201,62 @@ class Jet2D:
 
     # -- inspection --------------------------------------------------------
 
+    @property
+    def coeffs(self):
+        """{(a, b): coefficient}: ints where den is 1, Fractions otherwise."""
+        coeffs = self._coeffs
+        if coeffs is None:
+            den = self.den
+            coeffs = self._coeffs = {
+                _slot(k): n if den == 1 else Fraction(n, den)
+                for k, n in self.num.items()}
+        return coeffs
+
+    def _upto(self, e):
+        """The (key, numerator) terms of degree <= e, sorted by key.
+
+        The sorted terms are built on first use and kept, so a factor read
+        by many products is sorted once and each call is one bisection and
+        a slice.
+        """
+        terms = self._terms
+        if terms is None:
+            terms = self._terms = sorted(self.num.items())
+        return terms[:bisect_left(terms, ((e + 1) * STRIDE,))]
+
     def valuation(self):
         """Lowest total degree with a nonzero coefficient, order+1 if none."""
-        if not self.coeffs:
-            return self.order + 1
-        return min(a + b for a, b in self.coeffs)
+        if self.num is None:
+            return min(a + b for a, b in self._coeffs)
+        return min(self.num, default=(self.order + 1) * STRIDE) // STRIDE
 
     def coefficient(self, a, b):
         if a + b > self.order:
             raise IndexOutOfRange(
                 f"coefficient ({a},{b}) beyond tracked order {self.order}")
-        return self.coeffs.get((a, b), 0)
+        if self.num is None:
+            return self._coeffs.get((a, b), 0)
+        n = self.num.get((a + b) * STRIDE + b, 0)
+        return Fraction(n, self.den) if n and self.den != 1 else n
 
     def constant_term(self):
-        return self.coeffs.get((0, 0), 0)
+        return self.coefficient(0, 0)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num or self._coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, Jet2D):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        if self.num is None or other.num is None:
+            return self.order == other.order and self.coeffs == other.coeffs
+        return (self.order == other.order and self.den == other.den
+                and self.num == other.num)
 
     __hash__ = None
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self:
             return f"Jet2D(0; order={self.order})"
         parts = [f"{c}*u^{a}v^{b}"
                  for (a, b), c in sorted(self.coeffs.items())]
@@ -289,6 +268,15 @@ class Jet2D:
         if not isinstance(other, Jet2D):
             return NotImplemented
         order = min(self.order, other.order)
+        if self.num is not None and other.num is not None:
+            den, end = lcm(self.den, other.den), (order + 1) * STRIDE
+            num = {}
+            for jet in (self, other):
+                scale = den // jet.den
+                for k, n in jet.num.items():
+                    if k < end:
+                        num[k] = num.get(k, 0) + n * scale
+            return Jet2D._form(den, num, order)
         out = {k: c for k, c in self.coeffs.items() if k[0] + k[1] <= order}
         for k, c in other.coeffs.items():
             if k[0] + k[1] > order:
@@ -305,8 +293,7 @@ class Jet2D:
         return Jet2D(out, order, _canonical=True)
 
     def __neg__(self):
-        return Jet2D({k: -c for k, c in self.coeffs.items()}, self.order,
-                     _canonical=True)
+        return self * -1
 
     def __sub__(self, other):
         if not isinstance(other, Jet2D):
@@ -321,43 +308,42 @@ class Jet2D:
         # scalar from the coefficient ring
         if not other:
             return Jet2D.zero(self.order)
-        return Jet2D({k: c * other for k, c in self.coeffs.items()},
-                     self.order, _canonical=True)
+        if self.num is None or isinstance(other, RhoPoly):
+            return Jet2D({k: c * other for k, c in self.coeffs.items()},
+                         self.order, _canonical=True)
+        p, q = other.as_integer_ratio()
+        return Jet2D._form(self.den * q,
+                           {k: n * p for k, n in self.num.items()}, self.order)
 
     __rmul__ = __mul__
 
     def _mul_capped(self, other, cap):
         """Product keeping only total degree <= cap, trusted to order cap.
 
-        With RhoPoly coefficients on either side, the coefficient pairs are
-        grouped by output slot and each slot is one fused ``RhoPoly.dot``.
-
-        Exact scalars go through ``_capped_product``: each factor is taken
-        into the integral form with stride cap + 1, and the product comes
-        back as one ``Fraction`` per nonzero slot (an int when both common
-        denominators are 1).
+        Concrete factors multiply in ``_capped_product``.  With RhoPoly
+        coefficients on either side, the coefficient pairs are grouped by
+        output slot and each slot is one fused ``RhoPoly.dot``.
         """
-        if _has_rhopoly(self) or _has_rhopoly(other):
-            slots = {}
-            for (a1, b1), c1 in self.coeffs.items():
-                for (a2, b2), c2 in other.coeffs.items():
-                    a, b = a1 + a2, b1 + b2
-                    if a + b > cap:
-                        continue
-                    pairs = slots.get((a, b))
-                    if pairs is None:
-                        slots[(a, b)] = [(c1, c2)]
-                    else:
-                        pairs.append((c1, c2))
-            out = {}
-            for key, pairs in slots.items():
-                value = RhoPoly.dot(pairs)
-                if value:
-                    out[key] = value
-            return Jet2D(out, cap, _canonical=True)
-        stride = cap + 1
-        return _capped_product(_IntegralJet.of(self, stride),
-                               _IntegralJet.of(other, stride), cap).jet()
+        _check_order(cap)
+        if self.num is not None and other.num is not None:
+            return _capped_product(self, other, cap)
+        slots = {}
+        for (a1, b1), c1 in self.coeffs.items():
+            for (a2, b2), c2 in other.coeffs.items():
+                a, b = a1 + a2, b1 + b2
+                if a + b > cap:
+                    continue
+                pairs = slots.get((a, b))
+                if pairs is None:
+                    slots[(a, b)] = [(c1, c2)]
+                else:
+                    pairs.append((c1, c2))
+        out = {}
+        for key, pairs in slots.items():
+            value = RhoPoly.dot(pairs)
+            if value:
+                out[key] = value
+        return Jet2D(out, cap, _canonical=True)
 
     # -- calculus ----------------------------------------------------------
 
@@ -370,17 +356,18 @@ class Jet2D:
                 f"{self.order}")
         if du == 0 and dv == 0:
             return self
-        out = {}
-        for (a, b), c in self.coeffs.items():
-            if a < du or b < dv:
-                continue
-            factor = 1
-            for i in range(du):
-                factor *= a - i
-            for j in range(dv):
-                factor *= b - j
-            out[(a - du, b - dv)] = c * factor
-        return Jet2D(out, order, _canonical=True)
+        if self.num is None:
+            return Jet2D({(a - du, b - dv):
+                          c * (perm(a, du) * perm(b, dv))
+                          for (a, b), c in self._coeffs.items()
+                          if a >= du and b >= dv}, order, _canonical=True)
+        shift = (du + dv) * STRIDE + dv
+        num = {}
+        for k, n in self.num.items():
+            a, b = _slot(k)
+            if a >= du and b >= dv:
+                num[k - shift] = n * perm(a, du) * perm(b, dv)
+        return Jet2D._form(self.den, num, order)
 
     def truncate(self, order):
         """Forget terms above `order`; cannot exceed the tracked order."""
@@ -389,16 +376,21 @@ class Jet2D:
                 f"cannot extend jet of order {self.order} to {order}")
         if order == self.order:
             return self
-        out = {k: c for k, c in self.coeffs.items() if k[0] + k[1] <= order}
-        return Jet2D(out, order, _canonical=True)
+        if self.num is None:
+            return Jet2D({k: c for k, c in self._coeffs.items()
+                          if k[0] + k[1] <= order}, order, _canonical=True)
+        end = (order + 1) * STRIDE
+        return Jet2D._form(self.den,
+                           {k: n for k, n in self.num.items() if k < end},
+                           order)
 
     def inverse(self, order=None):
         """Multiplicative inverse by Newton iteration x <- x(2 - f x).
 
         Each step doubles the trusted order; requires an invertible constant
         term.  `order` defaults to the jet's own order.  Both products of a
-        step go through ``_mul_capped``, so on concrete jets they run on
-        ints and on ``RhoPoly`` jets as fused dots.
+        step go through ``_mul_capped``, so on concrete jets the iteration
+        runs on int numerators and on ``RhoPoly`` jets as fused dots.
         """
         if order is None:
             order = self.order

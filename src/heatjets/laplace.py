@@ -17,12 +17,11 @@ rho is read only to degree order(result) - valuation(f_uu + f_vv):
 
 * on concrete jets, ``ConformalLaplacian`` inverts rho only to the largest
   degree asked for so far (by ``Jet2D.inverse``) and truncates that jet for
-  smaller requests, and it caches each truncation in the integral form
-  (``_inverse_terms``), whose terms are sorted once.  ``jets.laplacian``
-  forms f_uu + f_vv on int numerators and multiplies it by that form in
-  the one integral kernel, ``jets._capped_product``.  ``apply`` takes and
-  returns ``jets._IntegralJet``, so a chain of applications builds no
-  ``Fraction``; a Jet2D argument is converted on the way in and out.
+  smaller requests, caching each truncation (``_inverse_terms``), so the
+  sorted terms of a truncation are built once.  ``jets.laplacian`` forms
+  f_uu + f_vv on the int numerators of f and multiplies it by that jet in
+  the one integral kernel, ``jets._capped_product``; concrete jets have one
+  representation, so a chain of applications builds no ``Fraction``.
   ``gaussian_curvature_jet`` can borrow the cache, so a caller that needs K
   and Delta K inverts rho once;
 * when f or rho has ``RhoPoly`` coefficients, ``_divided_laplacian`` solves
@@ -39,8 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import OrderExhausted
-from .jets import (Jet2D, _has_rhopoly, _IntegralJet, invert_coefficient,
-                   laplacian)
+from .jets import Jet2D, _has_rhopoly, invert_coefficient, laplacian
 from .rhopoly import RhoPoly
 
 
@@ -108,7 +106,7 @@ class ConformalLaplacian:
         self._inv0 = invert_coefficient(rho.constant_term())  # fail fast
         self._symbolic = _has_rhopoly(rho)
         self._inv = None   # 1/rho to the largest order requested so far
-        self._terms = {}   # (need, stride) -> integral form of 1/rho to need
+        self._terms = {}   # need -> 1/rho to need, as read by jets.laplacian
         self._tail = None  # _divided_laplacian's tail, built on first use
 
     def inverse_factor(self, order: int) -> Jet2D:
@@ -117,26 +115,19 @@ class ConformalLaplacian:
             self._inv = self.rho.inverse(order)
         return self._inv.truncate(order)
 
-    def _inverse_terms(self, need, stride):
-        """1/rho trusted to `need` as an ``_IntegralJet``, cached, so its
-        terms are sorted once for every product that reads them."""
-        terms = self._terms.get((need, stride))
+    def _inverse_terms(self, need):
+        """1/rho trusted to `need`, cached, so its sorted terms are built
+        once for every product that reads them."""
+        terms = self._terms.get(need)
         if terms is None:
-            terms = _IntegralJet.of(self.inverse_factor(need), stride)
-            self._terms[(need, stride)] = terms
+            terms = self._terms[need] = self.inverse_factor(need)
         return terms
 
-    def apply(self, f):
-        """Delta f of a Jet2D, or of an ``_IntegralJet``, which stays one.
-
-        A concrete Jet2D is taken into the integral form and back, so it
-        gets the coefficient types of the jet product with 1/rho: ints
-        exactly when that product's denominator is 1.
-        """
-        if isinstance(f, _IntegralJet):
-            return laplacian(f, self._inverse_terms).reduced()
+    def apply(self, f: Jet2D) -> Jet2D:
+        """Delta f: on int numerators for concrete f and rho, by division
+        for ``RhoPoly`` ones."""
         if not (self._symbolic or _has_rhopoly(f)):
-            return laplacian(_IntegralJet.of(f), self._inverse_terms).jet()
+            return laplacian(f, self._inverse_terms)
         if self._tail is None:
             self._tail = sorted(
                 ((k, -c * self._inv0) for k, c in self.rho.coeffs.items()

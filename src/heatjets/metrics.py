@@ -181,11 +181,8 @@ def expand_metric(spec: MetricSpec, order: int, extend=False) -> Jet2D:
         a0, a1, a2 = spec.linear
         lin = Jet2D({(0, 0): a0, (1, 0): a1, (0, 1): a2}, order=order)
         return lin.inverse()
-    coeffs = {(a, b): c for a, b, c in spec.coeffs}
-    if order <= spec.order:
-        return Jet2D(coeffs, order=spec.order).truncate(order)
-    if not extend:
+    if order > spec.order and not extend:
         raise OrderExhausted(
             f"metric jet is declared to order {spec.order} but order "
             f"{order} is required; pass --jet-order {order} to zero-extend")
-    return Jet2D(coeffs, order=order)
+    return Jet2D({(a, b): c for a, b, c in spec.coeffs}, order)

@@ -125,6 +125,17 @@ def test_jet_order_extension(capsys, metric_file):
         assert out == "a_3 = 35/(4608*pi)\n"
 
 
+def test_jet_order_at_the_key_stride_exits_three(capsys, metric_file):
+    # concrete jets pack a slot (a, b) as (a + b) * STRIDE + b, so a working
+    # order at or above the stride is refused before any work starts
+    from heatjets.jets import STRIDE
+    jet = metric_file('{"kind":"jet","order":2,"coeffs":[[0,0,"1"]]}')
+    code, _, err = run(capsys, ["compute", "--n", "1", "--metric", jet,
+                                "--jet-order", str(STRIDE)])
+    assert code == 3
+    assert f"jet order {STRIDE} is not below the key stride" in err
+
+
 def test_schema_error_exit_and_json_object(capsys, metric_file):
     bad = metric_file('{"kind":"jet","order":2,"coeffs":[[0,0,"x"]]}')
     code, _, err = run(capsys, ["compute", "--n", "1", "--metric", bad])

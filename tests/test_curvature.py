@@ -164,6 +164,37 @@ def test_curvature_route_counts(monkeypatch):
         assert calls["log_nonconstant"] == 0
 
 
+def test_concrete_routes_build_few_fractions(monkeypatch):
+    # A concrete jet keeps its integral form from input to result, so a
+    # route builds a small number of Fraction values that depends on n, not
+    # on the jet: the same count on a jet of twice the slots, where a
+    # Fraction per slot per operation built hundreds to thousands.
+    fraction_new = Fraction.__dict__["__new__"]
+    built = [0]
+
+    def counted_new(cls, *args, **kwargs):
+        built[0] += 1
+        return fraction_new.__func__(cls, *args, **kwargs)
+
+    rng = random.Random(501)
+    cases = ((lambda rho: heat_invariant_curvature_form(2, rho), 9, 70),
+             (lambda rho: heat_invariant(3, rho), 6, 50),
+             (lambda rho: rho.inverse(12), 12, 4))
+    for route, order, most in cases:
+        counts = []
+        for jet_order in (order, order + 5):
+            rho = random_jet(rng, jet_order)
+            built[0] = 0
+            monkeypatch.setattr(Fraction, "__new__",
+                                staticmethod(counted_new))
+            try:
+                route(rho)
+            finally:
+                monkeypatch.undo()
+            counts.append(built[0])
+        assert counts[0] == counts[1] <= most, (order, counts)
+
+
 def test_chart_change_moves_only_the_jacobian():
     # K, Delta K, E = |grad K|^2, F and G are invariants of the metric, so a
     # holomorphic change of chart phi moves none of them, nor the route's

@@ -20,7 +20,7 @@ from heatjets.heatinv import (WEYL_A0, ClosedForm, PiScaled,
                               parse_closed_form_json, render_closed_form,
                               render_pi_scaled, required_order,
                               symbolic_heat_invariant)
-from heatjets.jets import Jet2D, _IntegralJet
+from heatjets.jets import Jet2D
 from heatjets.laplace import ConformalLaplacian, FrozenLaplacian
 from heatjets.oracle import sphere_heat_coefficients
 from heatjets.rhopoly import RhoPoly, mono_degree
@@ -276,9 +276,10 @@ def test_eq311_uses_4n_laplacian_applications(monkeypatch):
 
 def test_concrete_chain_stays_integral(monkeypatch):
     # Every value eq311 passes between its 4n applications on a dense
-    # rational jet is an integral form with int numerators, and no Fraction
-    # is built inside an application, except where 1/rho is first formed
-    # to a new order.
+    # rational jet is a concrete Jet2D in its integral form: int numerators
+    # over an int denominator, with no coefficient view built, and no
+    # Fraction is built inside an application, except where 1/rho is first
+    # formed to a new order.
     passed, built, values = [], [], []
     inside = Counter()
     apply = ConformalLaplacian.apply
@@ -317,7 +318,8 @@ def test_concrete_chain_stays_integral(monkeypatch):
             passed.clear()
             values.append(heat_invariant(n, rho).form)
             assert len(passed) == 2 * 4 * n
-            assert all(type(f) is _IntegralJet and type(f.den) is int
+            assert all(type(f) is Jet2D and f._coeffs is None
+                       and type(f.den) is int
                        and all(type(c) is int for c in f.num.values())
                        for f in passed)
     finally:

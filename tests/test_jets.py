@@ -1,6 +1,7 @@
 """Jet2D arithmetic, calculus, and order-tracking checks."""
 
 from fractions import Fraction
+from math import gcd, lcm, perm
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from heatjets.errors import (IndexOutOfRange, NonInvertibleConstantTerm,
                              OrderExhausted)
 from heatjets.heatinv import generic_rho_jet
-from heatjets.jets import Jet2D
+from heatjets.jets import STRIDE, Jet2D
 from heatjets.laplace import gaussian_curvature_jet
 from heatjets.oracle import golden_a1
 from heatjets.rhopoly import RhoPoly
@@ -335,3 +336,132 @@ def test_truncate_refuses_extension():
     with pytest.raises(ValueError):
         f.truncate(5)
     assert f.truncate(0).order == 0
+
+
+# -- the integral representation against a Fraction-dict reference ----------
+
+def ref(jet):
+    """(order, {(a, b): Fraction}) of a jet, read through its view."""
+    return jet.order, {k: Fraction(c) for k, c in jet.coeffs.items()}
+
+
+def ref_clean(order, d):
+    return order, {k: c for k, c in d.items() if c and sum(k) <= order}
+
+
+def ref_valuation(f):
+    return min((a + b for a, b in f[1]), default=f[0] + 1)
+
+
+def ref_mul(f, g, cap=None):
+    if cap is None:
+        cap = min(f[0] + ref_valuation(g), g[0] + ref_valuation(f))
+    out = {}
+    for (a1, b1), c1 in f[1].items():
+        for (a2, b2), c2 in g[1].items():
+            out[(a1 + a2, b1 + b2)] = out.get((a1 + a2, b1 + b2), 0) + c1 * c2
+    return ref_clean(cap, out)
+
+
+def ref_add(f, g, sign=1):
+    out = dict(f[1])
+    for k, c in g[1].items():
+        out[k] = out.get(k, 0) + sign * c
+    return ref_clean(min(f[0], g[0]), out)
+
+
+def ref_inverse(f):
+    """x with f x = 1, solved degree by degree from x_0 = 1/f_0."""
+    x = {(0, 0): 1 / f[1][(0, 0)]}
+    for d in range(1, f[0] + 1):
+        for a in range(d + 1):
+            s = sum(c * x.get((a - p, d - a - q), 0)
+                    for (p, q), c in f[1].items() if p + q)
+            x[(a, d - a)] = -s * x[(0, 0)]
+    return ref_clean(f[0], x)
+
+
+def assert_matches(jet, want):
+    """`jet` equals the reference, is in the canonical integral form, and
+    its view holds ints exactly where the common denominator is 1."""
+    order, coeffs = want
+    assert ref(jet) == want
+    assert jet == Jet2D(coeffs, order)
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    assert jet.den == den and gcd(den, *jet.num.values()) == 1
+    assert all(type(c) is (int if den == 1 else Fraction)
+               for c in jet.coeffs.values())
+
+
+#: large coprime denominators stress the content division
+BIG = (Fraction(10007, 10009), Fraction(-1, 10007 * 10009))
+wide_scalars = st.one_of(scalars, st.sampled_from(BIG))
+HALVES = Jet2D({(1, 0): Fraction(1, 2), (0, 1): Fraction(3, 2),
+                (2, 0): Fraction(-5, 2)}, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(jets(max_order=5, coefficients=wide_scalars),
+       jets(max_order=5, coefficients=wide_scalars), wide_scalars,
+       st.integers(0, 2), st.integers(0, 2), st.integers(0, 5))
+@example(HALVES, HALVES, 0, 1, 0, 0)  # a zero scalar
+@example(HALVES, Jet2D({(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2),
+                        (2, 0): Fraction(5, 2)}, 3), 2, 0, 1, 1)
+@example(Jet2D.zero(4), HALVES, Fraction(1, 3), 0, 0, 2)  # empty: val 5
+@example(Jet2D({(0, 0): BIG[0], (1, 1): BIG[1]}, 4),
+         Jet2D({(1, 0): Fraction(10009), (2, 2): BIG[0]}, 4), BIG[0], 2, 2, 3)
+def test_concrete_operations_match_the_fraction_reference(f, g, c, du, dv,
+                                                          cut):
+    # the content that cancels (HALVES times 2, HALVES plus its mirror) must
+    # come out as ints over denominator 1
+    rf, rg = ref(f), ref(g)
+    assert f.valuation() == ref_valuation(rf)
+    assert_matches(f * g, ref_mul(rf, rg))
+    assert_matches(f._mul_capped(g, cut), ref_mul(rf, rg, cut))
+    for scalar in (c, int(c)):
+        assert_matches(f * scalar, ref_clean(f.order, {
+            k: v * scalar for k, v in rf[1].items()}))
+        assert_matches(scalar * f, ref(f * scalar))
+    assert_matches(f + g, ref_add(rf, rg))
+    assert_matches(f - g, ref_add(rf, rg, -1))
+    if du + dv <= f.order:
+        assert_matches(f.diff(du, dv), ref_clean(f.order - du - dv, {
+            (a - du, b - dv): v * perm(a, du) * perm(b, dv)
+            for (a, b), v in rf[1].items()}))
+    assert_matches(f.truncate(min(cut, f.order)),
+                   ref_clean(min(cut, f.order), rf[1]))
+    if f.constant_term():
+        assert_matches(f.inverse(), ref_inverse(rf))
+    p = g - Jet2D.constant(g.constant_term(), g.order)
+    q = f - Jet2D.constant(f.constant_term(), f.order)
+    n = min(f.order, p.order, q.order)
+    want = (n, {})
+    for (a, b), v in rf[1].items():
+        term = (n, {(0, 0): v})
+        for factor in [ref(p)] * a + [ref(q)] * b:
+            term = ref_mul(term, factor, n)
+        want = ref_add(want, ref_clean(n, term[1]))
+    assert_matches(f.compose(p, q), want)
+
+
+def test_equality_with_rhopoly_jets_reads_the_coefficients():
+    # a concrete jet equals a RhoPoly jet of the same order whose
+    # coefficients are the same constants
+    half = Jet2D({(1, 0): Fraction(1, 2)}, 2)
+    assert half == Jet2D({(1, 0): RhoPoly.const(Fraction(1, 2))}, 2)
+    assert Jet2D.constant(2, 3) == Jet2D.constant(RhoPoly.const(2), 3)
+    assert Jet2D.constant(2, 3) != Jet2D.constant(RhoPoly.const(2), 2)
+    assert half != Jet2D({(1, 0): RhoPoly.var(0, 0)}, 2)
+
+
+def test_orders_at_the_key_stride_are_refused():
+    Jet2D.zero(STRIDE - 1)
+    for build in (lambda: Jet2D.zero(STRIDE),
+                  lambda: Jet2D.constant(1, STRIDE),
+                  lambda: Jet2D({(1, 0): 1}, STRIDE + 5)):
+        with pytest.raises(IndexOutOfRange):
+            build()
+    # a product's order may reach the stride from factors below it
+    high = Jet2D({(STRIDE // 2, 0): 1}, STRIDE - 1)
+    with pytest.raises(IndexOutOfRange):
+        high * high

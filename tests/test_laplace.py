@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from heatjets.errors import NonInvertibleConstantTerm, OrderExhausted
 from heatjets.heatinv import generic_rho_jet
-from heatjets.jets import Jet2D, _has_rhopoly, _IntegralJet
+from heatjets.jets import Jet2D, _has_rhopoly
 from heatjets.laplace import (ConformalLaplacian, FrozenLaplacian,
                               gaussian_curvature_jet)
 from heatjets.rhopoly import RhoPoly
@@ -111,25 +111,24 @@ DEEP = Jet2D({(2, 0): Fraction(1, 2), (3, 3): 2}, 6)
 @example(flat(Fraction(1, 3), 7), CANCELLING)
 @example(Jet2D({(0, 0): Fraction(5, 2), (1, 0): 1}, 2), DEEP)
 def test_apply_on_the_integral_form(rho, f):
-    # Delta of the integral form is an integral form of the same stride
-    # with int numerators, equal to the jet operations, over the lcm of its
-    # reduced coefficients' denominators
+    # Delta of a concrete jet is a concrete jet in the integral form, int
+    # numerators with their content divided out over the lcm of the reduced
+    # coefficients' denominators, built without a coefficient view, and
+    # equal to the jet operations
     lap = ConformalLaplacian(rho)
-    form = _IntegralJet.of(f)
     try:
         want = reference_apply(f, lap.inverse_factor)
     except OrderExhausted:
         with pytest.raises(OrderExhausted):
-            lap.apply(form)
+            lap.apply(f)
         return
-    got = lap.apply(form)
-    assert type(got) is _IntegralJet and got.stride == form.stride
-    assert type(got.den) is int
+    got = lap.apply(f)
+    assert type(got) is Jet2D and got._coeffs is None
+    assert type(got.den) is int and gcd(got.den, *got.num.values()) == 1
     assert all(type(n) is int and n for n in got.num.values())
-    assert got.jet() == want
+    assert got == want
     assert got.den == lcm(*(Fraction(c).denominator
                             for c in want.coeffs.values()))
-
 
 SPARSE = Jet2D({(2, 1): Fraction(1, 2), (0, 3): 3, (1, 0): 5}, 4)
 V = RhoPoly.var
