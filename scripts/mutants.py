@@ -60,8 +60,8 @@ MUTANTS = (
      ["tests/test_jets.py::test_valuation_aware_product_order",
       "tests/test_jets.py::test_integral_kernel_matches_schoolbook_product"]),
     ("view builds Fractions over denominator 1", "jets.py",
-     "_slot(k): n if den == 1 else Fraction(n, den)",
-     "_slot(k): Fraction(n, den)",
+     "{k: n if den == 1 else Fraction(n, den)",
+     "{k: Fraction(n, den)",
      ["tests/test_jets.py::"
       "test_concrete_operations_match_the_fraction_reference",
       "tests/test_jets.py::test_integral_kernel_keeps_int_coefficients"]),
@@ -69,6 +69,22 @@ MUTANTS = (
      "        return self._inv.truncate(order)\n",
      "        return self._inv.truncate(max(order - 1, 0))\n",
      ["tests/test_laplace.py::test_inverse_factor_cache_and_identity"]),
+    ("divided Laplacian puts f_vv where f_uu goes", "laplace.py",
+     "(b * (b - 1), k - 2 * STRIDE - 2)",
+     "(b * (b - 1), k - 2 * STRIDE)",
+     ["tests/test_laplace.py::test_apply_with_symbolic_coefficients"]),
+    ("divided Laplacian reads rho one degree short", "laplace.py",
+     "reach = 0 if v is None else (d - v + 1) * STRIDE",
+     "reach = 0 if v is None else (d - v) * STRIDE",
+     ["tests/test_laplace.py::test_apply_with_symbolic_coefficients"]),
+    ("divided Laplacian reads rho beyond its order", "laplace.py",
+     """            if order - v > known:
+                raise OrderExhausted(
+                    f"Delta f to order {order} reads rho to order "
+                    f"{order - v}, have {known}")
+""",
+     "",
+     ["tests/test_laplace.py::test_apply_with_symbolic_coefficients"]),
     ("Bernoulli recurrence with 2^(2j+2)", "oracle.py",
      "Fraction(1, 2 ** (2 * j + 1))",
      "Fraction(1, 2 ** (2 * j + 2))",

@@ -30,34 +30,34 @@ differentiation by (i, j) lowers the order by i + j.
 The empty jet of order N is the function that vanishes to order N; its
 valuation is reported as N + 1 (the first unknown degree).
 
-A concrete jet (int or ``Fraction`` coefficients) has one representation:
-int numerators ``num`` over one common denominator ``den`` > 0, with their
-content divided out, so ``den`` is the lcm of the coefficients' denominators
-and the form is unique.  ``num`` maps the packed key d * STRIDE + b of each
-nonzero slot (a, b), d = a + b, to its numerator.  The key of a product's
-slot is the sum of its factors' keys, and keys sort by degree first: the
-terms of degree <= e are those with key below (e + 1) * STRIDE.  One fixed
-stride lets jets of any order multiply without repacking; orders at or above
-it are refused with ``IndexOutOfRange``.
+Both rings share one layout: ``num`` maps the packed key d * STRIDE + b of
+each nonzero slot (a, b), d = a + b, to what the slot holds.  The key of a
+product's slot is the sum of its factors' keys, and keys sort by degree
+first: the terms of degree <= e are those with key below (e + 1) * STRIDE.
+One fixed stride lets jets of any order multiply without repacking; orders
+at or above it are refused with ``IndexOutOfRange``.
 
-Every concrete operation runs on this form and builds no ``Fraction`` per
-slot: products, multiples by a scalar p/q (the numerators times p, the
-denominator times q, the content divided out), sums, derivatives,
-truncation, the Newton inverse and ``compose``.  The one
+A concrete jet (int or ``Fraction`` coefficients) stores int numerators
+over one common denominator ``den`` > 0, with their content divided out,
+so ``den`` is the lcm of the coefficients' denominators and the form is
+unique.  Every concrete operation runs on this form and builds no
+``Fraction`` per slot: products, multiples by a scalar p/q (the numerators
+times p, the denominator times q, the content divided out), sums,
+derivatives, truncation, the Newton inverse and ``compose``.  The one
 multiply-accumulate loop, ``_capped_product``, accumulates the int
 numerators per output slot, so a product costs one gcd over its slots
-instead of one per coefficient pair.  It serves
-``Jet2D._mul_capped`` and ``laplacian``, which applies
-Delta f = -(1/rho)(f_uu + f_vv) to a concrete jet, so a chain of
-applications (the Horner sum ``heatinv._nested_laplacian_sum`` that every
-route runs) builds one ``Fraction``, at its constant term.
+instead of one per coefficient pair.  It serves ``Jet2D._mul_capped`` and
+``laplacian``, which applies Delta f = -(1/rho)(f_uu + f_vv) to a concrete
+jet, so a chain of applications (the Horner sum
+``heatinv._nested_laplacian_sum`` that every route runs) builds one
+``Fraction``, at its constant term.
 
-``coeffs`` is a read view {(a, b): coefficient} built on first read: the
-int numerators where ``den`` is 1, one ``Fraction`` per slot otherwise.  A
-jet with a ``RhoPoly`` coefficient keeps that dict as its only form (``num``
-and ``den`` are None); its products take one fused ``RhoPoly.dot`` per slot,
-and its Laplacians divide by rho rather than multiply by 1/rho
-(``heatjets.laplace``).
+A jet with a ``RhoPoly`` coefficient stores the coefficients themselves
+under the same keys, with ``den`` None; a result in which no ``RhoPoly``
+survives goes back to the concrete form.  Its products take one fused
+``RhoPoly.dot`` per slot, and its Laplacians divide by rho rather than
+multiply by 1/rho (``heatjets.laplace``).  ``coeffs`` is a read view
+{(a, b): coefficient} built on first read.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from math import gcd, lcm, perm
 from .errors import IndexOutOfRange, NonInvertibleConstantTerm, OrderExhausted
 from .rhopoly import RhoPoly
 
-#: Key stride of the concrete form; every jet order is below it, so a key
+#: Key stride of the slot layout; every jet order is below it, so a key
 #: (and the sum of two keys of a product) stays below 2^30.
 STRIDE = 1 << 15
 
@@ -86,7 +86,7 @@ def invert_coefficient(c):
 
 
 def _has_rhopoly(jet):
-    return jet.num is None
+    return jet.den is None
 
 
 def _check_order(order):
@@ -153,38 +153,40 @@ def laplacian(f, inverse):
 
 
 class Jet2D:
-    """Sparse exact 2-D jet of the coefficients {(a, b): c}, a + b <= order:
-    int numerators ``num`` by packed key over ``den``, or the dict itself
-    when a coefficient is a ``RhoPoly``."""
+    """Sparse exact 2-D jet of the coefficients {(a, b): c}, a + b <= order,
+    kept by packed key in ``num``: int numerators over ``den``, or the
+    coefficients themselves (``den`` None) when one is a ``RhoPoly``."""
 
     __slots__ = ("order", "den", "num", "_coeffs", "_terms")
 
-    def __init__(self, coeffs, order, _canonical=False):
+    def __new__(cls, coeffs, order):
         if order < 0:
             raise ValueError("jet order must be nonnegative")
         _check_order(order)
-        if not _canonical:
-            coeffs = {k: c for k, c in coeffs.items()
-                      if c and k[0] + k[1] <= order}
-        self.order, self._terms = order, None
-        if RhoPoly in map(type, coeffs.values()):
-            self.den = self.num = None
-            self._coeffs = coeffs
-            return
-        ratios = {(a + b) * STRIDE + b: c.as_integer_ratio()
-                  for (a, b), c in coeffs.items()}
-        den = lcm(*[d for _, d in ratios.values()])
-        self.den, self._coeffs = den, None
-        self.num = {k: n * (den // d) for k, (n, d) in ratios.items()}
+        return cls._form(None, {(a + b) * STRIDE + b: c
+                                for (a, b), c in coeffs.items()
+                                if a + b <= order}, order)
 
     @classmethod
     def _form(cls, den, num, order):
-        """The concrete jet of the int numerators `num` over den > 0: zero
-        slots dropped, numerators and den divided by gcd(den, *num)."""
-        g = gcd(den, *num.values())
+        """The jet of `num` by packed key, zero slots dropped.  With den > 0
+        `num` holds int numerators, divided with den by gcd(den, *num); with
+        den None it holds coefficients, kept as they are if a ``RhoPoly``
+        survives and put over the lcm of their denominators otherwise."""
         jet = object.__new__(cls)
-        jet.order, jet.den = order, den // g
-        jet._coeffs = jet._terms = None
+        jet.order, jet._coeffs, jet._terms = order, None, None
+        if den is None:
+            num = {k: c for k, c in num.items() if c}
+            if RhoPoly in map(type, num.values()):
+                jet.den, jet.num = None, num
+                return jet
+            # over the lcm of the reduced denominators no content is left
+            ratios = {k: c.as_integer_ratio() for k, c in num.items()}
+            jet.den = den = lcm(*[d for _, d in ratios.values()])
+            jet.num = {k: n * (den // d) for k, (n, d) in ratios.items()}
+            return jet
+        g = gcd(den, *num.values())
+        jet.den = den // g
         jet.num = ({k: n // g for k, n in num.items() if n} if g > 1
                    else {k: n for k, n in num.items() if n})
         return jet
@@ -197,19 +199,26 @@ class Jet2D:
 
     @classmethod
     def zero(cls, order):
-        return cls({}, order, _canonical=True)
+        return cls({}, order)
 
     # -- inspection --------------------------------------------------------
 
+    def _values(self):
+        """{key: coefficient}: ``num`` itself on the ``RhoPoly`` ring, the
+        numerators over ``den`` otherwise."""
+        den = self.den
+        if den is None:
+            return self.num
+        return {k: n if den == 1 else Fraction(n, den)
+                for k, n in self.num.items()}
+
     @property
     def coeffs(self):
-        """{(a, b): coefficient}: ints where den is 1, Fractions otherwise."""
+        """{(a, b): coefficient}, built on first read."""
         coeffs = self._coeffs
         if coeffs is None:
-            den = self.den
-            coeffs = self._coeffs = {
-                _slot(k): n if den == 1 else Fraction(n, den)
-                for k, n in self.num.items()}
+            coeffs = self._coeffs = {_slot(k): c
+                                     for k, c in self._values().items()}
         return coeffs
 
     def _upto(self, e):
@@ -226,30 +235,27 @@ class Jet2D:
 
     def valuation(self):
         """Lowest total degree with a nonzero coefficient, order+1 if none."""
-        if self.num is None:
-            return min(a + b for a, b in self._coeffs)
         return min(self.num, default=(self.order + 1) * STRIDE) // STRIDE
 
     def coefficient(self, a, b):
         if a + b > self.order:
             raise IndexOutOfRange(
                 f"coefficient ({a},{b}) beyond tracked order {self.order}")
-        if self.num is None:
-            return self._coeffs.get((a, b), 0)
-        n = self.num.get((a + b) * STRIDE + b, 0)
-        return Fraction(n, self.den) if n and self.den != 1 else n
+        c = self.num.get((a + b) * STRIDE + b, 0)
+        return Fraction(c, self.den) if c and self.den not in (None, 1) else c
 
     def constant_term(self):
         return self.coefficient(0, 0)
 
     def __bool__(self):
-        return bool(self.num or self._coeffs)
+        return bool(self.num)
 
     def __eq__(self, other):
         if not isinstance(other, Jet2D):
             return NotImplemented
-        if self.num is None or other.num is None:
-            return self.order == other.order and self.coeffs == other.coeffs
+        if (self.den is None) != (other.den is None):  # one RhoPoly jet
+            return (self.order == other.order
+                    and self._values() == other._values())
         return (self.order == other.order and self.den == other.den
                 and self.num == other.num)
 
@@ -268,29 +274,22 @@ class Jet2D:
         if not isinstance(other, Jet2D):
             return NotImplemented
         order = min(self.order, other.order)
-        if self.num is not None and other.num is not None:
-            den, end = lcm(self.den, other.den), (order + 1) * STRIDE
-            num = {}
-            for jet in (self, other):
-                scale = den // jet.den
-                for k, n in jet.num.items():
-                    if k < end:
-                        num[k] = num.get(k, 0) + n * scale
-            return Jet2D._form(den, num, order)
-        out = {k: c for k, c in self.coeffs.items() if k[0] + k[1] <= order}
-        for k, c in other.coeffs.items():
-            if k[0] + k[1] > order:
-                continue
-            prev = out.get(k)
-            if prev is None:
-                out[k] = c
-            else:
-                s = prev + c
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return Jet2D(out, order, _canonical=True)
+        end = (order + 1) * STRIDE
+        if self.den is None or other.den is None:
+            num = {k: c for k, c in self._values().items() if k < end}
+            for k, c in other._values().items():
+                if k < end:
+                    prev = num.get(k)
+                    num[k] = c if prev is None else prev + c
+            return Jet2D._form(None, num, order)
+        den = lcm(self.den, other.den)
+        num = {}
+        for jet in (self, other):
+            scale = den // jet.den
+            for k, n in jet.num.items():
+                if k < end:
+                    num[k] = num.get(k, 0) + n * scale
+        return Jet2D._form(den, num, order)
 
     def __neg__(self):
         return self * -1
@@ -308,9 +307,9 @@ class Jet2D:
         # scalar from the coefficient ring
         if not other:
             return Jet2D.zero(self.order)
-        if self.num is None or isinstance(other, RhoPoly):
-            return Jet2D({k: c * other for k, c in self.coeffs.items()},
-                         self.order, _canonical=True)
+        if self.den is None or isinstance(other, RhoPoly):
+            return Jet2D._form(None, {k: c * other for k, c
+                                      in self._values().items()}, self.order)
         p, q = other.as_integer_ratio()
         return Jet2D._form(self.den * q,
                            {k: n * p for k, n in self.num.items()}, self.order)
@@ -322,28 +321,25 @@ class Jet2D:
 
         Concrete factors multiply in ``_capped_product``.  With RhoPoly
         coefficients on either side, the coefficient pairs are grouped by
-        output slot and each slot is one fused ``RhoPoly.dot``.
+        output key and each slot is one fused ``RhoPoly.dot``.
         """
         _check_order(cap)
-        if self.num is not None and other.num is not None:
+        if self.den is not None and other.den is not None:
             return _capped_product(self, other, cap)
+        end = (cap + 1) * STRIDE
+        right = other._values().items()
         slots = {}
-        for (a1, b1), c1 in self.coeffs.items():
-            for (a2, b2), c2 in other.coeffs.items():
-                a, b = a1 + a2, b1 + b2
-                if a + b > cap:
-                    continue
-                pairs = slots.get((a, b))
-                if pairs is None:
-                    slots[(a, b)] = [(c1, c2)]
-                else:
-                    pairs.append((c1, c2))
-        out = {}
-        for key, pairs in slots.items():
-            value = RhoPoly.dot(pairs)
-            if value:
-                out[key] = value
-        return Jet2D(out, cap, _canonical=True)
+        for k1, c1 in self._values().items():
+            for k2, c2 in right:
+                k = k1 + k2
+                if k < end:
+                    pairs = slots.get(k)
+                    if pairs is None:
+                        slots[k] = [(c1, c2)]
+                    else:
+                        pairs.append((c1, c2))
+        return Jet2D._form(None, {k: RhoPoly.dot(pairs)
+                                  for k, pairs in slots.items()}, cap)
 
     # -- calculus ----------------------------------------------------------
 
@@ -356,17 +352,12 @@ class Jet2D:
                 f"{self.order}")
         if du == 0 and dv == 0:
             return self
-        if self.num is None:
-            return Jet2D({(a - du, b - dv):
-                          c * (perm(a, du) * perm(b, dv))
-                          for (a, b), c in self._coeffs.items()
-                          if a >= du and b >= dv}, order, _canonical=True)
         shift = (du + dv) * STRIDE + dv
         num = {}
-        for k, n in self.num.items():
+        for k, c in self.num.items():
             a, b = _slot(k)
             if a >= du and b >= dv:
-                num[k - shift] = n * perm(a, du) * perm(b, dv)
+                num[k - shift] = c * (perm(a, du) * perm(b, dv))
         return Jet2D._form(self.den, num, order)
 
     def truncate(self, order):
@@ -376,12 +367,9 @@ class Jet2D:
                 f"cannot extend jet of order {self.order} to {order}")
         if order == self.order:
             return self
-        if self.num is None:
-            return Jet2D({k: c for k, c in self._coeffs.items()
-                          if k[0] + k[1] <= order}, order, _canonical=True)
         end = (order + 1) * STRIDE
         return Jet2D._form(self.den,
-                           {k: n for k, n in self.num.items() if k < end},
+                           {k: c for k, c in self.num.items() if k < end},
                            order)
 
     def inverse(self, order=None):

@@ -28,7 +28,9 @@ rho is read only to degree order(result) - valuation(f_uu + f_vv):
   rho g = -(f_uu + f_vv) for g = Delta f degree by degree.  Each degree-d
   coefficient of 1/rho is a dense polynomial in the rho_ab, while rho has
   one monomial per coefficient for the generic factor, so the division
-  forms far fewer monomial products than the product with 1/rho.
+  forms far fewer monomial products than the product with 1/rho.  On the
+  packed keys of ``heatjets.jets`` keys subtract: g_(a-p, b-q), which
+  rho_pq meets, has the key of (a, b) minus the key of (p, q).
 
 The ring of rho is read once, when an operator is built.
 """
@@ -38,63 +40,66 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import OrderExhausted
-from .jets import Jet2D, _has_rhopoly, invert_coefficient, laplacian
+from .jets import (STRIDE, Jet2D, _has_rhopoly, _slot, invert_coefficient,
+                   laplacian)
 from .rhopoly import RhoPoly
 
 
 def _divided_laplacian(f, inv0, tail, known):
     """Delta f trusted to order f.order - 2, solved from rho g = s.
 
-    s = -(f_uu + f_vv); `inv0` is 1/rho_00, `tail` lists ((p, q), -rho_pq
-    / rho_00) for the nonzero rho_pq, (p, q) != (0, 0), by degree, and rho
-    is known to degree `known`.  From the valuation v of g, which is that
-    of s, up to the output order,
+    s = -(f_uu + f_vv); `inv0` is 1/rho_00, `tail` lists (key of (p, q),
+    -rho_pq / rho_00) for the nonzero rho_pq, (p, q) != (0, 0), sorted by
+    key, and rho is known to degree `known`.  From the valuation v of g,
+    which is that of s, up to the output order,
 
         g_ab = (1/rho_00) (s_ab - sum rho_pq g_(a-p, b-q)),   p + q >= 1,
 
     and each slot is one ``RhoPoly.dot`` of the pairs
     (-(a+2)(a+1)/rho_00, f_(a+2, b)), (-(b+2)(b+1)/rho_00, f_(a, b+2)) and
     (-rho_pq/rho_00, g_(a-p, b-q)); the sum reads rho to degree
-    need = order - v.
+    need = order - v.  When p > a or q > b the difference of the keys of
+    (a, b) and (p, q) is no slot's key, so g_(a-p, b-q) is not found in g.
     """
     order = f.order - 2
     if order < 0:
         raise OrderExhausted(
             f"derivative of total order 2 exhausts jet order {f.order}")
-    scaled = {}  # k -> -k / rho_00
-    slots = {}   # (a, b) -> the pairs of s_ab
-    for (a, b), c in f.coeffs.items():
-        for k, key in ((a * (a - 1), (a - 2, b)), (b * (b - 1), (a, b - 2))):
-            if k:
-                if k not in scaled:
-                    scaled[k] = -k * inv0
-                slots.setdefault(key, []).append((scaled[k], c))
+    scaled = {}  # m -> -m / rho_00
+    slots = {}   # key of (a, b) -> the pairs of s_ab
+    for k, c in f._values().items():
+        a, b = _slot(k)
+        for m, j in ((a * (a - 1), k - 2 * STRIDE),
+                     (b * (b - 1), k - 2 * STRIDE - 2)):
+            if m:
+                if m not in scaled:
+                    scaled[m] = -m * inv0
+                slots.setdefault(j, []).append((scaled[m], c))
     g = {}
     v = None
-    for d in range(min((a + b for a, b in slots), default=order + 1),
+    for d in range(min(slots, default=(order + 1) * STRIDE) // STRIDE,
                    order + 1):
-        for a in range(d + 1):
-            b = d - a
-            pairs = slots.get((a, b), [])
-            if v is not None:
-                for (p, q), t in tail:
-                    if p + q > d - v:
-                        break
-                    if p <= a and q <= b:
-                        c = g.get((a - p, b - q))
-                        if c is not None:
-                            pairs.append((t, c))
+        # tail keys below `reach` are rho_pq with p + q <= d - v
+        reach = 0 if v is None else (d - v + 1) * STRIDE
+        for k in range(d * STRIDE, d * STRIDE + d + 1):
+            pairs = slots.get(k, [])
+            for kt, t in tail:
+                if kt >= reach:
+                    break
+                c = g.get(k - kt)
+                if c is not None:
+                    pairs.append((t, c))
             if pairs:
                 value = RhoPoly.dot(pairs)
                 if value:
-                    g[(a, b)] = value
+                    g[k] = value
         if v is None and g:
             v = d
             if order - v > known:
                 raise OrderExhausted(
                     f"Delta f to order {order} reads rho to order "
                     f"{order - v}, have {known}")
-    return Jet2D(g, order, _canonical=True)
+    return Jet2D._form(None, g, order)
 
 
 class ConformalLaplacian:
@@ -129,9 +134,8 @@ class ConformalLaplacian:
         if not (self._symbolic or _has_rhopoly(f)):
             return laplacian(f, self._inverse_terms)
         if self._tail is None:
-            self._tail = sorted(
-                ((k, -c * self._inv0) for k, c in self.rho.coeffs.items()
-                 if k != (0, 0)), key=lambda item: sum(item[0]))
+            self._tail = sorted((k, -c * self._inv0)
+                                for k, c in self.rho._values().items() if k)
         return _divided_laplacian(f, self._inv0, self._tail, self.rho.order)
 
 

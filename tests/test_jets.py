@@ -56,9 +56,9 @@ def rho_polys(draw):
 
 
 @st.composite
-def mixed_jets(draw):
+def mixed_jets(draw, min_order=0):
     """Jets whose coefficients mix exact scalars and RhoPoly values."""
-    order = draw(st.integers(0, 4))
+    order = draw(st.integers(min_order, 4))
     coeffs = {}
     for _ in range(draw(st.integers(0, 5))):
         a = draw(st.integers(0, order))
@@ -90,8 +90,12 @@ def test_zero_coefficients_are_stripped():
     assert not g.coeffs
 
 
+#: concrete jets, or jets whose coefficients mix scalars and RhoPoly values
+either_ring = jets() | mixed_jets()
+
+
 @settings(max_examples=60)
-@given(jets(), jets(), jets())
+@given(either_ring, either_ring, either_ring)
 def test_ring_axioms(f, g, h):
     fg, gf = f + g, g + f
     assert fg == gf
@@ -219,7 +223,8 @@ def test_addition_order_is_min():
 
 
 @settings(max_examples=50)
-@given(jets(min_order=1), jets(min_order=1))
+@given(jets(min_order=1) | mixed_jets(min_order=1),
+       jets(min_order=1) | mixed_jets(min_order=1))
 def test_product_rule(f, g):
     lhs = (f * g).diff(1, 0)
     rhs = f.diff(1, 0) * g + f * g.diff(1, 0)
@@ -442,6 +447,53 @@ def test_concrete_operations_match_the_fraction_reference(f, g, c, du, dv,
             term = ref_mul(term, factor, n)
         want = ref_add(want, ref_clean(n, term[1]))
     assert_matches(f.compose(p, q), want)
+
+
+def assert_same_slots(jet, want):
+    """`jet` holds the reference's coefficients, and keeps them as they are
+    (``den`` None) exactly when a RhoPoly coefficient survives."""
+    order, coeffs = want
+    assert jet.order == order and jet.coeffs == coeffs
+    assert jet == Jet2D(coeffs, order)
+    assert (jet.den is None) == (RhoPoly in map(type, jet.num.values()))
+
+
+#: the RhoPoly slot (1, 0) cancels in f + g, and truncation to degree 0 and
+#: the derivative by v drop it, so those results go back to the int form;
+#: the product capped at degree 0 is the RhoPoly constant 3/2, equal to the
+#: reference's concrete jet
+CANCELS = (Jet2D({(0, 0): Fraction(1, 2), (1, 0): RhoPoly.var(1, 0)}, 2),
+           Jet2D({(0, 0): 3, (1, 0): -RhoPoly.var(1, 0), (0, 1): 3}, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_jets(), mixed_jets(), st.one_of(scalars, rho_polys()),
+       st.integers(0, 2), st.integers(0, 2), st.integers(0, 4))
+@example(*CANCELS, 2, 0, 1, 0)
+@example(*CANCELS, RhoPoly.var(0, 0), 1, 0, 1)
+def test_operations_on_either_ring_match_the_reference(f, g, c, du, dv, cut):
+    # the reference of test_concrete_operations_match_the_fraction_reference
+    # on the coefficients as they are, RhoPoly values included
+    rf, rg = (f.order, dict(f.coeffs)), (g.order, dict(g.coeffs))
+    assert_same_slots(f, rf)
+    assert f.valuation() == ref_valuation(rf)
+    assert all(f.coefficient(a, b) == rf[1].get((a, b), 0)
+               for a in range(f.order + 1) for b in range(f.order + 1 - a))
+    assert_same_slots(f * g, ref_mul(rf, rg))
+    assert_same_slots(f._mul_capped(g, cut), ref_mul(rf, rg, cut))
+    assert_same_slots(f + g, ref_add(rf, rg))
+    assert_same_slots(f - g, ref_add(rf, rg, -1))
+    want = ref_clean(f.order, {k: v * c for k, v in rf[1].items()})
+    assert_same_slots(f * c, want)
+    assert_same_slots(c * f, want)
+    if du + dv <= f.order:
+        assert_same_slots(f.diff(du, dv), ref_clean(f.order - du - dv, {
+            (a - du, b - dv): v * perm(a, du) * perm(b, dv)
+            for (a, b), v in rf[1].items()}))
+    assert_same_slots(f.truncate(min(cut, f.order)),
+                      ref_clean(min(cut, f.order), rf[1]))
+    zero = f - f
+    assert zero.den == 1 and not zero.num and zero == Jet2D.zero(f.order)
 
 
 def test_equality_with_rhopoly_jets_reads_the_coefficients():

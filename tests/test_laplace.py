@@ -182,6 +182,7 @@ def symbolic_rho_jets(draw):
 @example(flat(Fraction(7, 3), 4), SPARSE, RhoPoly.var(1, 1))
 @example(MULTI_RHO, LOW_VALUATION, None)
 @example(MULTI_RHO, LOW_VALUATION, V(1, 2) - 1)
+@example(generic_rho_jet(1), LOW_VALUATION, None)  # reads rho to order 2
 def test_apply_with_symbolic_coefficients(rho, f, scale):
     # RhoPoly on either side, or both: a RhoPoly f is a concrete one times
     # `scale`.  A jet shorter than the output order minus the valuation of
