@@ -14,6 +14,8 @@ checkout's `src/`).  Every request below runs once per tree, each in a fresh
 * seeds 501-503 of the benchmark workloads dense, curvature and sphere
   (their metrics come from `perfbench/workloads.py`), in json, plain and
   latex with `--approx 12`;
+* an unsorted request with a repeat and n = 0, `--n 3 --n 1 --n 3 --n 0`,
+  in json on dense seed 501;
 * eq310 in json on the dense and sphere seeds;
 * deeper orders in json, where the jets' denominators grow largest: eq311
   a_5 and a_6 on dense seed 501, and the curvature route's a_3 and a_4 on
@@ -34,7 +36,8 @@ checkout's `src/`).  Every request below runs once per tree, each in a fresh
   curvature route exits 3);
 * an all-integer jet of order 12 with constant term 1 (every denominator,
   also those of 1/rho, is 1): eq311 a_1..a_4 in plain and json, eq310
-  a_1..a_4 and the curvature route's a_1 and a_2 in json;
+  a_1..a_4 and the curvature route's a_1 and a_2 in json, and `--n 2
+  --n 9`, which exits 3 (a_9 reads order 18);
 * a jet of order 11 whose denominators are the coprime primes 10007 and
   10009, which stresses the content division of the integral jets: eq311,
   eq310 and the curvature route's a_1..a_3 in json, and its curvature
@@ -47,7 +50,7 @@ checkout's `src/`).  Every request below runs once per tree, each in a fresh
 
 The exit code, standard output and standard error must match byte for byte,
 except for the `wallTimeSeconds` lines of the JSON reports.  Prints
-`identical (79 requests)` and exits 0, or prints the first differing request
+`identical (81 requests)` and exits 0, or prints the first differing request
 and exits 1.
 """
 
@@ -155,6 +158,10 @@ def requests(workloads, tmp: Path):
                 yield (f"{workload} seed {seed} {request.path} n={ns} json",
                        deeper.argv(metric))
             if workload == "dense" and seed == SEEDS[0]:
+                yield (f"dense seed {seed} n=3,1,3,0 json",
+                       ["compute", "--metric", str(metric), "--n", "3",
+                        "--n", "1", "--n", "3", "--n", "0", "--format",
+                        "json"])
                 for n in ("5", "6"):
                     yield (f"dense seed {seed} eq310 n={n} json",
                            ["compute", "--metric", str(metric), "--n", n,
@@ -187,6 +194,8 @@ def requests(workloads, tmp: Path):
     yield ("integer jet curvature json",
            ["compute", "--n", "1", "--n", "2", "--metric", str(metric),
             "--path", "curvature", "--format", "json"])
+    yield ("integer jet n=2,9 (exit 3)",
+           ["compute", "--n", "2", "--n", "9", "--metric", str(metric)])
     metric = tmp / "coprime.json"
     metric.write_text(json.dumps(coprime_jet()))
     ns = [arg for n in range(1, 4) for arg in ("--n", str(n))]

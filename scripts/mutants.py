@@ -85,6 +85,14 @@ MUTANTS = (
 """,
      "",
      ["tests/test_laplace.py::test_apply_with_symbolic_coefficients"]),
+    ("table gather reads 1/rho one degree short", "heatinv.py",
+     "enumerate(self.inverse[:2 * k - d + 1])",
+     "enumerate(self.inverse[:2 * k - d])",
+     ["tests/test_table.py::test_table_equals_horner_on_concrete_jets"]),
+    ("table division tail stops one degree early", "heatinv.py",
+     "reach = (2 * k - d + 1) * STRIDE  # tail keys of degree <= 2k - d",
+     "reach = (2 * k - d) * STRIDE  # tail keys of degree <= 2k - d",
+     ["tests/test_table.py::test_table_equals_horner_on_rhopoly_jets"]),
     ("Bernoulli recurrence with 2^(2j+2)", "oracle.py",
      "Fraction(1, 2 ** (2 * j + 1))",
      "Fraction(1, 2 ** (2 * j + 2))",

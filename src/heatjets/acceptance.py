@@ -94,8 +94,8 @@ def _sphere_spectrum_exact():
 
 
 def _cross_path_equality():
-    # eq310 runs through eq311's Horner chain, so this checks eq310's own
-    # constants and the frozen operator, not the chain
+    # eq310 is read off eq311's table of images, so this checks eq310's own
+    # constants and the frozen operator, not the table
     rng = random.Random(5001)
     for i in range(20):
         rho = _random_jet(rng, order=16)

@@ -21,7 +21,7 @@ import time
 from .curvature import (
     FRAME_MIN_ORDER,
     curvature_frame,
-    heat_invariant_curvature_form,
+    heat_invariants_curvature_form,
 )
 from .errors import (
     DegenerateCurvatureCoordinates,
@@ -33,17 +33,16 @@ from .errors import (
     ValueTooLong,
 )
 from .heatinv import (
-    WEYL_A0,
     PiScaled,
     generic_rho_jet,
-    heat_invariant,
-    heat_invariant_via_frozen,
+    heat_invariants,
+    heat_invariants_via_frozen,
     render_closed_form,
     render_pi_scaled,
     closed_form_to_json,
     required_order,
 )
-from .jets import Jet2D
+from .jets import Jet2D, _check_order
 from .metrics import expand_metric, load_metric_spec
 
 #: Most decimal digits ``--approx`` prints.  The mpmath evaluation grows
@@ -103,7 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
 # -- compute -----------------------------------------------------------------
 
 def _expand_for(args, needed: int) -> Jet2D:
-    """The metric's jet; a named family is expanded no further than read."""
+    """The metric's jet, built no further than the order `needed` that the
+    request reads.  An explicit jet is parsed and validated in full, and its
+    working order (declared, or --jet-order) is refused at the key stride; a
+    working order below `needed` is kept, for the routes to refuse."""
     spec = load_metric_spec(args.metric)
     order = args.jet_order
     if order is None:
@@ -111,8 +113,8 @@ def _expand_for(args, needed: int) -> Jet2D:
     elif order < 0:
         raise UsageError("--jet-order must be nonnegative")
     if spec.kind == "jet":
-        return expand_metric(spec, order, extend=True)
-    return expand_metric(spec, min(order, needed))
+        _check_order(order)
+    return expand_metric(spec, min(order, needed), extend=True)
 
 
 def _check_printable(what: str, values) -> None:
@@ -147,27 +149,24 @@ def _cmd_compute(args) -> int:
     if args.approx is not None and args.approx > MAX_APPROX_DIGITS:
         raise UsageError(f"--approx allows at most {MAX_APPROX_DIGITS} digits")
 
-    if args.metric:
-        rho = _expand_for(args, max(required_order(n, args.path) for n in ns))
-
+    needed = max(required_order(n, args.path) for n in ns)
+    rho = _expand_for(args, needed) if args.metric else generic_rho_jet(needed)
+    # one batch per request, called by module-level name, so a wrapper put
+    # in place of a route sees every call
+    if args.path == "eq311":
+        batch = heat_invariants
+    elif args.path == "eq310":
+        batch = heat_invariants_via_frozen
+    else:
+        batch = heat_invariants_curvature_form
+    start = time.perf_counter()
+    done = {n: (value, time.perf_counter() - start)
+            for n, value in batch(ns, rho)}
     results = []
     for n in ns:
-        start = time.perf_counter()
-        if n == 0:
-            value, order = WEYL_A0, 0
-        else:
-            order = required_order(n, args.path)
-            jet = (rho.truncate(min(order, rho.order)) if args.metric
-                   else generic_rho_jet(order))
-            # called by module-level name, so a wrapper put in place of a
-            # route sees every call
-            if args.path == "eq311":
-                value = heat_invariant(n, jet).form
-            elif args.path == "eq310":
-                value = heat_invariant_via_frozen(n, jet).form
-            else:
-                value = heat_invariant_curvature_form(n, jet).form
-        results.append((n, value, order, time.perf_counter() - start))
+        value, wall = done[n]
+        results.append((n, value, required_order(n, args.path) if n else 0,
+                        wall))
         if isinstance(value, PiScaled):
             _check_printable(f"a_{n}", [value.q])
 

@@ -20,14 +20,16 @@ only through u^2 + v^2.  With rho_0 = 1/E and that one pull-back
     u^2 + v^2 -> z^2 + (F z - E w)^2 / (EG - F^2)
 
 they give a_n = sum_k Delta^k P_k at the origin again, now polynomials in z
-and w, evaluated by the same Horner-nested pipeline as the direct path.
+and w, read off the same table of monomial images as the direct path.
 (1/E) times the pulled-back u^2 + v^2 is rho_0 (u^2 + v^2) plus a cubic
 tail, so by the radial-sum lemma of ``heatinv`` this route is eq311 with
 another tail: its agreement with eq311 checks the frame (E, F, G) and that
 lemma, not an independent pipeline.
 The pull-back is read to order 2n + 2, so z and w to order 2n + 1 and rho
 to order 2n + 5 = ``heatinv.required_order(n, "curvature")``; the frame
-alone reads rho to order FRAME_MIN_ORDER = 5 (Delta K to first order).
+alone reads rho to order FRAME_MIN_ORDER = 5 (Delta K to first order).  A
+request builds the frame, z, w and the pull-back once, for its largest n,
+and one Newton inverse of rho serves K, Delta K and the table.
 
 Negative E powers live in the rational fraction field, so this path applies
 to concrete rational jets only.  Degeneracy (vanishing Jacobian: constant
@@ -40,8 +42,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegenerateCurvatureCoordinates, OrderExhausted
-from .heatinv import (HeatInvariantResult, PiScaled, _nested_laplacian_sum,
-                      _radial_terms, _require_order)
+from .heatinv import (WEYL_A0, HeatInvariantResult, PiScaled, _check_request,
+                      _radial_sums, _require_order, required_order)
 from .jets import Jet2D
 from .laplace import ConformalLaplacian, gaussian_curvature_jet
 from .record import Record
@@ -94,22 +96,41 @@ def curvature_frame(rho: Jet2D) -> CurvatureFrame:
         rho.truncate(min(rho.order, FRAME_MIN_ORDER)))[0]
 
 
-def heat_invariant_curvature_form(n: int, rho: Jet2D) -> HeatInvariantResult:
-    """a_n(origin) evaluated through curvature coordinates.
+def heat_invariants_curvature_form(ns, rho: Jet2D):
+    """Yield (n, a_n(origin)) through curvature coordinates for the distinct
+    n of `ns`, in increasing n, each as the table passes k = 4n.
 
     Exactly equals the direct conformal-path value whenever the coordinates
     exist; raises DegenerateCurvatureCoordinates otherwise.  A nonzero
-    Jacobian makes E and EG - F^2 = (Jacobian / rho_0)^2 nonzero.
+    Jacobian makes E and EG - F^2 = (Jacobian / rho_0)^2 nonzero.  The
+    frame, z, w and the pulled-back u^2 + v^2 are built once, at the order
+    of the largest n.  The first n != 0 is checked against rho, then the
+    frame's degeneracy, then every other n, so the error raised is that of
+    the first n that fails; n = 0 gives WEYL_A0.
     """
-    order = _require_order(n, rho, "curvature")
-    frame, lap, z, w = _frame_and_coordinates(rho.truncate(order))
-    if frame.degenerate:
-        raise DegenerateCurvatureCoordinates(
-            "the (K, Delta K) Jacobian vanishes at the origin")
-    e, f = frame.e, frame.f
-    # u^2 + v^2 pulled back to the curvature coordinates
-    x = z * f - w * e
-    r2 = z * z + x * x * (1 / (e * frame.g - f ** 2))
-    d, terms = _radial_terms(n, 1 / e, r2)
-    total = _nested_laplacian_sum(lap, terms) * Fraction(1, d)
-    return HeatInvariantResult(form=PiScaled(total))
+    first = next((n for n in ns if n), None)
+    if first is not None:
+        _require_order(first, rho, "curvature")
+        order = min(rho.order, required_order(max(ns), "curvature"))
+        frame, lap, z, w = _frame_and_coordinates(rho.truncate(order))
+        if frame.degenerate:
+            raise DegenerateCurvatureCoordinates(
+                "the (K, Delta K) Jacobian vanishes at the origin")
+    positive = _check_request(ns, rho, "curvature")
+    if 0 in ns:
+        yield 0, WEYL_A0
+    if positive:
+        e, f = frame.e, frame.f
+        # u^2 + v^2 pulled back to the curvature coordinates
+        x = z * f - w * e
+        r2 = z * z + x * x * (1 / (e * frame.g - f ** 2))
+        for n, total in _radial_sums(lap, positive, 1 / e, r2):
+            yield n, PiScaled(total)
+
+
+def heat_invariant_curvature_form(n: int, rho: Jet2D) -> HeatInvariantResult:
+    """a_n(origin) through curvature coordinates:
+    ``heat_invariants_curvature_form`` of the one index n >= 1."""
+    _require_order(n, rho, "curvature")
+    [(_, form)] = heat_invariants_curvature_form((n,), rho)
+    return HeatInvariantResult(form)

@@ -22,26 +22,38 @@ derivatives; feeding a concrete rational jet yields an exact number q/pi.
 a_n is a local invariant of weight 2n, so it reads the jet of rho only to
 order 2n; ``required_order`` states the order every route reads.
 
+The monomial images do not depend on n; only the weights do.  So every
+route evaluates its sum through one table of linear functionals per
+request (``_image_table``), the transpose of a Horner chain (Bostan,
+Lecerf and Schost, "Tellegen's principle into practice", ISSAC 2003):
+with L_0 = delta_0 (the value at the origin) and L_(k+1)(f) = L_k(Delta f),
+L_k(u^a v^b) = Delta^k(u^a v^b)(0) is the paper's monomial image, and
+
+    sum_k (Delta^k T_k)(0) = sum_k L_k(T_k)
+
+for any terms T_k.  A request whose largest index is N runs the chain
+once, to k = 4N, and reads every a_n off it as it passes k = n+1..4n, where
+one Horner chain per a_n would make sum_n 4n applications of Delta.
+
 The radial sum reads only the 2-jet of its radial function: the value
-S_n(f) = sum_k c_nk Delta^k(f^(k-n))(0), which ``_nested_laplacian_sum``
-gives for the terms ``_radial_terms(n, 1, f)`` up to their common
-denominator, is a_n for every f = rho_0 (u^2 + v^2) + O(|(u, v)|^3), and
-another quadratic part changes it (property-tested for n <= 3).  The
-curvature route is this sum with another cubic tail.
+S_n(f) = sum_k c_nk Delta^k(f^(k-n))(0), which ``_radial_sums`` gives, is
+a_n for every f = rho_0 (u^2 + v^2) + O(|(u, v)|^3), and another quadratic
+part changes it (property-tested for n <= 3).  The curvature route is this
+sum with another cubic tail.
 
 A second route, the paper's expression (3.10), expands the resolvent
 around the origin-frozen Laplacian Delta_0 and sums binomially weighted
 mixed powers Delta^k Delta_0^(m-k) applied to explicit seed polynomials.
-It is linear in Delta^k too and runs through the same Horner chain, so its
-agreement with eq311 checks its own constants and Delta_0, not the chain.
+It is linear in Delta^k too and is read off the same table, so its
+agreement with eq311 checks its own constants and Delta_0, not the table.
 
 Everything here is exact: every a_n is a rational, or a rational polynomial,
 times one 1/pi, the factor (4 pi)^(-m/2) of dimension m = 2.  Decimal output
 is a presentation concern handled elsewhere.  A concrete jet has one
-representation, int numerators over one denominator (``heatjets.jets``), so
-the radial terms, the Horner chain and its applications run on ints, and a
-numeric a_n builds a number of ``Fraction`` values that depends on n only,
-not on the size of the jet.
+representation, int numerators over one denominator (``heatjets.jets``), and
+the table keeps its functionals the same way, so a numeric a_n builds a
+number of ``Fraction`` values that depends on n only, not on the size of
+the jet.
 """
 
 from __future__ import annotations
@@ -51,7 +63,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 
 from .errors import IndexOutOfRange, OrderExhausted
-from .jets import Jet2D
+from .jets import STRIDE, Jet2D, _has_rhopoly, _slot
 from .laplace import ConformalLaplacian, FrozenLaplacian
 from .record import Record
 from .rhopoly import RhoPoly, mono_degree
@@ -112,23 +124,189 @@ def _radial_terms(n: int, scale, r2: Jet2D):
     return d, terms
 
 
-def _nested_laplacian_sum(lap: ConformalLaplacian, terms):
-    """(sum_k Delta^k T_k)(0) for terms T_0..T_top, None meaning zero.
+class _GatherChain:
+    """The functionals M_k = L_k o (1/rho) of a concrete rho, on int
+    numerators over one denominator: one row per degree d, indexed by b of
+    the slot (d - b, b), where a row that is all zero is not kept.
 
-    By linearity the sum is Q_0(0) for Q_top = T_top and
-    Q_k = T_k + Delta Q_(k+1): top applications of Delta, and the only
-    loop that chains them.  The routes pass terms T_k of order 2k whose band
-    order - valuation is at most 2n, so every intermediate keeps that band
-    and rho (or 1/rho) is never read beyond degree 2n.
-
-    Concrete jets have one integral representation, so the Horner additions
-    and the applications run on int numerators and no ``Fraction`` is built
-    until the constant term.
+    M_k[beta] = sum_gamma (1/rho)[gamma] L_k[beta + gamma] is a gather over
+    output slots: for a term gamma = (p, q) of degree e, row d of M_k gains
+    (1/rho)[gamma] times the slice q..q + d of row d + e of L_k.  A step
+    costs one gcd.
     """
-    q = terms[-1]
-    for t in reversed(terms[:-1]):
-        q = lap.apply(q) if t is None else t + lap.apply(q)
-    return q.constant_term()
+
+    def __init__(self, inverse):
+        # the terms (q, numerator) of 1/rho by degree e, for e = 0..order
+        self.inverse = [[] for _ in range(inverse.order + 1)]
+        for k, c in inverse.num.items():
+            self.inverse[k // STRIDE].append((k % STRIDE, c))
+        self.inverse_den = inverse.den
+        self.rows, self.den = {0: [inverse.num[0]]}, inverse.den  # M_0
+
+    def read(self, t):
+        """L_k(t) = M_(k-1)(-(t_uu + t_vv)) of a concrete jet t, as
+        (numerator, denominator)."""
+        rows, total = self.rows, 0
+        for key, c in t.num.items():
+            d, b = divmod(key, STRIDE)
+            row = rows.get(d - 2)
+            if row is not None:
+                a = d - b
+                if a > 1:
+                    total += a * (a - 1) * c * row[b]
+                if b > 1:
+                    total += b * (b - 1) * c * row[b - 2]
+        return -total, self.den * t.den
+
+    @staticmethod
+    def total(reads):
+        """The sum of `reads`, over their lcm: one ``Fraction``."""
+        den = lcm(*(d for _, d in reads))
+        return Fraction(sum(p * (den // d) for p, d in reads), den)
+
+    def step(self, k, lo):
+        """M_k on the degrees lo..2k, from M_(k-1)."""
+        images = {}  # rows of L_k: -a(a-1) M[(a-2, b)] - b(b-1) M[(a, b-2)]
+        for d, row in self.rows.items():
+            d += 2
+            images[d] = [-(d - b) * (d - b - 1) * x - b * (b - 1) * y
+                         for b, (x, y) in enumerate(zip(row + [0, 0],
+                                                        [0, 0] + row))]
+        rows = {}
+        for d in range(lo, 2 * k + 1):
+            row = None
+            # L_k vanishes above degree 2k
+            for e, terms in enumerate(self.inverse[:2 * k - d + 1]):
+                image = images.get(d + e)
+                if image is not None:
+                    for q, c in terms:
+                        part = image[q:q + d + 1]
+                        row = ([c * v for v in part] if row is None else
+                               [r + c * v for r, v in zip(row, part)])
+            if row is not None and any(row):
+                rows[d] = row
+        den = self.den * self.inverse_den
+        g = gcd(den, *(v for row in rows.values() for v in row))
+        if g > 1:
+            rows = {d: [v // g for v in row] for d, row in rows.items()}
+        self.rows, self.den = rows, den // g
+
+
+class _DivisionChain:
+    """The functionals M_k = L_k o (1/rho) of a ``RhoPoly`` rho, by key.
+
+    Transposing ``laplace._divided_laplacian``: x^beta = rho (x^beta / rho)
+    gives M_k[beta] = (1/rho_00)(L_k[beta] - sum_(gamma != 0) rho_gamma
+    M_k[beta + gamma]), solved from degree 2k down with one ``RhoPoly.dot``
+    per slot.  The two derivative pairs of L_k[beta], read from M_(k-1),
+    are folded into that dot, so L_k is formed only where a term is read.
+    """
+
+    def __init__(self, inv0, tail):
+        self.inv0, self.tail = inv0, tail  # tail: (key, -rho_gamma / rho_00)
+        self.m = {0: inv0}  # M_0
+        self.scaled = {}    # w -> -w / rho_00
+
+    def _pairs(self, key, scale):
+        """(scale(w), M_(k-1)[beta]) for the derivative pairs of the slot
+        (a, b) of `key`: w = a(a - 1) at beta = (a - 2, b), b(b - 1) at
+        (a, b - 2)."""
+        a, b = _slot(key)
+        pairs = []
+        for w, j in ((a * (a - 1), key - 2 * STRIDE),
+                     (b * (b - 1), key - 2 * STRIDE - 2)):
+            if w:
+                v = self.m.get(j)
+                if v is not None:
+                    pairs.append((scale(w), v))
+        return pairs
+
+    def read(self, t):
+        """L_k(t) = M_(k-1)(-(t_uu + t_vv)), one ``RhoPoly.dot``."""
+        pairs = []
+        for key, c in t._values().items():
+            pairs += self._pairs(key, lambda w: -w * c)
+        return RhoPoly.dot(pairs)
+
+    total = staticmethod(RhoPoly.sum)
+
+    def _scaled(self, w):
+        if w not in self.scaled:
+            self.scaled[w] = -w * self.inv0
+        return self.scaled[w]
+
+    def step(self, k, lo):
+        """M_k on the degrees lo..2k, from M_(k-1)."""
+        out = {}
+        for d in range(2 * k, lo - 1, -1):
+            reach = (2 * k - d + 1) * STRIDE  # tail keys of degree <= 2k - d
+            for key in range(d * STRIDE, d * STRIDE + d + 1):
+                pairs = self._pairs(key, self._scaled)
+                for kt, t in self.tail:
+                    if kt >= reach:
+                        break
+                    v = out.get(key + kt)
+                    if v is not None:
+                        pairs.append((t, v))
+                if pairs:
+                    value = RhoPoly.dot(pairs)
+                    if value:
+                        out[key] = value
+        self.m = out
+
+
+def _image_table(lap: ConformalLaplacian, terms):
+    """Yield (n, sum_k (Delta^k T_k)(0)) for each n of `terms`, in
+    increasing n, as the table passes k = 4n.
+
+    `terms` maps n to its terms T_0..T_4n (None meaning zero), where T_k
+    has order 2k and no term below degree 2(k - n).  With F[beta] the value
+    of a functional F at the monomial u^a v^b, beta = (a, b), the table
+    keeps M_k = L_k o (1/rho), from which L_(k+1) = M_k o -(d_uu + d_vv)
+    needs no product:
+
+        L_k(T) = M_(k-1)(-(T_uu + T_vv)),
+        L_(k+1)[(a, b)] = -a(a-1) M_k[(a-2, b)] - b(b-1) M_k[(a, b-2)].
+
+    L_k vanishes above degree 2k, and with N the largest n every later read
+    and step needs M_k only from degree 2(k - N) up: a band of 2N, the band
+    of one Horner chain of a_N, so rho, or 1/rho, is read to degree 2N and
+    a request makes one Newton inverse.  At k = 4N only the one term T of
+    a_N is read, so the chain stops at M_(4N-2) and reads L_(4N)(T) as
+    L_(4N-1)(Delta T), with one application of ``lap``.  On concrete jets
+    that costs what M_(4N-1) would at the degrees of T_uu + T_vv alone, one
+    degree of its band for the homogeneous T of eq311 and eq310; on
+    ``RhoPoly`` jets it forms 9-15% more monomial products than the last
+    step would.  No M_k outlives the next step.  The kernel follows the ring of rho, as
+    ``ConformalLaplacian`` does.
+    """
+    top = 4 * max(terms)
+    band = top // 2  # 2N
+    if _has_rhopoly(lap.rho):
+        chain = _DivisionChain(lap.inv0, lap.division_tail())
+    else:
+        chain = _GatherChain(lap.inverse_factor(band))
+    reads = {n: [] for n in sorted(terms)}
+    for k in range(1, top + 1):
+        for n in list(reads):
+            t = terms[n][k]
+            if t is not None:
+                reads[n].append(chain.read(lap.apply(t) if k == top else t))
+            if k == 4 * n:
+                yield n, chain.total(reads.pop(n))
+        if k < top - 1:
+            chain.step(k, max(0, 2 * k - band))
+
+
+def _radial_sums(lap: ConformalLaplacian, ns, scale, r2: Jet2D):
+    """Yield (n, S_n) for the sorted n of `ns`, read off one table, where
+    S_n = sum_k c_nk Delta^k((scale r2)^(k-n))(0) reads r2 to order
+    2n + 2."""
+    d, terms = {}, {}
+    for n in ns:
+        d[n], terms[n] = _radial_terms(n, scale, r2)
+    for n, total in _image_table(lap, terms):
+        yield n, total * Fraction(1, d[n])
 
 
 def generic_rho_jet(order: int) -> Jet2D:
@@ -173,12 +351,11 @@ def _is_symbolic(rho: Jet2D) -> bool:
     return isinstance(rho.constant_term(), RhoPoly)
 
 
-def _wrap(n, total, symbolic) -> HeatInvariantResult:
+def _form(n, total, symbolic):
     if symbolic:
-        # a vanishing constant term of a jet reads as the int 0
-        return HeatInvariantResult(ClosedForm(n, total or RhoPoly.zero()))
-    # a concrete constant term is an int where its denominator is 1
-    return HeatInvariantResult(PiScaled(Fraction(total)))
+        # a vanishing sum of the RhoPoly ring reads as the int 0
+        return ClosedForm(n, total or RhoPoly.zero())
+    return PiScaled(Fraction(total))
 
 
 def required_order(n: int, path: str) -> int:
@@ -209,38 +386,48 @@ def _require_order(n: int, rho: Jet2D, path: str) -> int:
     return order
 
 
-def heat_invariant(n: int, rho: Jet2D) -> HeatInvariantResult:
-    """a_n(origin) by the direct monomial-image sum.
+def _check_request(ns, rho: Jet2D, path: str):
+    """The distinct n >= 1 of `ns`, sorted, after ``_require_order`` has
+    checked every n != 0 in request order, so the first that fails raises
+    before any work starts."""
+    for n in ns:
+        if n:
+            _require_order(n, rho, path)
+    return sorted(set(ns) - {0})
 
+
+def heat_invariants(ns, rho: Jet2D):
+    """Yield (n, a_n(origin)) by the direct monomial-image sum for the
+    distinct n of `ns`, in increasing n, each as the table passes k = 4n.
+
+    Every n is checked against rho before any work; n = 0 gives WEYL_A0.
     Terms sharing k are collected into the radial polynomial
-    P_k = c_nk (rho_0 (u^2 + v^2))^(k-n) of the module docstring, and
-    sum_k Delta^k P_k is evaluated by Horner nesting: 4n Laplacian
-    applications in all.
+    P_k = c_nk (rho_0 (u^2 + v^2))^(k-n) of the module docstring, and every
+    a_n is read off one table.
     """
+    positive = _check_request(ns, rho, "eq311")
+    if 0 in ns:
+        yield 0, WEYL_A0
+    if positive:
+        top = positive[-1]
+        rho = rho.truncate(required_order(top, "eq311"))
+        r2 = Jet2D({(2, 0): 1, (0, 2): 1}, 2 * top + 2)
+        symbolic = _is_symbolic(rho)
+        for n, total in _radial_sums(ConformalLaplacian(rho), positive,
+                                     rho.constant_term(), r2):
+            yield n, _form(n, total, symbolic)
+
+
+def heat_invariant(n: int, rho: Jet2D) -> HeatInvariantResult:
+    """a_n(origin) by the direct monomial-image sum: ``heat_invariants``
+    of the one index n >= 1."""
     _require_order(n, rho, "eq311")
-    d, terms = _radial_terms(n, rho.constant_term(),
-                             Jet2D({(2, 0): 1, (0, 2): 1}, 2 * n + 2))
-    total = _nested_laplacian_sum(ConformalLaplacian(rho), terms)
-    return _wrap(n, total * Fraction(1, d), _is_symbolic(rho))
+    [(_, form)] = heat_invariants((n,), rho)
+    return HeatInvariantResult(form)
 
 
-def heat_invariant_via_frozen(n: int, rho: Jet2D) -> HeatInvariantResult:
-    """a_n(origin) by the paper's frozen-operator binomial sum (3.10).
-
-    a_n = sum_m rho_0^(m-n) (-1)^(m-n)/(4 m!) *
-          sum_{k=0}^m (-1)^k C(m,k) Delta^k Delta_0^(m-k) (f_m) |_(0,0),
-
-    where the seed f_m = sum_p g(m-n-p) g(p) u^(2m-2n-2p) v^(2p)
-    / ((2m-2n-2p)! (2p)!) = (u^2 + v^2)^(m-n) / (4^(m-n) (m-n)!), with g the
-    rational Gamma(.+1/2) ratio.  The sum is linear in Delta^k: the frozen
-    images are collected per k into G_k = sum_m w_m (-1)^k C(m,k)
-    Delta_0^(m-k) f_m, of order 2k, and sum_k Delta^k G_k runs through
-    eq311's Horner chain (4n applications of Delta, sum_m m of Delta_0).
-    Its seeds and weights are the paper's Gamma sums, not eq311's c_nk.
-    """
-    _require_order(n, rho, "eq310")
-    frozen = FrozenLaplacian(rho)
-    rho0 = rho.constant_term()
+def _frozen_terms(n: int, frozen: FrozenLaplacian, rho0):
+    """eq310's terms G_0..G_4n of a_n: its frozen images collected per k."""
     g = [Jet2D.zero(2 * k) for k in range(4 * n + 1)]
     for m in range(n + 1, 4 * n + 1):
         seed_coeffs = {}
@@ -254,8 +441,44 @@ def heat_invariant_via_frozen(n: int, rho: Jet2D) -> HeatInvariantResult:
             g[k] = g[k] + image * (weight * ((-1) ** k * comb(m, k)))
             if k:
                 image = frozen.apply(image)
-    total = _nested_laplacian_sum(ConformalLaplacian(rho), g)
-    return _wrap(n, total, _is_symbolic(rho))
+    return g
+
+
+def heat_invariants_via_frozen(ns, rho: Jet2D):
+    """Yield (n, a_n(origin)) by the paper's frozen-operator binomial sum
+    (3.10) for the distinct n of `ns`, in increasing n, each as the table
+    passes k = 4n.
+
+    a_n = sum_m rho_0^(m-n) (-1)^(m-n)/(4 m!) *
+          sum_{k=0}^m (-1)^k C(m,k) Delta^k Delta_0^(m-k) (f_m) |_(0,0),
+
+    where the seed f_m = sum_p g(m-n-p) g(p) u^(2m-2n-2p) v^(2p)
+    / ((2m-2n-2p)! (2p)!) = (u^2 + v^2)^(m-n) / (4^(m-n) (m-n)!), with g the
+    rational Gamma(.+1/2) ratio.  The sum is linear in Delta^k: the frozen
+    images are collected per k into G_k = sum_m w_m (-1)^k C(m,k)
+    Delta_0^(m-k) f_m, homogeneous of degree 2(k - n), and sum_k
+    L_k(G_k) is read off eq311's table (sum_m m applications of Delta_0 per
+    n).  Its seeds and weights are the paper's Gamma sums, not eq311's c_nk.
+    Every n is checked against rho before any work; n = 0 gives WEYL_A0.
+    """
+    positive = _check_request(ns, rho, "eq310")
+    if 0 in ns:
+        yield 0, WEYL_A0
+    if positive:
+        rho = rho.truncate(required_order(positive[-1], "eq310"))
+        frozen, rho0 = FrozenLaplacian(rho), rho.constant_term()
+        terms = {n: _frozen_terms(n, frozen, rho0) for n in positive}
+        symbolic = _is_symbolic(rho)
+        for n, total in _image_table(ConformalLaplacian(rho), terms):
+            yield n, _form(n, total, symbolic)
+
+
+def heat_invariant_via_frozen(n: int, rho: Jet2D) -> HeatInvariantResult:
+    """a_n(origin) by the paper's expression (3.10):
+    ``heat_invariants_via_frozen`` of the one index n >= 1."""
+    _require_order(n, rho, "eq310")
+    [(_, form)] = heat_invariants_via_frozen((n,), rho)
+    return HeatInvariantResult(form)
 
 
 def symbolic_heat_invariant(n: int) -> HeatInvariantResult:

@@ -48,9 +48,7 @@ multiply-accumulate loop, ``_capped_product``, accumulates the int
 numerators per output slot, so a product costs one gcd over its slots
 instead of one per coefficient pair.  It serves ``Jet2D._mul_capped`` and
 ``laplacian``, which applies Delta f = -(1/rho)(f_uu + f_vv) to a concrete
-jet, so a chain of applications (the Horner sum
-``heatinv._nested_laplacian_sum`` that every route runs) builds one
-``Fraction``, at its constant term.
+jet without building a ``Fraction``.
 
 A jet with a ``RhoPoly`` coefficient stores the coefficients themselves
 under the same keys, with ``den`` None; a result in which no ``RhoPoly``

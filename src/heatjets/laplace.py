@@ -11,19 +11,17 @@ arithmetic: f_uu + f_vv times the constant jet 1/rho(0, 0) in the jet
 product of its ring.
 
 For Delta, concrete jets multiply by the cached inverse; ``RhoPoly`` jets
-divide by rho.  Applying Delta repeatedly to a homogeneous polynomial keeps
-the band order - valuation of every intermediate jet bounded, so either way
-rho is read only to degree order(result) - valuation(f_uu + f_vv):
+divide by rho.  Either way rho is read only to degree
+order(result) - valuation(f_uu + f_vv):
 
 * on concrete jets, ``ConformalLaplacian`` inverts rho only to the largest
   degree asked for so far (by ``Jet2D.inverse``) and truncates that jet for
-  smaller requests, caching each truncation (``_inverse_terms``), so the
-  sorted terms of a truncation are built once.  ``jets.laplacian`` forms
-  f_uu + f_vv on the int numerators of f and multiplies it by that jet in
-  the one integral kernel, ``jets._capped_product``; concrete jets have one
-  representation, so a chain of applications builds no ``Fraction``.
-  ``gaussian_curvature_jet`` can borrow the cache, so a caller that needs K
-  and Delta K inverts rho once;
+  smaller requests.  ``jets.laplacian`` forms f_uu + f_vv on the int
+  numerators of f and multiplies it by that jet in the one integral kernel,
+  ``jets._capped_product``, so an application builds no ``Fraction``.
+  ``gaussian_curvature_jet`` and the table of ``heatinv`` borrow the cached
+  inverse, so the curvature route inverts rho once for K, Delta K and every
+  a_n;
 * when f or rho has ``RhoPoly`` coefficients, ``_divided_laplacian`` solves
   rho g = -(f_uu + f_vv) for g = Delta f degree by degree.  Each degree-d
   coefficient of 1/rho is a dense polynomial in the rho_ab, while rho has
@@ -32,7 +30,12 @@ rho is read only to degree order(result) - valuation(f_uu + f_vv):
   packed keys of ``heatjets.jets`` keys subtract: g_(a-p, b-q), which
   rho_pq meets, has the key of (a, b) minus the key of (p, q).
 
-The ring of rho is read once, when an operator is built.
+The routes make no chain of applications: they read every a_n off the
+table of ``heatinv``, the transpose of such a chain, which applies Delta
+once, to the one term it reads last.  Its division by rho is the transpose
+of ``_divided_laplacian``, and ``ConformalLaplacian.apply`` is the
+reference the tests compare the table with.  The ring of rho is read once,
+when an operator is built.
 """
 
 from __future__ import annotations
@@ -108,11 +111,10 @@ class ConformalLaplacian:
 
     def __init__(self, rho: Jet2D):
         self.rho = rho
-        self._inv0 = invert_coefficient(rho.constant_term())  # fail fast
+        self.inv0 = invert_coefficient(rho.constant_term())  # fail fast
         self._symbolic = _has_rhopoly(rho)
         self._inv = None   # 1/rho to the largest order requested so far
-        self._terms = {}   # need -> 1/rho to need, as read by jets.laplacian
-        self._tail = None  # _divided_laplacian's tail, built on first use
+        self._tail = None  # division_tail(), built on first use
 
     def inverse_factor(self, order: int) -> Jet2D:
         """The jet of 1/rho trusted to `order`, recomputed only to go higher."""
@@ -120,23 +122,21 @@ class ConformalLaplacian:
             self._inv = self.rho.inverse(order)
         return self._inv.truncate(order)
 
-    def _inverse_terms(self, need):
-        """1/rho trusted to `need`, cached, so its sorted terms are built
-        once for every product that reads them."""
-        terms = self._terms.get(need)
-        if terms is None:
-            terms = self._terms[need] = self.inverse_factor(need)
-        return terms
+    def division_tail(self):
+        """(key of (p, q), -rho_pq / rho_00) for the nonzero rho_pq,
+        (p, q) != (0, 0), sorted by key: what a division by rho reads."""
+        if self._tail is None:
+            self._tail = sorted((k, -c * self.inv0)
+                                for k, c in self.rho._values().items() if k)
+        return self._tail
 
     def apply(self, f: Jet2D) -> Jet2D:
         """Delta f: on int numerators for concrete f and rho, by division
         for ``RhoPoly`` ones."""
         if not (self._symbolic or _has_rhopoly(f)):
-            return laplacian(f, self._inverse_terms)
-        if self._tail is None:
-            self._tail = sorted((k, -c * self._inv0)
-                                for k, c in self.rho._values().items() if k)
-        return _divided_laplacian(f, self._inv0, self._tail, self.rho.order)
+            return laplacian(f, self.inverse_factor)
+        return _divided_laplacian(f, self.inv0, self.division_tail(),
+                                  self.rho.order)
 
 
 class FrozenLaplacian:

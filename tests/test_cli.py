@@ -219,7 +219,7 @@ def test_approx_digits_are_bounded(capsys, metric_file, monkeypatch):
 
     def refuse(*args):
         raise AssertionError("a route started")
-    monkeypatch.setattr(cli, "heat_invariant", refuse)
+    monkeypatch.setattr(cli, "heat_invariants", refuse)
     code, out, _ = run(capsys, ["compute", "--n", "1", "--metric",
                                 metric_file(SPHERE), "--format", "json",
                                 "--approx", "50000000"])
@@ -254,6 +254,37 @@ def test_named_family_expands_only_what_is_read(capsys, metric_file,
                                 "--jet-order", "1"])
     assert (code, orders) == (3, [1])
     assert "order >= 2, got 1" in err
+
+
+def test_explicit_jet_is_built_only_to_the_order_read(capsys, metric_file,
+                                                     monkeypatch):
+    # every entry of an explicit jet is parsed and validated, but the jet is
+    # built no further than the largest order its request reads: 8 for
+    # a_1..a_4 on eq311, 9 for a_1, a_2 on the curvature route
+    import heatjets.cli as cli
+    orders = []
+
+    def recording(spec, order, extend=False):
+        orders.append(order)
+        return expand(spec, order, extend)
+    expand = cli.expand_metric
+    monkeypatch.setattr(cli, "expand_metric", recording)
+    coeffs = [[a, b, f"{(3 * a + 5 * b) % 7 - 3}/{1 + (a * b) % 5}"]
+              for a in range(33) for b in range(33 - a)]
+    coeffs[0][2] = "2"
+    jet = metric_file(json.dumps({"kind": "jet", "order": 32,
+                                  "coeffs": coeffs}))
+    for path, ns, order in (("eq311", "1234", 8), ("curvature", "12", 9)):
+        orders.clear()
+        argv = ["compute", "--metric", jet, "--path", path]
+        code, _, _ = run(capsys, argv + [a for n in ns for a in ("--n", n)])
+        assert (code, orders) == (0, [order]), path
+    coeffs[-1][2] = "1.5"  # degree 32, beyond what a_1 reads
+    bad = metric_file(json.dumps({"kind": "jet", "order": 32,
+                                  "coeffs": coeffs}), "bad.json")
+    code, _, err = run(capsys, ["compute", "--n", "1", "--metric", bad])
+    assert code == 2
+    assert f"coeffs[{len(coeffs) - 1}][2]" in err
 
 
 def test_oversized_numbers_exit_two_or_three(capsys, metric_file):

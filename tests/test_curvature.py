@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 from heatjets.curvature import (FRAME_MIN_ORDER, curvature_frame,
-                                heat_invariant_curvature_form)
+                                heat_invariant_curvature_form,
+                                heat_invariants_curvature_form)
 from heatjets.errors import (DegenerateCurvatureCoordinates, IndexOutOfRange,
                              OrderExhausted)
-from heatjets.heatinv import (generic_rho_jet, heat_invariant,
+from heatjets.heatinv import (_GatherChain, generic_rho_jet, heat_invariant,
                               heat_invariant_via_frozen, required_order)
 from heatjets.jets import Jet2D
 from heatjets.laplace import ConformalLaplacian, gaussian_curvature_jet
@@ -121,17 +122,19 @@ def test_curvature_path_matches_direct_path_n2():
     rho = random_jet(random.Random(31), order=22)
     value = heat_invariant_curvature_form(2, rho).form
     assert value == heat_invariant(2, rho).form
-    # eq310 shares the Horner chain with both routes, not their constants:
+    # eq310 shares the table with both routes, not their constants:
     # this checks its seeds, weights and frozen operator
     assert value == heat_invariant_via_frozen(2, rho.truncate(16)).form
 
 
 def test_curvature_route_counts(monkeypatch):
-    # K and the Laplacian share one Newton inverse, to order 2n + 4 (the
-    # first derivatives of rho); Delta K is one application and the nested
-    # a_n sum 4n.  The jet products are those of the inverse, K, the two
-    # squares that pull u^2 + v^2 back and its powers up to 3n; the
-    # applications multiply in the integral kernel, not through _mul_capped.
+    # One Newton inverse, to order 2N + 4 (the first derivatives of rho),
+    # serves K, Delta K (one application) and the table of every n of the
+    # request, which makes 4N - 2 steps, N the largest n, and one
+    # application for the term read at k = 4N.  The jet products
+    # are those of the inverse (two per Newton step), K (three), the two
+    # squares that pull u^2 + v^2 back, built once, and for each n the
+    # powers of the pull-back up to 3n.
     calls = Counter()
     inverse_orders = []
 
@@ -147,6 +150,7 @@ def test_curvature_route_counts(monkeypatch):
     count(Jet2D, "log_nonconstant")
     count(Jet2D, "_mul_capped")
     count(ConformalLaplacian, "apply")
+    count(_GatherChain, "step")
     counted_inverse = Jet2D.inverse
 
     def inverse(self, order):
@@ -154,14 +158,16 @@ def test_curvature_route_counts(monkeypatch):
         return counted_inverse(self, order)
     monkeypatch.setattr(Jet2D, "inverse", inverse)
     rng = random.Random(2024)
-    for n, products in ((1, 13), (2, 18)):
+    for ns, products in (([1], 6 + 3 + 2 + 2), ([2], 8 + 3 + 2 + 5),
+                         ([2, 1, 2], 8 + 3 + 2 + 5 + 2)):
         calls.clear()
         inverse_orders.clear()
-        heat_invariant_curvature_form(n, random_jet(rng, order=8 * n + 6))
-        assert calls == {"inverse": 1, "apply": 1 + 4 * n,
+        top = max(ns)
+        list(heat_invariants_curvature_form(
+            ns, random_jet(rng, order=8 * top + 6)))
+        assert calls == {"inverse": 1, "apply": 2, "step": 4 * top - 2,
                          "_mul_capped": products}
-        assert inverse_orders == [2 * n + 4]
-        assert calls["log_nonconstant"] == 0
+        assert inverse_orders == [2 * top + 4]
 
 
 def test_concrete_routes_build_few_fractions(monkeypatch):

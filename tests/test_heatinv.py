@@ -5,18 +5,19 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heatjets.errors import IndexOutOfRange, OrderExhausted
-from heatjets.heatinv import (WEYL_A0, ClosedForm, PiScaled,
-                              _nested_laplacian_sum, _radial_terms,
+from heatjets.heatinv import (WEYL_A0, ClosedForm, PiScaled, _DivisionChain,
+                              _GatherChain, _radial_sums, _radial_terms,
                               closed_form_to_json, gamma_half_rational,
                               generic_rho_jet, heat_constant, heat_invariant,
-                              heat_invariant_via_frozen,
+                              heat_invariant_via_frozen, heat_invariants,
+                              heat_invariants_via_frozen,
                               parse_closed_form_json, render_closed_form,
                               render_pi_scaled, required_order,
                               symbolic_heat_invariant)
@@ -138,8 +139,8 @@ def test_radial_sum_reads_only_the_two_jet(n, seed, data):
     value = heat_invariant(n, rho).form.q
 
     def radial_sum(f):
-        d, terms = _radial_terms(n, 1, f)
-        return _nested_laplacian_sum(lap, terms) * Fraction(1, d)
+        [(_, value)] = _radial_sums(lap, [n], 1, f)
+        return value
     assert radial_sum(f) == value
     uv = Jet2D({(1, 1): 1}, 2 * n + 2)
     assert radial_sum(f + uv) != value
@@ -247,81 +248,94 @@ def test_cross_path_equality_random_jets():
             heat_invariant_via_frozen(n, rho).form
 
 
-def test_eq311_uses_4n_laplacian_applications(monkeypatch):
-    # Both routes chain Delta 4n times in one Horner sum; eq310 also applies
-    # Delta_0 m times to each seed f_m, m = n+1..4n
+def test_one_inverse_and_4n_table_steps_per_request(monkeypatch):
+    # A request reads every a_n off one table: M_0 = 1/rho_00 and 4N - 2
+    # steps, N its largest n, with one Newton inverse of rho, to order 2N,
+    # and one application of Delta, to the one term read at k = 4N; eq310
+    # also applies Delta_0 m times to each seed f_m, m = n+1..4n, of every n
     calls = Counter()
+    inverse_orders = []
 
-    def count(cls):
-        apply = cls.apply
+    def count(cls, name):
+        original = getattr(cls, name)
 
-        def counted(self, f):
-            calls[cls.__name__] += 1
-            return apply(self, f)
-        monkeypatch.setattr(cls, "apply", counted)
+        def counted(*args):
+            calls[f"{cls.__name__}.{name}"] += 1
+            return original(*args)
+        monkeypatch.setattr(cls, name, counted)
 
-    count(ConformalLaplacian)
-    count(FrozenLaplacian)
-    rng = random.Random(4)
-    for n in (1, 2, 3):
-        rho = random_metric_jet(rng, order=8 * n)
+    count(_GatherChain, "step")
+    count(ConformalLaplacian, "apply")
+    count(FrozenLaplacian, "apply")
+    jet_inverse = Jet2D.inverse
+
+    def inverse(self, order=None):
+        inverse_orders.append(order)
+        return jet_inverse(self, order)
+    monkeypatch.setattr(Jet2D, "inverse", inverse)
+    rho = random_metric_jet(random.Random(4), order=12)
+    for ns in ([1], [3], [2, 1, 3, 2], [0, 2]):
+        top = max(ns)
         calls.clear()
-        heat_invariant(n, rho)
-        assert calls == {"ConformalLaplacian": 4 * n}
+        inverse_orders.clear()
+        list(heat_invariants(ns, rho))
+        assert calls == {"_GatherChain.step": 4 * top - 2,
+                         "ConformalLaplacian.apply": 1}
+        assert inverse_orders == [2 * top]
         calls.clear()
-        heat_invariant_via_frozen(n, rho)
-        assert calls == {"ConformalLaplacian": 4 * n,
-                         "FrozenLaplacian": sum(range(n + 1, 4 * n + 1))}
+        inverse_orders.clear()
+        list(heat_invariants_via_frozen(ns, rho))
+        assert calls == {"_GatherChain.step": 4 * top - 2,
+                         "ConformalLaplacian.apply": 1,
+                         "FrozenLaplacian.apply": sum(
+                             m for n in set(ns) for m in range(n + 1, 4 * n + 1))}
+        assert inverse_orders == [2 * top]
 
 
 def test_concrete_chain_stays_integral(monkeypatch):
-    # Every value eq311 passes between its 4n applications on a dense
-    # rational jet is a concrete Jet2D in its integral form: int numerators
-    # over an int denominator, with no coefficient view built, and no
-    # Fraction is built inside an application, except where 1/rho is first
-    # formed to a new order.
-    passed, built, values = [], [], []
-    inside = Counter()
-    apply = ConformalLaplacian.apply
-    inverse_factor = ConformalLaplacian.inverse_factor
+    # Every M_k the table keeps on a dense rational jet is int numerators
+    # over an int denominator with their content divided out, and no
+    # Fraction is built inside a step or a read: the table builds one per
+    # a_n, when it sums that a_n's reads.
+    states, built, values = [], [], []
+    inside = [0]
+    step, read = _GatherChain.step, _GatherChain.read
     fraction_new = Fraction.__dict__["__new__"]
 
-    def counted_apply(self, f):
-        inside["apply"] += 1
+    def counted_step(self, *args):
+        inside[0] += 1
         try:
-            result = apply(self, f)
+            step(self, *args)
         finally:
-            inside["apply"] -= 1
-        passed.extend((f, result))
-        return result
+            inside[0] -= 1
+        states.append((self.den, [v for row in self.rows.values()
+                                  for v in row]))
 
-    def uncounted_inverse(self, order):
-        inside["inverse"] += 1
+    def counted_read(self, t):
+        inside[0] += 1
         try:
-            return inverse_factor(self, order)
+            return read(self, t)
         finally:
-            inside["inverse"] -= 1
+            inside[0] -= 1
 
     def counted_new(cls, *args, **kwargs):
-        if inside["apply"] and not inside["inverse"]:
+        if inside[0]:
             built.append(args)
         return fraction_new.__func__(cls, *args, **kwargs)
 
-    monkeypatch.setattr(ConformalLaplacian, "apply", counted_apply)
-    monkeypatch.setattr(ConformalLaplacian, "inverse_factor",
-                        uncounted_inverse)
+    monkeypatch.setattr(_GatherChain, "step", counted_step)
+    monkeypatch.setattr(_GatherChain, "read", counted_read)
     rng = random.Random(19)
     rhos = [random_metric_jet(rng, order=2 * n) for n in (1, 2, 3)]
     Fraction.__new__ = staticmethod(counted_new)
     try:
         for n, rho in enumerate(rhos, 1):
-            passed.clear()
+            states.clear()
             values.append(heat_invariant(n, rho).form)
-            assert len(passed) == 2 * 4 * n
-            assert all(type(f) is Jet2D and f._coeffs is None
-                       and type(f.den) is int
-                       and all(type(c) is int for c in f.num.values())
-                       for f in passed)
+            assert len(states) == 4 * n - 2
+            assert all(type(den) is int and den > 0 and gcd(den, *nums) == 1
+                       and all(type(v) is int for v in nums)
+                       for den, nums in states)
     finally:
         Fraction.__new__ = fraction_new
     assert not built
@@ -410,31 +424,29 @@ def test_symbolic_a4_size():
 
 
 def test_symbolic_products_are_fused_and_integral(monkeypatch):
-    # Inside a Laplacian application no RhoPoly is summed term by term (each
-    # slot is one fused RhoPoly.dot), and every coefficient the eq311
-    # pipeline of the generic factor forms is an int.
+    # Inside a table step no RhoPoly is summed term by term (each slot is one
+    # fused RhoPoly.dot), and every coefficient of every M_k the generic
+    # factor's eq311 table keeps is an int.
     depth = [0]
     sums_inside = []
     coefficients = []
-    apply, rho_sum = ConformalLaplacian.apply, RhoPoly.sum.__func__
+    step, rho_sum = _DivisionChain.step, RhoPoly.sum.__func__
 
-    def counted_apply(self, f):
+    def counted_step(self, *args):
         depth[0] += 1
         try:
-            result = apply(self, f)
+            step(self, *args)
         finally:
             depth[0] -= 1
-        for jet in (f, result):
-            for c in jet.coeffs.values():
-                coefficients.extend(c.num.values())
-        return result
+        for value in self.m.values():
+            coefficients.extend(value.num.values())
 
     def counted_sum(cls, items):
         if depth[0]:
             sums_inside.append(items)
         return rho_sum(cls, items)
 
-    monkeypatch.setattr(ConformalLaplacian, "apply", counted_apply)
+    monkeypatch.setattr(_DivisionChain, "step", counted_step)
     monkeypatch.setattr(RhoPoly, "sum", classmethod(counted_sum))
     assert symbolic_heat_invariant(2).form.poly == closed_form(2).poly
     assert not sums_inside
@@ -442,8 +454,9 @@ def test_symbolic_products_are_fused_and_integral(monkeypatch):
 
 
 def test_symbolic_routes_form_no_inverse(monkeypatch):
-    # The Laplacians of the generic factor divide by rho: neither route
-    # forms a Newton inverse, and eq311 still makes 4n applications.
+    # The table of the generic factor divides by rho: neither route forms a
+    # Newton inverse, and a_n takes 4n - 2 division steps and one
+    # application of Delta, which divides too.
     calls = Counter()
 
     def counted(owner, name):
@@ -457,15 +470,15 @@ def test_symbolic_routes_form_no_inverse(monkeypatch):
     counted(Jet2D, "inverse")
     counted(ConformalLaplacian, "inverse_factor")
     counted(ConformalLaplacian, "apply")
+    counted(_DivisionChain, "step")
     for n in (1, 2, 3):
         calls.clear()
         symbolic_heat_invariant(n)
-        assert calls == {"apply": 4 * n}
+        assert calls == {"step": 4 * n - 2, "apply": 1}
     for n in (1, 2):
         calls.clear()
         heat_invariant_via_frozen(n, generic_rho_jet(2 * n))
-        assert calls["apply"] and not (calls["inverse"]
-                                       or calls["inverse_factor"])
+        assert calls == {"step": 4 * n - 2, "apply": 1}
 
 
 def test_homogeneity_of_closed_forms():

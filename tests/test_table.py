@@ -1,0 +1,148 @@
+"""The table of monomial images against the forward Horner chain it
+transposes, and the batch routes against their one-n calls."""
+
+import random
+
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+import heatjets.heatinv as heatinv
+from heatjets.curvature import (_frame_and_coordinates,
+                                heat_invariant_curvature_form,
+                                heat_invariants_curvature_form)
+from heatjets.errors import DegenerateCurvatureCoordinates, OrderExhausted
+from heatjets.heatinv import (WEYL_A0, _frozen_terms, _image_table,
+                              _radial_terms, generic_rho_jet, heat_invariant,
+                              heat_invariant_via_frozen, heat_invariants,
+                              heat_invariants_via_frozen, required_order)
+from heatjets.jets import Jet2D
+from heatjets.laplace import ConformalLaplacian, FrozenLaplacian
+from heatjets.rhopoly import RhoPoly
+
+from test_heatinv import random_metric_jet, sphere_rho
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+ROUTES = ("eq311", "eq310", "curvature")
+
+
+def horner_sum(lap, terms):
+    """(sum_k Delta^k T_k)(0) by the forward Horner chain: Q_top = T_top and
+    Q_k = T_k + Delta Q_(k+1), one application of Delta per k."""
+    q = terms[-1]
+    for t in reversed(terms[:-1]):
+        q = lap.apply(q) if t is None else t + lap.apply(q)
+    return q.constant_term()
+
+
+def route_terms(path, ns, rho):
+    """(Laplacian, {n: T_0..T_4n}) that route `path` reads off its table."""
+    rho = rho.truncate(max(required_order(n, path) for n in ns))
+    if path == "curvature":
+        frame, lap, z, w = _frame_and_coordinates(rho)
+        assume(not frame.degenerate)
+        x = z * frame.f - w * frame.e
+        r2 = z * z + x * x * (1 / (frame.e * frame.g - frame.f ** 2))
+        return lap, {n: _radial_terms(n, 1 / frame.e, r2)[1] for n in ns}
+    lap = ConformalLaplacian(rho)
+    if path == "eq310":
+        frozen = FrozenLaplacian(rho)
+        return lap, {n: _frozen_terms(n, frozen, rho.constant_term())
+                     for n in ns}
+    r2 = Jet2D({(2, 0): 1, (0, 2): 1}, 2 * max(ns) + 2)
+    return lap, {n: _radial_terms(n, rho.constant_term(), r2)[1] for n in ns}
+
+
+def assert_table_is_horner(path, ns, rho):
+    lap, terms = route_terms(path, ns, rho)
+    got = list(_image_table(lap, terms))
+    assert [n for n, _ in got] == sorted(terms)
+    for n, total in got:
+        assert total == horner_sum(lap, terms[n]), (path, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(path=st.sampled_from(ROUTES),
+       ns=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       seed=st.integers(0, 2 ** 16))
+@example(path="eq311", ns=[1], seed=0)  # reads 1/rho to degree 2 at once
+@example(path="curvature", ns=[2, 1], seed=3)
+def test_table_equals_horner_on_concrete_jets(path, ns, seed):
+    # every n of a batch, read off one table, is the forward Horner sum of
+    # its own terms, on dense rational jets for all three routes
+    rho = random_metric_jet(random.Random(seed), order=11)
+    assert_table_is_horner(path, ns, rho)
+
+
+@st.composite
+def rhopoly_jets(draw, order):
+    """rho of the given order over RhoPoly: rho_00 a rational multiple of
+    its variable, so invertible, and every other coefficient zero, a
+    rational or a rational multiple of the variable rho_ab."""
+    coeffs = {}
+    for a in range(order + 1):
+        for b in range(order + 1 - a):
+            coeffs[(a, b)] = draw(st.just(0) | rationals | rationals.map(
+                lambda c, a=a, b=b: RhoPoly.var(a, b) * c))
+    coeffs[(0, 0)] = RhoPoly.var(0, 0) * draw(rationals.filter(bool))
+    return Jet2D(coeffs, order)
+
+
+@settings(max_examples=20, deadline=None)
+@given(path=st.sampled_from(("eq311", "eq310")),
+       ns=st.lists(st.integers(1, 2), min_size=1, max_size=2),
+       data=st.data())
+@example(path="eq311", ns=[1], data=None)  # the generic factor's a_1
+def test_table_equals_horner_on_rhopoly_jets(path, ns, data):
+    # the transposed division equals the forward division it transposes;
+    # the curvature route takes concrete jets only
+    rho = (generic_rho_jet(2 * max(ns)) if data is None
+           else data.draw(rhopoly_jets(2 * max(ns))))
+    assert_table_is_horner(path, ns, rho)
+
+
+@settings(max_examples=10, deadline=None)
+@given(ns=st.lists(st.integers(0, 3), min_size=1, max_size=5),
+       seed=st.integers(0, 2 ** 16))
+@example(ns=[3, 1, 3, 0], seed=501)
+def test_batch_equals_its_one_n_calls(ns, seed):
+    # unsorted, with repeats and n = 0: one entry per distinct n, in
+    # increasing n, each the value of the one-n call (a_0 the Weyl term)
+    rho = random_metric_jet(random.Random(seed), order=11)
+    assume(not _frame_and_coordinates(rho.truncate(5))[0].degenerate)
+    for batch, one in ((heat_invariants, heat_invariant),
+                       (heat_invariants_via_frozen, heat_invariant_via_frozen),
+                       (heat_invariants_curvature_form,
+                        heat_invariant_curvature_form)):
+        got = list(batch(ns, rho))
+        assert [n for n, _ in got] == sorted(set(ns))
+        for n, form in got:
+            assert form == (one(n, rho).form if n else WEYL_A0)
+
+
+def test_symbolic_batch_equals_its_one_n_calls():
+    rho = generic_rho_jet(4)
+    for batch, one in ((heat_invariants, heat_invariant),
+                       (heat_invariants_via_frozen, heat_invariant_via_frozen)):
+        assert dict(batch([2, 0, 1, 2], rho)) == {
+            0: WEYL_A0, 1: one(1, rho).form, 2: one(2, rho).form}
+
+
+def test_batch_checks_every_n_before_any_work(monkeypatch):
+    # the error is the one a loop over the request raises at its first
+    # failing n, and no table is built first: on the curvature route the
+    # first n meets the frame's degeneracy before the later n their orders
+    def refuse(*args):
+        raise AssertionError("a table was built")
+    monkeypatch.setattr(heatinv, "_image_table", refuse)
+    rho = random_metric_jet(random.Random(7), order=12)
+    for batch in (heat_invariants, heat_invariants_via_frozen,
+                  heat_invariants_curvature_form):
+        for ns, bad in (([2, 0, 9, 7], 9), ([7, 9], 7)):
+            with pytest.raises(OrderExhausted, match=f"^a_{bad} on the"):
+                list(batch(ns, rho))
+    sphere = sphere_rho(1, 12)
+    with pytest.raises(DegenerateCurvatureCoordinates):
+        list(heat_invariants_curvature_form([0, 1, 9], sphere))
+    with pytest.raises(OrderExhausted, match="^a_9 on the"):
+        list(heat_invariants_curvature_form([9, 1], sphere))
