@@ -16,6 +16,8 @@ checkout's `src/`).  Every request below runs once per tree, each in a fresh
   latex with `--approx 12`;
 * an unsorted request with a repeat and n = 0, `--n 3 --n 1 --n 3 --n 0`,
   in json on dense seed 501;
+* every flag spelt `--flag=value`, `--metric=FILE --n=2 --format=json
+  --path=eq310`, on dense seed 501;
 * eq310 in json on the dense and sphere seeds;
 * deeper orders in json, where the jets' denominators grow largest: eq311
   a_5 and a_6 on dense seed 501, and the curvature route's a_3 and a_4 on
@@ -50,7 +52,7 @@ checkout's `src/`).  Every request below runs once per tree, each in a fresh
 
 The exit code, standard output and standard error must match byte for byte,
 except for the `wallTimeSeconds` lines of the JSON reports.  Prints
-`identical (81 requests)` and exits 0, or prints the first differing request
+`identical (82 requests)` and exits 0, or prints the first differing request
 and exits 1.
 """
 
@@ -162,6 +164,9 @@ def requests(workloads, tmp: Path):
                        ["compute", "--metric", str(metric), "--n", "3",
                         "--n", "1", "--n", "3", "--n", "0", "--format",
                         "json"])
+                yield (f"dense seed {seed} --flag=value eq310 n=2 json",
+                       ["compute", f"--metric={metric}", "--n=2",
+                        "--format=json", "--path=eq310"])
                 for n in ("5", "6"):
                     yield (f"dense seed {seed} eq310 n={n} json",
                            ["compute", "--metric", str(metric), "--n", n,

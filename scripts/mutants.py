@@ -93,6 +93,10 @@ MUTANTS = (
      "reach = (2 * k - d + 1) * STRIDE  # tail keys of degree <= 2k - d",
      "reach = (2 * k - d) * STRIDE  # tail keys of degree <= 2k - d",
      ["tests/test_table.py::test_table_equals_horner_on_rhopoly_jets"]),
+    ("parser takes an option as a flag's value", "cli.py",
+     "                if _is_option(value, flags):\n",
+     "                if _is_option(value, flags) and value[:2] != \"--\":\n",
+     ["tests/test_cli.py::test_parser_matches_argparse"]),
     ("Bernoulli recurrence with 2^(2j+2)", "oracle.py",
      "Fraction(1, 2 ** (2 * j + 1))",
      "Fraction(1, 2 ** (2 * j + 2))",

@@ -9,14 +9,19 @@ Three subcommands:
 Exit codes: 0 success, 2 schema or usage error, 3 mathematical
 precondition failure (insufficient jet order, degenerate or singular
 input), 4 verification failure.
+
+``parse_args`` reads argv against one table, ``COMMANDS``, as argparse read
+it, with argparse's messages, except that a flag is never abbreviated; no
+argparse, gettext or locale is loaded.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 import time
+from types import SimpleNamespace
 
 from .curvature import (
     FRAME_MIN_ORDER,
@@ -44,6 +49,7 @@ from .heatinv import (
 )
 from .jets import Jet2D, _check_order
 from .metrics import expand_metric, load_metric_spec
+from .record import Record
 
 #: Most decimal digits ``--approx`` prints.  The mpmath evaluation grows
 #: faster than linearly in the digits, so a larger request is refused
@@ -58,45 +64,6 @@ PRECONDITION_ERRORS = (OrderExhausted, NonInvertibleConstantTerm,
 
 class UsageError(Exception):
     """Flag combinations the schema cannot express."""
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="heatinv",
-        description="Exact heat-kernel coefficients a_n(x) of surfaces "
-                    "given by a conformal factor.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser(
-        "compute",
-        help="compute a_n symbolically or for a concrete metric")
-    c.add_argument("--metric", metavar="FILE",
-                   help="metric-spec JSON file; omit for a fully "
-                        "generic (symbolic) conformal factor")
-    c.add_argument("--n", dest="ns", action="append", type=int,
-                   required=True, metavar="N",
-                   help="coefficient index; repeatable")
-    c.add_argument("--path", choices=("eq311", "eq310", "curvature"),
-                   default="eq311",
-                   help="evaluation route (default eq311)")
-    c.add_argument("--format", dest="fmt",
-                   choices=("plain", "latex", "json"), default="plain")
-    c.add_argument("--approx", type=int, metavar="DIGITS",
-                   help="append a decimal approximation (numeric mode)")
-    c.add_argument("--jet-order", dest="jet_order", type=int, metavar="ORDER",
-                   help="working jet order; zero-extends an explicit jet")
-    c.set_defaults(func=_cmd_compute)
-
-    v = sub.add_parser("verify", help="run built-in acceptance checks")
-    v.set_defaults(func=_cmd_verify)
-
-    k = sub.add_parser(
-        "curvature",
-        help="print the curvature frame (K0, DeltaK0, E, F, G, degeneracy)")
-    k.add_argument("--metric", metavar="FILE", required=True)
-    k.add_argument("--jet-order", dest="jet_order", type=int, metavar="ORDER")
-    k.set_defaults(func=_cmd_curvature)
-    return parser
 
 
 # -- compute -----------------------------------------------------------------
@@ -232,11 +199,164 @@ def _cmd_verify(args) -> int:
     return 4 if failures else 0
 
 
+# -- command line ------------------------------------------------------------
+
+class Flag(Record):
+    """One option of a command.  `kind` reads its value: int, str, or a
+    tuple of the accepted strings.  A `repeat` flag collects a list, a
+    `required` one must be given, and an absent one leaves `default`."""
+    __slots__ = ("option", "dest", "kind", "metavar", "help", "default",
+                 "repeat", "required")
+    _defaults = dict(metavar=None, help="", default=None, repeat=False,
+                     required=False)
+
+
+#: command -> (handler, summary, flags)
+COMMANDS = {
+    "compute": (
+        _cmd_compute, "compute a_n symbolically or for a concrete metric",
+        (Flag("--metric", "metric", str, "FILE",
+              "metric-spec JSON file; omit for a fully generic (symbolic) "
+              "conformal factor"),
+         Flag("--n", "ns", int, "N", "coefficient index; repeatable",
+              repeat=True, required=True),
+         Flag("--path", "path", ("eq311", "eq310", "curvature"),
+              help="evaluation route (default eq311)", default="eq311"),
+         Flag("--format", "fmt", ("plain", "latex", "json"),
+              default="plain"),
+         Flag("--approx", "approx", int, "DIGITS",
+              "append a decimal approximation (numeric mode)"),
+         Flag("--jet-order", "jet_order", int, "ORDER",
+              "working jet order; zero-extends an explicit jet"))),
+    "verify": (_cmd_verify, "run built-in acceptance checks", ()),
+    "curvature": (
+        _cmd_curvature,
+        "print the curvature frame (K0, DeltaK0, E, F, G, degeneracy)",
+        (Flag("--metric", "metric", str, "FILE", required=True),
+         Flag("--jet-order", "jet_order", int, "ORDER"))),
+}
+
+#: tokens that start with "-" and still read as values, as in argparse
+NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _is_option(token: str, flags) -> bool:
+    """Whether `token` reads as an option rather than a value: it starts
+    with "-", is not "-" alone nor a negative number, and names a flag
+    (before any "=") or -h, or else has no space in it."""
+    if token[:1] != "-" or token == "-" or NEGATIVE_NUMBER.match(token):
+        return False
+    head = token.split("=", 1)[0]
+    return head in flags or head == "--help" or token[:2] == "-h" \
+        or " " not in token
+
+
+def _metavar(flag: Flag) -> str:
+    if isinstance(flag.kind, tuple):
+        return "{" + ",".join(flag.kind) + "}"
+    return flag.metavar
+
+
+def _usage(command) -> str:
+    if command is None:
+        return f"usage: heatinv [-h] {{{','.join(COMMANDS)}}} ..."
+    words = [f"usage: heatinv {command} [-h]"]
+    for flag in COMMANDS[command][2]:
+        word = f"{flag.option} {_metavar(flag)}"
+        words.append(word if flag.required else f"[{word}]")
+    return " ".join(words)
+
+
+def _print_help(command) -> None:
+    if command is None:
+        about = ("Exact heat-kernel coefficients a_n(x) of surfaces given "
+                 "by a conformal factor.")
+        title, rows = "commands:", [(name, summary) for name, (_, summary, _)
+                                    in COMMANDS.items()]
+    else:
+        _, about, flags = COMMANDS[command]
+        title = "options:"
+        rows = [("-h, --help", "show this help message and exit")]
+        rows += [(f"{f.option} {_metavar(f)}", f.help) for f in flags]
+    width = max(len(name) for name, _ in rows) + 2
+    print(f"{_usage(command)}\n\n{about}\n\n{title}")
+    for name, text in rows:
+        print(f"  {name.ljust(width)}{text}".rstrip())
+    raise SystemExit(0)
+
+
+def _fail(command, message: str):
+    """Report a usage error as argparse does, and exit 2."""
+    prog = "heatinv" if command is None else f"heatinv {command}"
+    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """Read `argv` against COMMANDS: the command, then its flags in any
+    order as `--flag value` or `--flag=value`, never abbreviated.  A flag
+    given twice keeps its last value, unless it is repeatable and collects
+    them all.  -h or --help prints help and exits 0; a usage error exits 2
+    with argparse's messages."""
+    command, flags, values, extras = None, {}, {}, []
+    tokens = iter(argv)
+    for token in tokens:
+        if command is None and (token == "--"
+                                or not _is_option(token, flags)):
+            if token not in COMMANDS:
+                _fail(None, f"argument command: invalid choice: {token!r} "
+                      f"(choose from {', '.join(map(repr, COMMANDS))})")
+            command = token
+            flags = {flag.option: flag for flag in COMMANDS[command][2]}
+            values = {flag.dest: flag.default for flag in flags.values()}
+        elif token == "--":  # what follows is positional, and none is taken
+            extras += [token, *tokens]
+        elif not _is_option(token, flags):
+            extras.append(token)
+        elif token in ("-h", "--help"):
+            _print_help(command)
+        elif token[:2] == "-h" or token.startswith("--help="):
+            _fail(command, "argument -h/--help: ignored explicit argument "
+                  f"{token.partition('=')[2] or token[2:]!r}")
+        elif token.split("=", 1)[0] not in flags:
+            extras.append(token)
+        else:
+            option, explicit, value = token.partition("=")
+            flag = flags[option]
+            if not explicit:
+                value = next(tokens, "--")  # "--" is never a value
+                if _is_option(value, flags):
+                    _fail(command, f"argument {option}: expected one argument")
+            if flag.kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    _fail(command, f"argument {option}: invalid int value: "
+                          f"{value!r}")
+            elif flag.kind is not str and value not in flag.kind:
+                _fail(command, f"argument {option}: invalid choice: "
+                      f"{value!r} (choose from "
+                      f"{', '.join(map(repr, flag.kind))})")
+            if flag.repeat:
+                value = (values[flag.dest] or []) + [value]
+            values[flag.dest] = value
+    if command is None:
+        _fail(None, "the following arguments are required: command")
+    missing = [flag.option for flag in flags.values()
+               if flag.required and values[flag.dest] is None]
+    if missing:
+        _fail(command, "the following arguments are required: "
+              + ", ".join(missing))
+    if extras:
+        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=command, func=COMMANDS[command][0],
+                           **values)
+
+
 # -- entry point ---------------------------------------------------------------
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     fmt = getattr(args, "fmt", "plain")
     try:
         return args.func(args)

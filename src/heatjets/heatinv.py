@@ -98,29 +98,38 @@ def heat_constant(n: int, k: int, s: int, m: int) -> PiScaled:
     return PiScaled(Fraction((-1) ** n, 4) * total)
 
 
-def _radial_terms(n: int, scale, r2: Jet2D):
+def _radial_powers(r2: Jet2D, top: int):
+    """[r2, r2^2, ..., r2^(3 top)], with r2 read to order 2 top + 2; r2 has
+    valuation 2, so the product's valuation rule gives r2^j the order
+    2 top + 2j by itself."""
+    r2 = r2.truncate(2 * top + 2)
+    powers = [r2]
+    for _ in range(3 * top - 1):
+        powers.append(powers[-1] * r2)
+    return powers
+
+
+def _radial_terms(n: int, scale, powers):
     """(D, T): T_k = D P_k = D c_nk scale^(k-n) r2^(k-n) to order 2k for
-    k = n+1..4n, and T_k = None (zero) for k = 0..n.
+    k = n+1..4n, and T_k = None (zero) for k = 0..n, from the powers
+    r2^1..r2^(3N) of ``_radial_powers`` for some N >= n.
 
     D = lcm_k den(c_nk) puts every c_nk over one common denominator, so each
     D c_nk is an integer and the pipelines stay integral wherever scale and
     r2 are; multiplying by an integer commutes with Delta, so the sum is
     divided by D once at the end.  eq311 passes scale = rho_0 and
     r2 = u^2 + v^2, the curvature route 1/E and the pull-back of u^2 + v^2.
-    r2 is read to 2n + 2; it has valuation 2, so the product's valuation
-    rule gives r2^j the order 2n + 2j = 2k by itself.
+    r2^j truncated to 2n + 2j = 2k is the j-th power of r2 truncated to
+    2n + 2, since r2 has valuation 2.
     """
     c = [Fraction((-1) ** n * comb(3 * n + 1, j + 1),
                   4 ** (j + 1) * factorial(j + n) * factorial(j))
          for j in range(1, 3 * n + 1)]  # c_nk with j = k - n
     d = lcm(*(q.denominator for q in c))
-    r2 = r2.truncate(2 * n + 2)
-    power = r2  # r2^j, j = 1..3n
     terms = [None] * (n + 1)
     for j, c_nk in enumerate(c, 1):
-        if j > 1:
-            power = power * r2
-        terms.append(power * (scale ** j * int(c_nk * d)))
+        terms.append(powers[j - 1].truncate(2 * n + 2 * j)
+                     * (scale ** j * int(c_nk * d)))
     return d, terms
 
 
@@ -301,10 +310,11 @@ def _image_table(lap: ConformalLaplacian, terms):
 def _radial_sums(lap: ConformalLaplacian, ns, scale, r2: Jet2D):
     """Yield (n, S_n) for the sorted n of `ns`, read off one table, where
     S_n = sum_k c_nk Delta^k((scale r2)^(k-n))(0) reads r2 to order
-    2n + 2."""
+    2n + 2.  The powers of r2 are formed once, for the largest n."""
+    powers = _radial_powers(r2, max(ns))
     d, terms = {}, {}
     for n in ns:
-        d[n], terms[n] = _radial_terms(n, scale, r2)
+        d[n], terms[n] = _radial_terms(n, scale, powers)
     for n, total in _image_table(lap, terms):
         yield n, total * Fraction(1, d[n])
 

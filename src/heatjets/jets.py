@@ -199,6 +199,19 @@ class Jet2D:
     def zero(cls, order):
         return cls({}, order)
 
+    @classmethod
+    def from_ratios(cls, triples, order):
+        """The concrete jet of the coefficients p/q at (a, b), from triples
+        (a, b, (p, q)) with q > 0, without a ``Fraction`` each; those of
+        degree above `order` are left out."""
+        if order < 0:
+            raise ValueError("jet order must be nonnegative")
+        _check_order(order)
+        kept = [((a + b) * STRIDE + b, p, q)
+                for a, b, (p, q) in triples if a + b <= order]
+        den = lcm(*[q for _, _, q in kept])
+        return cls._form(den, {k: p * (den // q) for k, p, q in kept}, order)
+
     # -- inspection --------------------------------------------------------
 
     def _values(self):

@@ -38,7 +38,7 @@ class MetricSpec(Record):
     __slots__ = ("kind",
                  "radius",   # Fraction R for sphereStereographic
                  "linear",   # (a0, a1, a2) for reciprocalLinear
-                 "coeffs",   # ((a, b, Fraction), ...) for jet
+                 "coeffs",   # ((a, b, (p, q)), ...) for jet, q > 0
                  "order")    # declared order for jet
     _defaults = dict.fromkeys(__slots__[1:])
 
@@ -52,19 +52,27 @@ def _path(where):
     return where[0] + "".join(f"[{i}]" for i in where[1:])
 
 
-def _rational(value, *where):
+def _ratio(value, *where):
+    """(p, q) with q > 0 of a rational string or a JSON integer, not
+    reduced."""
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return value, 1
     if not isinstance(value, str):
         raise SchemaError(_path(where), "expected a rational string \"p/q\"")
     match = RATIONAL.fullmatch(value)
     if match:
         p, q = match.groups()
         try:
-            return Fraction(int(p), int(q or 1))
-        except (ValueError, ZeroDivisionError):  # q = 0, or too long
-            pass
+            p, q = int(p), int(q or 1)
+        except ValueError:  # a part past the int conversion limit
+            q = 0
+        if q:
+            return p, q
     raise SchemaError(_path(where), f"not a rational \"p/q\": {value!r}")
+
+
+def _rational(value, *where):
+    return Fraction(*_ratio(value, *where))
 
 
 def _index(value, *where):
@@ -141,7 +149,7 @@ def parse_metric_spec(source) -> MetricSpec:
                               "expected a triple [a, b, \"p/q\"]")
         a = _index(entry[0], "coeffs", i, 0)
         b = _index(entry[1], "coeffs", i, 1)
-        value = _rational(entry[2], "coeffs", i, 2)
+        value = _ratio(entry[2], "coeffs", i, 2)
         if (a, b) in seen:
             raise SchemaError(f"coeffs[{i}]",
                               f"duplicate coefficient ({a}, {b})")
@@ -149,7 +157,7 @@ def parse_metric_spec(source) -> MetricSpec:
             raise InvalidMetric(
                 f"coefficient ({a}, {b}) exceeds declared order {order}")
         seen[(a, b)] = value
-    if seen.get((0, 0), Fraction(0)) <= 0:
+    if seen.get((0, 0), (0, 1))[0] <= 0:
         raise InvalidMetric("jet constant term rho(0) must be positive")
     triples = tuple(sorted((a, b, c) for (a, b), c in seen.items()))
     return MetricSpec(kind="jet", coeffs=triples, order=order)
@@ -185,4 +193,4 @@ def expand_metric(spec: MetricSpec, order: int, extend=False) -> Jet2D:
         raise OrderExhausted(
             f"metric jet is declared to order {spec.order} but order "
             f"{order} is required; pass --jet-order {order} to zero-extend")
-    return Jet2D({(a, b): c for a, b, c in spec.coeffs}, order)
+    return Jet2D.from_ratios(spec.coeffs, order)

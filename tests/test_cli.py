@@ -1,5 +1,6 @@
 """End-to-end tests of the `heatinv` command line."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -9,9 +10,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from heatjets import cli
 from heatjets.cli import MAX_APPROX_DIGITS, main
 from heatjets.heatinv import parse_closed_form_json, symbolic_heat_invariant
 
@@ -499,7 +501,7 @@ def fuzz_metric(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_exit_codes_hold_for_any_input(fuzz_metric, data):
-    # exit 0, 2, 3 or 4 for any metric bytes and flags, argparse's own
+    # exit 0, 2, 3 or 4 for any metric bytes and flags, the parser's own
     # SystemExit(2) included; any other exception fails the test
     fuzz_metric.write_bytes(data.draw(metric_bytes(), label="metric"))
     argv = data.draw(cli_argv(str(fuzz_metric)), label="argv")
@@ -522,7 +524,9 @@ def test_cli_import_loads_only_what_compute_runs():
     for module, unwanted in (
             # `verify` and `--approx` import these when they run; `compute`
             # and `curvature` never need them
-            ("heatjets.cli", (*stdlib, "mpmath", "numpy", "sympy",
+            # argparse would load gettext, whose first lookup loads locale
+            ("heatjets.cli", (*stdlib, "argparse", "gettext", "locale",
+                              "mpmath", "numpy", "sympy",
                               "heatjets.oracle", "heatjets.commutator",
                               "heatjets.acceptance")),
             # every criterion is exact, so `verify` needs no mpmath either
@@ -533,3 +537,128 @@ def test_cli_import_loads_only_what_compute_runs():
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n", module
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser that `heatinv` used before `cli.parse_args`, with
+    abbreviations switched off: the reference of the conformance test."""
+    parser = argparse.ArgumentParser(
+        prog="heatinv", allow_abbrev=False,
+        description="Exact heat-kernel coefficients a_n(x) of surfaces "
+                    "given by a conformal factor.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    c = sub.add_parser(
+        "compute", allow_abbrev=False,
+        help="compute a_n symbolically or for a concrete metric")
+    c.add_argument("--metric", metavar="FILE",
+                   help="metric-spec JSON file; omit for a fully "
+                        "generic (symbolic) conformal factor")
+    c.add_argument("--n", dest="ns", action="append", type=int,
+                   required=True, metavar="N",
+                   help="coefficient index; repeatable")
+    c.add_argument("--path", choices=("eq311", "eq310", "curvature"),
+                   default="eq311",
+                   help="evaluation route (default eq311)")
+    c.add_argument("--format", dest="fmt",
+                   choices=("plain", "latex", "json"), default="plain")
+    c.add_argument("--approx", type=int, metavar="DIGITS",
+                   help="append a decimal approximation (numeric mode)")
+    c.add_argument("--jet-order", dest="jet_order", type=int, metavar="ORDER",
+                   help="working jet order; zero-extends an explicit jet")
+    c.set_defaults(func=cli._cmd_compute)
+
+    v = sub.add_parser("verify", allow_abbrev=False,
+                       help="run built-in acceptance checks")
+    v.set_defaults(func=cli._cmd_verify)
+
+    k = sub.add_parser(
+        "curvature", allow_abbrev=False,
+        help="print the curvature frame (K0, DeltaK0, E, F, G, degeneracy)")
+    k.add_argument("--metric", metavar="FILE", required=True)
+    k.add_argument("--jet-order", dest="jet_order", type=int, metavar="ORDER")
+    k.set_defaults(func=cli._cmd_curvature)
+    return parser
+
+
+PARSED = ("command", "metric", "ns", "path", "fmt", "approx", "jet_order")
+#: tokens a mutation puts in: unknown and misspelt flags, negative numbers,
+#: "--", help, and values that start with "-" or hold a space
+STRAY = ["--mode", "numeric", "--form", "--bogus=1", "-x", "-1", "-2.5",
+         "-1e3", "-", "--", "", "-x y", "--n", "--metric", "--path",
+         "--jet-order", "--format=json", "--n=-3", "-h", "--help", "-hx",
+         "compute", "verify"]
+
+
+def parsed(parse, argv):
+    """The fields `parse(argv)` fills, or ("exit", code) if it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = parse(argv)
+        except SystemExit as exc:
+            return "exit", exc.code
+    return tuple(getattr(args, name, None) for name in PARSED)
+
+
+@st.composite
+def mutated_argv(draw):
+    """`cli_argv` with up to three token edits: a token dropped (a value, a
+    flag, or the command), a flag joined to its value by "=", a token from
+    STRAY put in, or a flag and its value given twice."""
+    argv = draw(cli_argv("m.json"))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["drop", "join", "insert", "repeat"]))
+        if edit == "insert":
+            argv.insert(i, draw(st.sampled_from(STRAY)))
+        elif i < len(argv) and edit == "drop":
+            del argv[i]
+        elif i + 1 < len(argv) and argv[i].startswith("--"):
+            if edit == "join":
+                argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+            else:
+                argv[i:i] = argv[i:i + 2]
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=mutated_argv())
+@example(argv=["compute", "--n", "-1"])
+@example(argv=["compute", "--metric=-", "--n", "1"])
+@example(argv=["compute", "--n"])
+@example(argv=["compute", "--n", "1", "--mode", "numeric"])
+@example(argv=["compute", "--n", "1", "--metric", "--n"])
+@example(argv=["compute", "--n", "1", "--", "--n", "2"])
+@example(argv=["--n", "1", "compute"])
+def test_parser_matches_argparse(argv):
+    # the table-driven parser reads every argv as argparse without
+    # abbreviations did: the same fields, or an exit with the same code
+    assert parsed(cli.parse_args, argv) == \
+        parsed(build_parser().parse_args, argv), argv
+
+
+def test_help_and_usage_errors(capsys):
+    for argv, command in ((["-h"], "heatinv [-h]"),
+                          (["compute", "--n", "1", "--help"],
+                           "heatinv compute [-h]")):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        out = capsys.readouterr().out
+        assert err.value.code == 0
+        assert out.startswith(f"usage: {command}")
+    assert "--jet-order ORDER" in out and "coefficient index" in out
+    for argv, message in (
+            ([], "heatinv: error: the following arguments are required: "
+                 "command"),
+            (["compute", "--n", "x"],
+             "heatinv compute: error: argument --n: invalid int value: 'x'"),
+            (["compute", "--n", "1", "--form", "json"],
+             "heatinv: error: unrecognized arguments: --form json"),
+            (["curvature"], "heatinv curvature: error: the following "
+                            "arguments are required: --metric")):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        usage, error = capsys.readouterr().err.splitlines()
+        assert (err.value.code, error) == (2, message)
+        assert usage.startswith("usage: heatinv")

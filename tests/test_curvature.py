@@ -133,8 +133,8 @@ def test_curvature_route_counts(monkeypatch):
     # request, which makes 4N - 2 steps, N the largest n, and one
     # application for the term read at k = 4N.  The jet products
     # are those of the inverse (two per Newton step), K (three), the two
-    # squares that pull u^2 + v^2 back, built once, and for each n the
-    # powers of the pull-back up to 3n.
+    # squares that pull u^2 + v^2 back, built once, and the powers of the
+    # pull-back up to 3N, also built once: every n reads them truncated.
     calls = Counter()
     inverse_orders = []
 
@@ -159,7 +159,7 @@ def test_curvature_route_counts(monkeypatch):
     monkeypatch.setattr(Jet2D, "inverse", inverse)
     rng = random.Random(2024)
     for ns, products in (([1], 6 + 3 + 2 + 2), ([2], 8 + 3 + 2 + 5),
-                         ([2, 1, 2], 8 + 3 + 2 + 5 + 2)):
+                         ([2, 1, 2], 8 + 3 + 2 + 5)):
         calls.clear()
         inverse_orders.clear()
         top = max(ns)

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from heatjets.errors import IndexOutOfRange, OrderExhausted
 from heatjets.heatinv import (WEYL_A0, ClosedForm, PiScaled, _DivisionChain,
-                              _GatherChain, _radial_sums, _radial_terms,
-                              closed_form_to_json, gamma_half_rational,
-                              generic_rho_jet, heat_constant, heat_invariant,
+                              _GatherChain, _radial_powers, _radial_sums,
+                              _radial_terms, closed_form_to_json,
+                              gamma_half_rational, generic_rho_jet,
+                              heat_constant, heat_invariant,
                               heat_invariant_via_frozen, heat_invariants,
                               heat_invariants_via_frozen,
                               parse_closed_form_json, render_closed_form,
@@ -99,8 +100,8 @@ def test_radial_terms_are_the_summed_heat_constants():
     # k <= n and D P_k above, with the common denominator D of the c_nk.
     scale = Fraction(3, 2)
     for n in range(1, 9):
-        d, terms = _radial_terms(n, scale,
-                                 Jet2D({(2, 0): 1, (0, 2): 1}, 8 * n))
+        r2 = Jet2D({(2, 0): 1, (0, 2): 1}, 8 * n)
+        d, terms = _radial_terms(n, scale, _radial_powers(r2, n))
         assert len(terms) == 4 * n + 1 and terms[:n + 1] == [None] * (n + 1)
         for k in range(n + 1, 4 * n + 1):
             expected = {
@@ -109,7 +110,7 @@ def test_radial_terms_are_the_summed_heat_constants():
                 for s in range(k - n + 1)}
             assert terms[k] * Fraction(1, d) == Jet2D(expected, 2 * k), \
                 (n, k)
-        _, unit = _radial_terms(n, 1, Jet2D({(2, 0): 1, (0, 2): 1}, 8 * n))
+        _, unit = _radial_terms(n, 1, _radial_powers(r2, n))
         assert all(type(c) is int for t in unit[n + 1:]
                    for c in t.coeffs.values())
 

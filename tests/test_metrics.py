@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from heatjets.errors import InvalidMetric, OrderExhausted, SchemaError
+from heatjets.jets import Jet2D
 from heatjets.laplace import gaussian_curvature_jet
 from heatjets.metrics import expand_metric, load_metric_spec, parse_metric_spec
 
@@ -79,6 +80,10 @@ def test_rational_grammar():
         with pytest.raises(SchemaError) as err:
             parse_metric_spec({"kind": "sphereStereographic", "R": bad})
         assert err.value.path == "R"
+        with pytest.raises(SchemaError) as err:
+            parse_metric_spec({"kind": "jet", "order": 1,
+                               "coeffs": [[0, 0, "1"], [1, 0, bad]]})
+        assert err.value.path == "coeffs[1][2]"
     spec = parse_metric_spec('{"kind":"reciprocalLinear",'
                              '"a0":"2","a1":"-3/7","a2":4}')
     assert spec.linear == (2, Fraction(-3, 7), 4)
@@ -136,6 +141,14 @@ def test_parse_explicit_jet():
     assert rho.coefficient(0, 0) == 1
     assert rho.coefficient(1, 0) == Fraction(1, 2)
     assert rho.coefficient(0, 4) == 0
+    # coefficients stay (p, q) pairs, unreduced, until the jet is built
+    # over the lcm of the denominators of the slots it keeps
+    spec = parse_metric_spec('{"kind":"jet","order":3,"coeffs":'
+                             '[[0,0,"6/4"],[1,1,"-2/6"],[3,0,"5/7"]]}')
+    assert spec.coeffs == ((0, 0, (6, 4)), (1, 1, (-2, 6)), (3, 0, (5, 7)))
+    assert expand_metric(spec, 2) == Jet2D(
+        {(0, 0): Fraction(3, 2), (1, 1): Fraction(-1, 3)}, 2)
+    assert expand_metric(spec, 2).den == 6
 
 
 def test_jet_schema_paths():
@@ -190,7 +203,7 @@ def test_parse_accepts_dict_and_bytes():
     a = parse_metric_spec(doc)
     b = parse_metric_spec(json.dumps(doc).encode("utf-8"))
     assert a == b
-    assert a.coeffs == ((0, 0, Fraction(3, 4)),)
+    assert a.coeffs == ((0, 0, (3, 4)),)
 
 
 def test_load_metric_spec_from_file(tmp_path):

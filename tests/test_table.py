@@ -13,9 +13,10 @@ from heatjets.curvature import (_frame_and_coordinates,
                                 heat_invariants_curvature_form)
 from heatjets.errors import DegenerateCurvatureCoordinates, OrderExhausted
 from heatjets.heatinv import (WEYL_A0, _frozen_terms, _image_table,
-                              _radial_terms, generic_rho_jet, heat_invariant,
-                              heat_invariant_via_frozen, heat_invariants,
-                              heat_invariants_via_frozen, required_order)
+                              _radial_powers, _radial_terms, generic_rho_jet,
+                              heat_invariant, heat_invariant_via_frozen,
+                              heat_invariants, heat_invariants_via_frozen,
+                              required_order)
 from heatjets.jets import Jet2D
 from heatjets.laplace import ConformalLaplacian, FrozenLaplacian
 from heatjets.rhopoly import RhoPoly
@@ -43,14 +44,17 @@ def route_terms(path, ns, rho):
         assume(not frame.degenerate)
         x = z * frame.f - w * frame.e
         r2 = z * z + x * x * (1 / (frame.e * frame.g - frame.f ** 2))
-        return lap, {n: _radial_terms(n, 1 / frame.e, r2)[1] for n in ns}
+        powers = _radial_powers(r2, max(ns))
+        return lap, {n: _radial_terms(n, 1 / frame.e, powers)[1] for n in ns}
     lap = ConformalLaplacian(rho)
     if path == "eq310":
         frozen = FrozenLaplacian(rho)
         return lap, {n: _frozen_terms(n, frozen, rho.constant_term())
                      for n in ns}
-    r2 = Jet2D({(2, 0): 1, (0, 2): 1}, 2 * max(ns) + 2)
-    return lap, {n: _radial_terms(n, rho.constant_term(), r2)[1] for n in ns}
+    powers = _radial_powers(Jet2D({(2, 0): 1, (0, 2): 1}, 2 * max(ns) + 2),
+                            max(ns))
+    return lap, {n: _radial_terms(n, rho.constant_term(), powers)[1]
+                 for n in ns}
 
 
 def assert_table_is_horner(path, ns, rho):
