@@ -69,9 +69,9 @@ MUTANTS = (
      "        return self._inv.truncate(order)\n",
      "        return self._inv.truncate(max(order - 1, 0))\n",
      ["tests/test_laplace.py::test_inverse_factor_cache_and_identity"]),
-    ("divided Laplacian puts f_vv where f_uu goes", "laplace.py",
-     "(b * (b - 1), k - 2 * STRIDE - 2)",
-     "(b * (b - 1), k - 2 * STRIDE)",
+    ("flat Laplacian takes f_uu twice", "laplace.py",
+     "-(f.diff(2, 0) + f.diff(0, 2))",
+     "-(f.diff(2, 0) + f.diff(2, 0))",
      ["tests/test_laplace.py::test_apply_with_symbolic_coefficients"]),
     ("divided Laplacian reads rho one degree short", "laplace.py",
      "reach = 0 if v is None else (d - v + 1) * STRIDE",
@@ -85,6 +85,10 @@ MUTANTS = (
 """,
      "",
      ["tests/test_laplace.py::test_apply_with_symbolic_coefficients"]),
+    ("divided Laplacian keeps the first pair of each dot", "laplace.py",
+     "value = RhoPoly.dot(pairs)",
+     "value = RhoPoly.dot(pairs[:1])",
+     ["tests/test_laplace.py::test_apply_with_symbolic_coefficients"]),
     ("table gather reads 1/rho one degree short", "heatinv.py",
      "enumerate(self.inverse[:2 * k - d + 1])",
      "enumerate(self.inverse[:2 * k - d])",
@@ -92,6 +96,10 @@ MUTANTS = (
     ("table division tail stops one degree early", "heatinv.py",
      "reach = (2 * k - d + 1) * STRIDE  # tail keys of degree <= 2k - d",
      "reach = (2 * k - d) * STRIDE  # tail keys of degree <= 2k - d",
+     ["tests/test_table.py::test_table_equals_horner_on_rhopoly_jets"]),
+    ("table division keeps the first pair of each dot", "heatinv.py",
+     "value = RhoPoly.dot(pairs)",
+     "value = RhoPoly.dot(pairs[:1])",
      ["tests/test_table.py::test_table_equals_horner_on_rhopoly_jets"]),
     ("parser takes an option as a flag's value", "cli.py",
      "                if _is_option(value, flags):\n",

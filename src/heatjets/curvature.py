@@ -42,12 +42,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegenerateCurvatureCoordinates, OrderExhausted
-from .heatinv import (WEYL_A0, HeatInvariantResult, PiScaled, _check_request,
-                      _radial_sums, _require_order, required_order)
-from .jets import Jet2D
+from .heatinv import (HeatInvariantResult, _radial_sums, _require_order,
+                      _route, required_order)
+from .jets import Jet2D, _has_rhopoly
 from .laplace import ConformalLaplacian, gaussian_curvature_jet
 from .record import Record
-from .rhopoly import RhoPoly
 
 FRAME_MIN_ORDER = 5
 
@@ -62,7 +61,7 @@ class CurvatureFrame(Record):
 
 def _frame_and_coordinates(rho: Jet2D):
     """(curvature frame, its Laplacian, z jet, w jet) from one jet computation."""
-    if isinstance(rho.constant_term(), RhoPoly):
+    if _has_rhopoly(rho):
         raise TypeError("curvature frames are defined for concrete jets only")
     if rho.order < FRAME_MIN_ORDER:
         raise OrderExhausted(
@@ -116,16 +115,15 @@ def heat_invariants_curvature_form(ns, rho: Jet2D):
         if frame.degenerate:
             raise DegenerateCurvatureCoordinates(
                 "the (K, Delta K) Jacobian vanishes at the origin")
-    positive = _check_request(ns, rho, "curvature")
-    if 0 in ns:
-        yield 0, WEYL_A0
-    if positive:
+
+    def sums(_rho, positive):
         e, f = frame.e, frame.f
         # u^2 + v^2 pulled back to the curvature coordinates
         x = z * f - w * e
         r2 = z * z + x * x * (1 / (e * frame.g - f ** 2))
-        for n, total in _radial_sums(lap, positive, 1 / e, r2):
-            yield n, PiScaled(total)
+        return _radial_sums(lap, positive, 1 / e, r2)
+
+    yield from _route(ns, rho, "curvature", sums)
 
 
 def heat_invariant_curvature_form(n: int, rho: Jet2D) -> HeatInvariantResult:

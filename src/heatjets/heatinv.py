@@ -357,17 +357,6 @@ class HeatInvariantResult(Record):
     __slots__ = ("form",)  # ClosedForm if symbolic, PiScaled if numeric
 
 
-def _is_symbolic(rho: Jet2D) -> bool:
-    return isinstance(rho.constant_term(), RhoPoly)
-
-
-def _form(n, total, symbolic):
-    if symbolic:
-        # a vanishing sum of the RhoPoly ring reads as the int 0
-        return ClosedForm(n, total or RhoPoly.zero())
-    return PiScaled(Fraction(total))
-
-
 def required_order(n: int, path: str) -> int:
     """The order of the jet of rho that route `path` reads for a_n.
 
@@ -406,6 +395,32 @@ def _check_request(ns, rho: Jet2D, path: str):
     return sorted(set(ns) - {0})
 
 
+def _route(ns, rho: Jet2D, path: str, sums):
+    """Yield (n, a_n(origin)) on route `path` for the distinct n of `ns`,
+    in increasing n.
+
+    Every n is checked against rho before any work, and n = 0 gives
+    WEYL_A0.  The others are read off `sums(rho, positive)`, with rho
+    truncated to the order of the largest n: it yields (n, total) for the
+    sorted n >= 1, and a ``RhoPoly`` total becomes a ``ClosedForm``, any
+    other a ``PiScaled``.
+    """
+    positive = _check_request(ns, rho, path)
+    if 0 in ns:
+        yield 0, WEYL_A0
+    if positive:
+        rho = rho.truncate(required_order(positive[-1], path))
+        for n, total in sums(rho, positive):
+            yield n, (ClosedForm(n, total) if isinstance(total, RhoPoly)
+                      else PiScaled(total))
+
+
+def _eq311_sums(rho: Jet2D, ns):
+    """eq311's sums: the radial sums of scale rho_0 and u^2 + v^2."""
+    r2 = Jet2D({(2, 0): 1, (0, 2): 1}, 2 * ns[-1] + 2)
+    return _radial_sums(ConformalLaplacian(rho), ns, rho.constant_term(), r2)
+
+
 def heat_invariants(ns, rho: Jet2D):
     """Yield (n, a_n(origin)) by the direct monomial-image sum for the
     distinct n of `ns`, in increasing n, each as the table passes k = 4n.
@@ -415,17 +430,7 @@ def heat_invariants(ns, rho: Jet2D):
     P_k = c_nk (rho_0 (u^2 + v^2))^(k-n) of the module docstring, and every
     a_n is read off one table.
     """
-    positive = _check_request(ns, rho, "eq311")
-    if 0 in ns:
-        yield 0, WEYL_A0
-    if positive:
-        top = positive[-1]
-        rho = rho.truncate(required_order(top, "eq311"))
-        r2 = Jet2D({(2, 0): 1, (0, 2): 1}, 2 * top + 2)
-        symbolic = _is_symbolic(rho)
-        for n, total in _radial_sums(ConformalLaplacian(rho), positive,
-                                     rho.constant_term(), r2):
-            yield n, _form(n, total, symbolic)
+    return _route(ns, rho, "eq311", _eq311_sums)
 
 
 def heat_invariant(n: int, rho: Jet2D) -> HeatInvariantResult:
@@ -454,6 +459,13 @@ def _frozen_terms(n: int, frozen: FrozenLaplacian, rho0):
     return g
 
 
+def _eq310_sums(rho: Jet2D, ns):
+    """eq310's sums: its frozen terms read off the table."""
+    frozen, rho0 = FrozenLaplacian(rho), rho.constant_term()
+    return _image_table(ConformalLaplacian(rho),
+                        {n: _frozen_terms(n, frozen, rho0) for n in ns})
+
+
 def heat_invariants_via_frozen(ns, rho: Jet2D):
     """Yield (n, a_n(origin)) by the paper's frozen-operator binomial sum
     (3.10) for the distinct n of `ns`, in increasing n, each as the table
@@ -471,16 +483,7 @@ def heat_invariants_via_frozen(ns, rho: Jet2D):
     n).  Its seeds and weights are the paper's Gamma sums, not eq311's c_nk.
     Every n is checked against rho before any work; n = 0 gives WEYL_A0.
     """
-    positive = _check_request(ns, rho, "eq310")
-    if 0 in ns:
-        yield 0, WEYL_A0
-    if positive:
-        rho = rho.truncate(required_order(positive[-1], "eq310"))
-        frozen, rho0 = FrozenLaplacian(rho), rho.constant_term()
-        terms = {n: _frozen_terms(n, frozen, rho0) for n in positive}
-        symbolic = _is_symbolic(rho)
-        for n, total in _image_table(ConformalLaplacian(rho), terms):
-            yield n, _form(n, total, symbolic)
+    return _route(ns, rho, "eq310", _eq310_sums)
 
 
 def heat_invariant_via_frozen(n: int, rho: Jet2D) -> HeatInvariantResult:

@@ -47,8 +47,8 @@ derivatives, truncation, the Newton inverse and ``compose``.  The one
 multiply-accumulate loop, ``_capped_product``, accumulates the int
 numerators per output slot, so a product costs one gcd over its slots
 instead of one per coefficient pair.  It serves ``Jet2D._mul_capped`` and
-``laplacian``, which applies Delta f = -(1/rho)(f_uu + f_vv) to a concrete
-jet without building a ``Fraction``.
+``ConformalLaplacian.apply`` (``heatjets.laplace``), which multiplies the
+flat part -(f_uu + f_vv) of a concrete jet by 1/rho.
 
 A jet with a ``RhoPoly`` coefficient stores the coefficients themselves
 under the same keys, with ``den`` None; a result in which no ``RhoPoly``
@@ -118,36 +118,6 @@ def _capped_product(left, right, cap):
             k = k1 + k2
             acc[k] = acc.get(k, 0) + n1 * n2
     return Jet2D._form(left.den * right.den, acc, cap)
-
-
-def laplacian(f, inverse):
-    """-(1/rho)(f_uu + f_vv) of a concrete jet f, trusted to f.order - 2.
-
-    The int numerators of s = -(f_uu + f_vv) over f's denominator are
-    accumulated per slot ((a, b) feeds (a - 2, b) with a(a - 1) and
-    (a, b - 2) with b(b - 1)).  Then ``inverse(need)`` gives 1/rho trusted to
-    order need = the output order minus the valuation of s, and
-    ``_capped_product`` multiplies the two.  When s vanishes to the output
-    order the result is zero and 1/rho is not asked for.
-    """
-    order = f.order - 2
-    if order < 0:
-        raise OrderExhausted(
-            f"derivative of total order 2 exhausts jet order {f.order}")
-    s = {}
-    for k, n in f.num.items():
-        d, b = divmod(k, STRIDE)
-        a = d - b
-        if a > 1:
-            j = k - 2 * STRIDE
-            s[j] = s.get(j, 0) - a * (a - 1) * n
-        if b > 1:
-            j = k - 2 * STRIDE - 2
-            s[j] = s.get(j, 0) - b * (b - 1) * n
-    s = Jet2D._form(f.den, s, order)
-    if not s.num:
-        return s
-    return _capped_product(s, inverse(order - s.valuation()), order)
 
 
 class Jet2D:

@@ -6,29 +6,30 @@ For the metric rho(u, v) (du^2 + dv^2) the (nonnegative) Laplace operator is
 
 and its freezing at the origin replaces 1/rho by the constant 1/rho(0, 0).
 Both act on Jet2D values over any exact coefficient ring and lower the jet
-order by two per application.  The frozen operator is one line of jet
-arithmetic: f_uu + f_vv times the constant jet 1/rho(0, 0) in the jet
-product of its ring.
+order by two per application.  Both take their flat part
+s = -(f_uu + f_vv) from one function, ``flat_laplacian``, in the jet
+arithmetic of f's ring.  The frozen operator is s times the constant jet
+1/rho(0, 0) in the jet product of its ring.
 
-For Delta, concrete jets multiply by the cached inverse; ``RhoPoly`` jets
-divide by rho.  Either way rho is read only to degree
-order(result) - valuation(f_uu + f_vv):
+For Delta, concrete jets multiply s by the cached inverse; ``RhoPoly`` jets
+divide s by rho.  The kernel follows the ring of rho and of s, not of f: an
+f whose ``RhoPoly`` coefficients sit below degree 2 has a concrete s.
+Either way rho is read only to degree order(s) - valuation(s):
 
 * on concrete jets, ``ConformalLaplacian`` inverts rho only to the largest
   degree asked for so far (by ``Jet2D.inverse``) and truncates that jet for
-  smaller requests.  ``jets.laplacian`` forms f_uu + f_vv on the int
-  numerators of f and multiplies it by that jet in the one integral kernel,
-  ``jets._capped_product``, so an application builds no ``Fraction``.
-  ``gaussian_curvature_jet`` and the table of ``heatinv`` borrow the cached
-  inverse, so the curvature route inverts rho once for K, Delta K and every
-  a_n;
-* when f or rho has ``RhoPoly`` coefficients, ``_divided_laplacian`` solves
-  rho g = -(f_uu + f_vv) for g = Delta f degree by degree.  Each degree-d
-  coefficient of 1/rho is a dense polynomial in the rho_ab, while rho has
-  one monomial per coefficient for the generic factor, so the division
-  forms far fewer monomial products than the product with 1/rho.  On the
-  packed keys of ``heatjets.jets`` keys subtract: g_(a-p, b-q), which
-  rho_pq meets, has the key of (a, b) minus the key of (p, q).
+  smaller requests.  s, int numerators over one denominator, is multiplied
+  by that jet in the one integral kernel, ``jets._capped_product``, so an
+  application builds no ``Fraction``.  ``gaussian_curvature_jet`` and the
+  table of ``heatinv`` borrow the cached inverse, so the curvature route
+  inverts rho once for K, Delta K and every a_n;
+* when s or rho has ``RhoPoly`` coefficients, ``_divided_laplacian`` solves
+  rho g = s for g = Delta f degree by degree.  Each degree-d coefficient of
+  1/rho is a dense polynomial in the rho_ab, while rho has one monomial per
+  coefficient for the generic factor, so the division forms far fewer
+  monomial products than the product with 1/rho.  On the packed keys of
+  ``heatjets.jets`` keys subtract: g_(a-p, b-q), which rho_pq meets, has
+  the key of (a, b) minus the key of (p, q).
 
 The routes make no chain of applications: they read every a_n off the
 table of ``heatinv``, the transpose of such a chain, which applies Delta
@@ -43,49 +44,41 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import OrderExhausted
-from .jets import (STRIDE, Jet2D, _has_rhopoly, _slot, invert_coefficient,
-                   laplacian)
+from .jets import (STRIDE, Jet2D, _capped_product, _has_rhopoly,
+                   invert_coefficient)
 from .rhopoly import RhoPoly
 
 
-def _divided_laplacian(f, inv0, tail, known):
-    """Delta f trusted to order f.order - 2, solved from rho g = s.
+def flat_laplacian(f):
+    """-(f_uu + f_vv), trusted to f.order - 2, in the ring of f: the flat
+    part of both Laplacians."""
+    return -(f.diff(2, 0) + f.diff(0, 2))
 
-    s = -(f_uu + f_vv); `inv0` is 1/rho_00, `tail` lists (key of (p, q),
-    -rho_pq / rho_00) for the nonzero rho_pq, (p, q) != (0, 0), sorted by
-    key, and rho is known to degree `known`.  From the valuation v of g,
-    which is that of s, up to the output order,
+
+def _divided_laplacian(s, inv0, tail, known):
+    """g = s / rho trusted to s.order, solved from rho g = s.
+
+    s is the flat part -(f_uu + f_vv) of Delta f; `inv0` is 1/rho_00,
+    `tail` lists (key of (p, q), -rho_pq / rho_00) for the nonzero rho_pq,
+    (p, q) != (0, 0), sorted by key, and rho is known to degree `known`.
+    From the valuation v of g, which is that of s, up to the output order,
 
         g_ab = (1/rho_00) (s_ab - sum rho_pq g_(a-p, b-q)),   p + q >= 1,
 
-    and each slot is one ``RhoPoly.dot`` of the pairs
-    (-(a+2)(a+1)/rho_00, f_(a+2, b)), (-(b+2)(b+1)/rho_00, f_(a, b+2)) and
+    and each slot is one ``RhoPoly.dot`` of the pairs (1/rho_00, s_ab) and
     (-rho_pq/rho_00, g_(a-p, b-q)); the sum reads rho to degree
     need = order - v.  When p > a or q > b the difference of the keys of
     (a, b) and (p, q) is no slot's key, so g_(a-p, b-q) is not found in g.
     """
-    order = f.order - 2
-    if order < 0:
-        raise OrderExhausted(
-            f"derivative of total order 2 exhausts jet order {f.order}")
-    scaled = {}  # m -> -m / rho_00
-    slots = {}   # key of (a, b) -> the pairs of s_ab
-    for k, c in f._values().items():
-        a, b = _slot(k)
-        for m, j in ((a * (a - 1), k - 2 * STRIDE),
-                     (b * (b - 1), k - 2 * STRIDE - 2)):
-            if m:
-                if m not in scaled:
-                    scaled[m] = -m * inv0
-                slots.setdefault(j, []).append((scaled[m], c))
+    order, values = s.order, s._values()
     g = {}
     v = None
-    for d in range(min(slots, default=(order + 1) * STRIDE) // STRIDE,
-                   order + 1):
+    for d in range(s.valuation(), order + 1):
         # tail keys below `reach` are rho_pq with p + q <= d - v
         reach = 0 if v is None else (d - v + 1) * STRIDE
         for k in range(d * STRIDE, d * STRIDE + d + 1):
-            pairs = slots.get(k, [])
+            c = values.get(k)
+            pairs = [] if c is None else [(inv0, c)]
             for kt, t in tail:
                 if kt >= reach:
                     break
@@ -131,12 +124,17 @@ class ConformalLaplacian:
         return self._tail
 
     def apply(self, f: Jet2D) -> Jet2D:
-        """Delta f: on int numerators for concrete f and rho, by division
-        for ``RhoPoly`` ones."""
-        if not (self._symbolic or _has_rhopoly(f)):
-            return laplacian(f, self.inverse_factor)
-        return _divided_laplacian(f, self.inv0, self.division_tail(),
-                                  self.rho.order)
+        """Delta f from its flat part s: s divided by rho when s or rho has
+        ``RhoPoly`` coefficients, else s times 1/rho read to degree
+        order(s) - valuation(s), on int numerators."""
+        s = flat_laplacian(f)
+        if self._symbolic or _has_rhopoly(s):
+            return _divided_laplacian(s, self.inv0, self.division_tail(),
+                                      self.rho.order)
+        if not s:
+            return s
+        return _capped_product(
+            s, self.inverse_factor(s.order - s.valuation()), s.order)
 
 
 class FrozenLaplacian:
@@ -146,10 +144,10 @@ class FrozenLaplacian:
         self.inv0 = invert_coefficient(rho.constant_term())
 
     def apply(self, f: Jet2D) -> Jet2D:
-        """Delta_0 f: f_uu + f_vv times the constant 1/rho(0, 0), known to
+        """Delta_0 f: the flat part times the constant 1/rho(0, 0), known to
         every degree, in the jet product of its ring."""
-        s = f.diff(2, 0) + f.diff(0, 2)
-        return -(s * Jet2D.constant(self.inv0, s.order))
+        s = flat_laplacian(f)
+        return s * Jet2D.constant(self.inv0, s.order)
 
 
 def gaussian_curvature_jet(rho: Jet2D,

@@ -16,7 +16,8 @@ from heatjets.heatinv import (_GatherChain, generic_rho_jet, heat_invariant,
 from heatjets.jets import Jet2D
 from heatjets.laplace import ConformalLaplacian, gaussian_curvature_jet
 
-from test_heatinv import holomorphic_chart, pull_back, sphere_rho
+from test_heatinv import (generic_jet_with_rho00, holomorphic_chart,
+                          pull_back, sphere_rho)
 
 
 def frame_via_identities(rho):
@@ -247,5 +248,7 @@ def test_order_requirements():
 
 
 def test_symbolic_input_rejected():
-    with pytest.raises(TypeError):
-        curvature_frame(generic_rho_jet(8))
+    # the ring is read from the jet, so an int rho_00 does not hide it
+    for rho in (generic_rho_jet(8), generic_jet_with_rho00(1)):
+        with pytest.raises(TypeError, match="concrete jets only"):
+            curvature_frame(rho)

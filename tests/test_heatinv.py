@@ -160,6 +160,23 @@ def test_symbolic_a1_via_frozen_matches_golden():
     assert symbolic_heat_invariant(2).form.poly == via_frozen(2).poly
 
 
+def generic_jet_with_rho00(rho00):
+    """generic_rho_jet(4) with rho_00 replaced by `rho00`."""
+    coeffs = dict(generic_rho_jet(4).coeffs)
+    coeffs[(0, 0)] = rho00
+    return Jet2D(coeffs, 4)
+
+
+def test_int_rho00_keeps_the_rhopoly_ring():
+    # the ring is that of the jet, not of rho_00: an int 1 among RhoPoly
+    # coefficients gives the closed forms of RhoPoly.const(1)
+    for route in (heat_invariants, heat_invariants_via_frozen):
+        got = list(route((1, 2), generic_jet_with_rho00(1)))
+        assert got == list(route((1, 2),
+                                 generic_jet_with_rho00(RhoPoly.const(1))))
+        assert [type(form) for _, form in got] == [ClosedForm, ClosedForm]
+
+
 def test_render_plain_golden_string():
     cf = symbolic_heat_invariant(1).form
     assert render_closed_form(cf, "plain") == GOLDEN_A1_PLAIN

@@ -141,6 +141,9 @@ MULTI_RHO = Jet2D({(0, 0): 2 * V(0, 0), (1, 0): V(1, 0) + 3 * V(0, 1),
                    (0, 2): V(0, 1) * V(2, 0) + Fraction(2, 3)}, 2)
 LOW_VALUATION = Jet2D({(2, 0): 1, (1, 2): Fraction(1, 3), (3, 1): 2,
                        (0, 4): -1}, 4)
+#: RhoPoly coefficients below degree 2 only, so f_uu + f_vv is concrete
+LOW_RHOPOLY = Jet2D({(0, 0): V(1, 1), (1, 0): V(0, 1) - 1,
+                     (2, 1): Fraction(1, 2), (0, 3): 3}, 4)
 
 
 @st.composite
@@ -183,10 +186,12 @@ def symbolic_rho_jets(draw):
 @example(MULTI_RHO, LOW_VALUATION, None)
 @example(MULTI_RHO, LOW_VALUATION, V(1, 2) - 1)
 @example(generic_rho_jet(1), LOW_VALUATION, None)  # reads rho to order 2
+@example(INT_RHO, LOW_RHOPOLY, None)
 def test_apply_with_symbolic_coefficients(rho, f, scale):
     # RhoPoly on either side, or both: a RhoPoly f is a concrete one times
-    # `scale`.  A jet shorter than the output order minus the valuation of
-    # f_uu + f_vv is refused, as the inverse to that order was.
+    # `scale`, or LOW_RHOPOLY, whose f_uu + f_vv is concrete.  A jet shorter
+    # than the output order minus the valuation of f_uu + f_vv is refused,
+    # as the inverse to that order was.
     if scale is not None:
         f = f * scale
     assume(_has_rhopoly(rho) or _has_rhopoly(f))
