@@ -36,6 +36,10 @@ checkout's `src/`).  Every request below runs once per tree, each in a fresh
   compared too;
 * the flat metric on all three routes (eq311 and eq310 print zeros, the
   curvature route exits 3);
+* the flat jet of order 12 on the curvature route, which pins the order
+  in which a request is admitted: `--n 1 --n 9` exits 3 on the vanishing
+  Jacobian, `--n 9 --n 1` and `--n 0 --n 9` exit 3 on a_9's order, and
+  `--n 0` prints a_0 = 1/(4*pi);
 * an all-integer jet of order 12 with constant term 1 (every denominator,
   also those of 1/rho, is 1): eq311 a_1..a_4 in plain and json, eq310
   a_1..a_4 and the curvature route's a_1 and a_2 in json, and `--n 2
@@ -52,7 +56,7 @@ checkout's `src/`).  Every request below runs once per tree, each in a fresh
 
 The exit code, standard output and standard error must match byte for byte,
 except for the `wallTimeSeconds` lines of the JSON reports.  Prints
-`identical (82 requests)` and exits 0, or prints the first differing request
+`identical (86 requests)` and exits 0, or prints the first differing request
 and exits 1.
 """
 
@@ -188,6 +192,13 @@ def requests(workloads, tmp: Path):
             "--metric", str(metric)]
     for path in ("eq311", "eq310", "curvature"):
         yield f"flat {path}", [*argv, "--path", path, "--format", "json"]
+    metric = tmp / "flat-jet.json"
+    metric.write_text(json.dumps(
+        {"kind": "jet", "order": 12, "coeffs": [[0, 0, "1"]]}))
+    for ns in ((1, 9), (9, 1), (0,), (0, 9)):
+        yield (f"flat jet curvature n={ns}",
+               ["compute", *(a for n in ns for a in ("--n", str(n))),
+                "--metric", str(metric), "--path", "curvature"])
     metric = tmp / "integer.json"
     metric.write_text(json.dumps(integer_jet()))
     ns = [arg for n in range(1, 5) for arg in ("--n", str(n))]

@@ -101,6 +101,13 @@ MUTANTS = (
      "value = RhoPoly.dot(pairs)",
      "value = RhoPoly.dot(pairs[:1])",
      ["tests/test_table.py::test_table_equals_horner_on_rhopoly_jets"]),
+    ("route checks only the first n", "heatinv.py",
+     """        for n in ns:
+            if n:
+                _require_order(n, rho, path)
+""",
+     "",
+     ["tests/test_table.py::test_batch_checks_every_n_before_any_work"]),
     ("parser takes an option as a flag's value", "cli.py",
      "                if _is_option(value, flags):\n",
      "                if _is_option(value, flags) and value[:2] != \"--\":\n",

@@ -42,8 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegenerateCurvatureCoordinates, OrderExhausted
-from .heatinv import (HeatInvariantResult, _radial_sums, _require_order,
-                      _route, required_order)
+from .heatinv import HeatInvariantResult, _one, _radial_sums, _route
 from .jets import Jet2D, _has_rhopoly
 from .laplace import ConformalLaplacian, gaussian_curvature_jet
 from .record import Record
@@ -95,40 +94,36 @@ def curvature_frame(rho: Jet2D) -> CurvatureFrame:
         rho.truncate(min(rho.order, FRAME_MIN_ORDER)))[0]
 
 
+def _curvature_sums(rho: Jet2D, ns):
+    """The route's setup: the frame, z, w and the pulled-back u^2 + v^2,
+    built at once, so that a degenerate frame is refused before the later
+    n are checked; the radial sums are read off the table later."""
+    frame, lap, z, w = _frame_and_coordinates(rho)
+    if frame.degenerate:
+        raise DegenerateCurvatureCoordinates(
+            "the (K, Delta K) Jacobian vanishes at the origin")
+    e, f = frame.e, frame.f
+    # u^2 + v^2 pulled back to the curvature coordinates
+    x = z * f - w * e
+    r2 = z * z + x * x * (1 / (e * frame.g - f ** 2))
+    return _radial_sums(lap, ns, 1 / e, r2)
+
+
 def heat_invariants_curvature_form(ns, rho: Jet2D):
     """Yield (n, a_n(origin)) through curvature coordinates for the distinct
-    n of `ns`, in increasing n, each as the table passes k = 4n.
+    n of `ns`, in increasing n, each as the table passes k = 4n; admitted
+    by ``heatinv._route``.
 
     Exactly equals the direct conformal-path value whenever the coordinates
     exist; raises DegenerateCurvatureCoordinates otherwise.  A nonzero
     Jacobian makes E and EG - F^2 = (Jacobian / rho_0)^2 nonzero.  The
     frame, z, w and the pulled-back u^2 + v^2 are built once, at the order
-    of the largest n.  The first n != 0 is checked against rho, then the
-    frame's degeneracy, then every other n, so the error raised is that of
-    the first n that fails; n = 0 gives WEYL_A0.
+    of the largest n.
     """
-    first = next((n for n in ns if n), None)
-    if first is not None:
-        _require_order(first, rho, "curvature")
-        order = min(rho.order, required_order(max(ns), "curvature"))
-        frame, lap, z, w = _frame_and_coordinates(rho.truncate(order))
-        if frame.degenerate:
-            raise DegenerateCurvatureCoordinates(
-                "the (K, Delta K) Jacobian vanishes at the origin")
-
-    def sums(_rho, positive):
-        e, f = frame.e, frame.f
-        # u^2 + v^2 pulled back to the curvature coordinates
-        x = z * f - w * e
-        r2 = z * z + x * x * (1 / (e * frame.g - f ** 2))
-        return _radial_sums(lap, positive, 1 / e, r2)
-
-    yield from _route(ns, rho, "curvature", sums)
+    return _route(ns, rho, "curvature", _curvature_sums)
 
 
 def heat_invariant_curvature_form(n: int, rho: Jet2D) -> HeatInvariantResult:
     """a_n(origin) through curvature coordinates:
     ``heat_invariants_curvature_form`` of the one index n >= 1."""
-    _require_order(n, rho, "curvature")
-    [(_, form)] = heat_invariants_curvature_form((n,), rho)
-    return HeatInvariantResult(form)
+    return _one(heat_invariants_curvature_form, n, rho, "curvature")

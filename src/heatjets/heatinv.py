@@ -63,7 +63,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 
 from .errors import IndexOutOfRange, OrderExhausted
-from .jets import STRIDE, Jet2D, _has_rhopoly, _slot
+from .jets import STRIDE, Jet2D, _slot
 from .laplace import ConformalLaplacian, FrozenLaplacian
 from .record import Record
 from .rhopoly import RhoPoly, mono_degree
@@ -286,12 +286,12 @@ def _image_table(lap: ConformalLaplacian, terms):
     that costs what M_(4N-1) would at the degrees of T_uu + T_vv alone, one
     degree of its band for the homogeneous T of eq311 and eq310; on
     ``RhoPoly`` jets it forms 9-15% more monomial products than the last
-    step would.  No M_k outlives the next step.  The kernel follows the ring of rho, as
-    ``ConformalLaplacian`` does.
+    step would.  No M_k outlives the next step.  The kernel follows the ring
+    of rho that ``lap`` read when it was built.
     """
     top = 4 * max(terms)
     band = top // 2  # 2N
-    if _has_rhopoly(lap.rho):
+    if lap.symbolic:
         chain = _DivisionChain(lap.inv0, lap.division_tail())
     else:
         chain = _GatherChain(lap.inverse_factor(band))
@@ -373,8 +373,8 @@ def required_order(n: int, path: str) -> int:
     return 2 * n
 
 
-def _require_order(n: int, rho: Jet2D, path: str) -> int:
-    """required_order(n, path), after checking n >= 1 and that `rho` carries it."""
+def _require_order(n: int, rho: Jet2D, path: str):
+    """Check that n >= 1 and that `rho` carries required_order(n, path)."""
     if n < 1:
         raise IndexOutOfRange(f"a_n on the {path} route needs n >= 1, got {n}")
     order = required_order(n, path)
@@ -382,50 +382,58 @@ def _require_order(n: int, rho: Jet2D, path: str) -> int:
         raise OrderExhausted(
             f"a_{n} on the {path} route needs a conformal factor jet of "
             f"order >= {order}, got {rho.order}")
-    return order
 
 
-def _check_request(ns, rho: Jet2D, path: str):
-    """The distinct n >= 1 of `ns`, sorted, after ``_require_order`` has
-    checked every n != 0 in request order, so the first that fails raises
-    before any work starts."""
-    for n in ns:
-        if n:
-            _require_order(n, rho, path)
-    return sorted(set(ns) - {0})
-
-
-def _route(ns, rho: Jet2D, path: str, sums):
+def _route(ns, rho: Jet2D, path: str, setup):
     """Yield (n, a_n(origin)) on route `path` for the distinct n of `ns`,
-    in increasing n.
+    in increasing n: the one driver that admits a batch request.
 
-    Every n is checked against rho before any work, and n = 0 gives
-    WEYL_A0.  The others are read off `sums(rho, positive)`, with rho
-    truncated to the order of the largest n: it yields (n, total) for the
-    sorted n >= 1, and a ``RhoPoly`` total becomes a ``ClosedForm``, any
-    other a ``PiScaled``.
+    With N the largest n, the steps run in this order, so the error raised
+    is that of the first check that fails: (1) the first n != 0 is checked
+    against rho (``_require_order``); (2) `setup(rho, positive)` runs on rho
+    truncated to min(rho.order, required_order(N, path)), with the sorted
+    n >= 1; it may refuse rho (a degenerate curvature frame) and returns
+    the sums, an iterable of (n, total); (3) every other n is checked;
+    (4) n = 0 gives WEYL_A0; (5) the sums are read, and a ``RhoPoly`` total
+    becomes a ``ClosedForm``, any other a ``PiScaled``.  A setup that
+    defers its work until its sums are read meets no property of rho
+    before every n has passed.
     """
-    positive = _check_request(ns, rho, path)
+    positive = sorted(set(ns) - {0})
+    if positive:
+        _require_order(next(n for n in ns if n), rho, path)
+        order = min(rho.order, required_order(positive[-1], path))
+        sums = setup(rho.truncate(order), positive)
+        for n in ns:
+            if n:
+                _require_order(n, rho, path)
     if 0 in ns:
         yield 0, WEYL_A0
     if positive:
-        rho = rho.truncate(required_order(positive[-1], path))
-        for n, total in sums(rho, positive):
+        for n, total in sums:
             yield n, (ClosedForm(n, total) if isinstance(total, RhoPoly)
                       else PiScaled(total))
 
 
+def _one(batch, n: int, rho: Jet2D, path: str) -> HeatInvariantResult:
+    """a_n(origin) as `batch` of the one index n, which must be >= 1."""
+    _require_order(n, rho, path)
+    [(_, form)] = batch((n,), rho)
+    return HeatInvariantResult(form)
+
+
 def _eq311_sums(rho: Jet2D, ns):
-    """eq311's sums: the radial sums of scale rho_0 and u^2 + v^2."""
+    """eq311's sums, built when read: radial, of scale rho_0 and u^2 + v^2."""
     r2 = Jet2D({(2, 0): 1, (0, 2): 1}, 2 * ns[-1] + 2)
-    return _radial_sums(ConformalLaplacian(rho), ns, rho.constant_term(), r2)
+    yield from _radial_sums(ConformalLaplacian(rho), ns, rho.constant_term(),
+                            r2)
 
 
 def heat_invariants(ns, rho: Jet2D):
     """Yield (n, a_n(origin)) by the direct monomial-image sum for the
-    distinct n of `ns`, in increasing n, each as the table passes k = 4n.
+    distinct n of `ns`, in increasing n, each as the table passes k = 4n;
+    admitted by ``_route``.
 
-    Every n is checked against rho before any work; n = 0 gives WEYL_A0.
     Terms sharing k are collected into the radial polynomial
     P_k = c_nk (rho_0 (u^2 + v^2))^(k-n) of the module docstring, and every
     a_n is read off one table.
@@ -436,9 +444,7 @@ def heat_invariants(ns, rho: Jet2D):
 def heat_invariant(n: int, rho: Jet2D) -> HeatInvariantResult:
     """a_n(origin) by the direct monomial-image sum: ``heat_invariants``
     of the one index n >= 1."""
-    _require_order(n, rho, "eq311")
-    [(_, form)] = heat_invariants((n,), rho)
-    return HeatInvariantResult(form)
+    return _one(heat_invariants, n, rho, "eq311")
 
 
 def _frozen_terms(n: int, frozen: FrozenLaplacian, rho0):
@@ -460,10 +466,10 @@ def _frozen_terms(n: int, frozen: FrozenLaplacian, rho0):
 
 
 def _eq310_sums(rho: Jet2D, ns):
-    """eq310's sums: its frozen terms read off the table."""
+    """eq310's sums, built when read: its frozen terms read off the table."""
     frozen, rho0 = FrozenLaplacian(rho), rho.constant_term()
-    return _image_table(ConformalLaplacian(rho),
-                        {n: _frozen_terms(n, frozen, rho0) for n in ns})
+    yield from _image_table(ConformalLaplacian(rho),
+                            {n: _frozen_terms(n, frozen, rho0) for n in ns})
 
 
 def heat_invariants_via_frozen(ns, rho: Jet2D):
@@ -481,7 +487,7 @@ def heat_invariants_via_frozen(ns, rho: Jet2D):
     Delta_0^(m-k) f_m, homogeneous of degree 2(k - n), and sum_k
     L_k(G_k) is read off eq311's table (sum_m m applications of Delta_0 per
     n).  Its seeds and weights are the paper's Gamma sums, not eq311's c_nk.
-    Every n is checked against rho before any work; n = 0 gives WEYL_A0.
+    Admitted by ``_route``.
     """
     return _route(ns, rho, "eq310", _eq310_sums)
 
@@ -489,9 +495,7 @@ def heat_invariants_via_frozen(ns, rho: Jet2D):
 def heat_invariant_via_frozen(n: int, rho: Jet2D) -> HeatInvariantResult:
     """a_n(origin) by the paper's expression (3.10):
     ``heat_invariants_via_frozen`` of the one index n >= 1."""
-    _require_order(n, rho, "eq310")
-    [(_, form)] = heat_invariants_via_frozen((n,), rho)
-    return HeatInvariantResult(form)
+    return _one(heat_invariants_via_frozen, n, rho, "eq310")
 
 
 def symbolic_heat_invariant(n: int) -> HeatInvariantResult:
@@ -583,8 +587,7 @@ def render_closed_form(form: ClosedForm, fmt: str = "plain") -> str:
         if abs(q) != 1 or not factors:
             factors.insert(0, str(abs(q)))
         pieces.append(("- " if q < 0 else "+ ") + sep.join(factors))
-    numerator = " ".join(pieces)  # the lead term drops "+ " or tightens "- "
-    numerator = numerator[2:] if numerator[0] == "+" else "-" + numerator[2:]
+    numerator = " ".join(pieces)[2:]  # the lead q > 0 drops its "+ "
     p = abs(content.numerator)
     if numerator == "1":  # a constant numerator prints as its content alone
         num_str = str(p)

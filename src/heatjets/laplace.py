@@ -105,7 +105,7 @@ class ConformalLaplacian:
     def __init__(self, rho: Jet2D):
         self.rho = rho
         self.inv0 = invert_coefficient(rho.constant_term())  # fail fast
-        self._symbolic = _has_rhopoly(rho)
+        self.symbolic = _has_rhopoly(rho)  # the ring, read once
         self._inv = None   # 1/rho to the largest order requested so far
         self._tail = None  # division_tail(), built on first use
 
@@ -128,7 +128,7 @@ class ConformalLaplacian:
         ``RhoPoly`` coefficients, else s times 1/rho read to degree
         order(s) - valuation(s), on int numerators."""
         s = flat_laplacian(f)
-        if self._symbolic or _has_rhopoly(s):
+        if self.symbolic or _has_rhopoly(s):
             return _divided_laplacian(s, self.inv0, self.division_tail(),
                                       self.rho.order)
         if not s:

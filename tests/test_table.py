@@ -1,5 +1,6 @@
 """The table of monomial images against the forward Horner chain it
-transposes, and the batch routes against their one-n calls."""
+transposes, the batch routes against their one-n calls, and the order in
+which a batch request is admitted."""
 
 import random
 
@@ -7,11 +8,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import heatjets.curvature as curvature
 import heatjets.heatinv as heatinv
 from heatjets.curvature import (_frame_and_coordinates,
                                 heat_invariant_curvature_form,
                                 heat_invariants_curvature_form)
-from heatjets.errors import DegenerateCurvatureCoordinates, OrderExhausted
+from heatjets.errors import (DegenerateCurvatureCoordinates,
+                             NonInvertibleConstantTerm, OrderExhausted)
 from heatjets.heatinv import (WEYL_A0, _frozen_terms, _image_table,
                               _radial_powers, _radial_terms, generic_rho_jet,
                               heat_invariant, heat_invariant_via_frozen,
@@ -132,12 +135,14 @@ def test_symbolic_batch_equals_its_one_n_calls():
             0: WEYL_A0, 1: one(1, rho).form, 2: one(2, rho).form}
 
 
+def refuse(*args):
+    raise AssertionError("work was started")
+
+
 def test_batch_checks_every_n_before_any_work(monkeypatch):
     # the error is the one a loop over the request raises at its first
     # failing n, and no table is built first: on the curvature route the
     # first n meets the frame's degeneracy before the later n their orders
-    def refuse(*args):
-        raise AssertionError("a table was built")
     monkeypatch.setattr(heatinv, "_image_table", refuse)
     rho = random_metric_jet(random.Random(7), order=12)
     for batch in (heat_invariants, heat_invariants_via_frozen,
@@ -150,3 +155,27 @@ def test_batch_checks_every_n_before_any_work(monkeypatch):
         list(heat_invariants_curvature_form([0, 1, 9], sphere))
     with pytest.raises(OrderExhausted, match="^a_9 on the"):
         list(heat_invariants_curvature_form([9, 1], sphere))
+
+
+def test_a0_alone_starts_no_work(monkeypatch):
+    # n = 0 is the Weyl term on every route: no frame is built, so neither
+    # a degenerate frame nor a jet too short for one is refused, and no
+    # table is built
+    monkeypatch.setattr(curvature, "_frame_and_coordinates", refuse)
+    monkeypatch.setattr(heatinv, "_image_table", refuse)
+    short = random_metric_jet(random.Random(3), order=3)
+    for rho in (sphere_rho(1, 12), short):
+        for batch in (heat_invariants, heat_invariants_via_frozen,
+                      heat_invariants_curvature_form):
+            assert list(batch([0], rho)) == [(0, WEYL_A0)]
+
+
+def test_later_n_is_checked_before_rho_00_is_inverted():
+    # rho_00 = 0 is met only when the sums are read, so the order of a_9
+    # is refused first, as a loop over the request refuses it
+    rho = Jet2D({(2, 0): 1, (1, 1): 2, (0, 2): 3}, 12)
+    for batch in (heat_invariants, heat_invariants_via_frozen):
+        with pytest.raises(NonInvertibleConstantTerm):
+            list(batch([1], rho))
+        with pytest.raises(OrderExhausted, match="^a_9 on the"):
+            list(batch([1, 9], rho))
