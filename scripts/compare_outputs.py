@@ -8,9 +8,10 @@ checkout's `src/`).  Every request below runs once per tree, each in a fresh
 `python3 -I` with that tree first on `sys.path`:
 
 * symbolic eq311 a_1..a_4 and symbolic eq310 a_1..a_3, in plain, latex and
-  json, symbolic eq311 a_5 (1092 terms over rho^15) in json, and symbolic
-  eq310 a_4 (307 terms) in json, the longest chain of ``RhoPoly`` jet
-  products, through the frozen Laplacian's constant jet;
+  json, symbolic eq311 a_5 (1092 terms over rho^15) and a_6 (3643 terms over
+  rho^18) in json, and symbolic eq310 a_4 (307 terms) in json, the longest
+  chain of ``RhoPoly`` jet products, through the frozen Laplacian's
+  constant jet;
 * seeds 501-503 of the benchmark workloads dense, curvature and sphere
   (their metrics come from `perfbench/workloads.py`), in json, plain and
   latex with `--approx 12`;
@@ -56,7 +57,7 @@ checkout's `src/`).  Every request below runs once per tree, each in a fresh
 
 The exit code, standard output and standard error must match byte for byte,
 except for the `wallTimeSeconds` lines of the JSON reports.  Prints
-`identical (86 requests)` and exits 0, or prints the first differing request
+`identical (87 requests)` and exits 0, or prints the first differing request
 and exits 1.
 """
 
@@ -139,7 +140,9 @@ def requests(workloads, tmp: Path):
         for fmt in FORMATS:
             yield (f"symbolic {path} {fmt}",
                    ["compute", *ns, "--path", path, "--format", fmt])
-    yield "symbolic eq311 n=5 json", ["compute", "--n", "5", "--format", "json"]
+    for n in ("5", "6"):
+        yield (f"symbolic eq311 n={n} json",
+               ["compute", "--n", n, "--format", "json"])
     yield ("symbolic eq310 n=4 json",
            ["compute", "--n", "4", "--path", "eq310", "--format", "json"])
     for workload in ("dense", "curvature", "sphere"):

@@ -70,8 +70,8 @@ MUTANTS = (
      "        return self._inv.truncate(max(order - 1, 0))\n",
      ["tests/test_laplace.py::test_inverse_factor_cache_and_identity"]),
     ("flat Laplacian takes f_uu twice", "laplace.py",
-     "-(f.diff(2, 0) + f.diff(0, 2))",
-     "-(f.diff(2, 0) + f.diff(2, 0))",
+     "(b * (b - 1), k - 2 * STRIDE - 2)",
+     "(a * (a - 1), k - 2 * STRIDE)",
      ["tests/test_laplace.py::test_apply_with_symbolic_coefficients"]),
     ("divided Laplacian reads rho one degree short", "laplace.py",
      "reach = 0 if v is None else (d - v + 1) * STRIDE",
@@ -94,13 +94,31 @@ MUTANTS = (
      "enumerate(self.inverse[:2 * k - d])",
      ["tests/test_table.py::test_table_equals_horner_on_concrete_jets"]),
     ("table division tail stops one degree early", "heatinv.py",
-     "reach = (2 * k - d + 1) * STRIDE  # tail keys of degree <= 2k - d",
-     "reach = (2 * k - d) * STRIDE  # tail keys of degree <= 2k - d",
+     "reach = 2 * k - d  # M_k vanishes above degree 2k",
+     "reach = 2 * k - d - 1  # M_k vanishes above degree 2k",
      ["tests/test_table.py::test_table_equals_horner_on_rhopoly_jets"]),
     ("table division keeps the first pair of each dot", "heatinv.py",
      "value = RhoPoly.dot(pairs)",
      "value = RhoPoly.dot(pairs[:1])",
      ["tests/test_table.py::test_table_equals_horner_on_rhopoly_jets"]),
+    ("table cone starts one step high", "heatinv.py",
+     "lo, m, out = max(0, k - self.n), self.m, {}",
+     "lo, m, out = max(0, k - self.n + 1), self.m, {}",
+     ["tests/test_heatinv.py::test_symbolic_a1_matches_golden_formula"]),
+    ("real form keeps odd v-weights", "heatinv.py",
+     "        if v % 2 == 0:\n",
+     "        if True:\n",
+     ["tests/test_table.py::test_real_form_matches_the_complex_value"]),
+    ("real form drops the sign of (-i)^B", "heatinv.py",
+     "Fraction(-c if v % 4 else c, den)",
+     "Fraction(c, den)",
+     ["tests/test_heatinv.py::test_symbolic_a1_matches_golden_formula",
+      "tests/test_table.py::test_real_form_matches_the_complex_value"]),
+    ("real form weights a conjugate pair once", "heatinv.py",
+     "half[mono] = c if mono == conj else 2 * c",
+     "half[mono] = c",
+     ["tests/test_table.py::test_real_form_matches_the_complex_value",
+      "tests/test_heatinv.py::test_render_a2_golden_strings"]),
     ("route checks only the first n", "heatinv.py",
      """        for n in ns:
             if n:

@@ -35,6 +35,24 @@ for any terms T_k.  A request whose largest index is N runs the chain
 once, to k = 4N, and reads every a_n off it as it passes k = n+1..4n, where
 one Horner chain per a_n would make sum_n 4n applications of Delta.
 
+On ``RhoPoly`` jets the chain runs in the complex coordinates z = u + iv
+and zbar = u - iv (``_ComplexChain``), on the generic factor's formal
+complex Taylor coefficients r_pq, rho = sum r_pq z^p zbar^q.  There
+Delta = -(4/rho) d_z d_zbar, whose flat part moves z^p zbar^q to the one
+monomial z^(p-1) zbar^(q-1), and u^2 + v^2 = z zbar is one monomial, so
+every term of eq311 and eq310, w (u^2 + v^2)^(k-n), is read off one slot
+on the diagonal.  Only the slots that feed those reads are kept: at step k
+the cone p, q >= k - N, p + q <= 2k, a fixed (2N + 1)(2N + 2)/2 slots, where
+the real band of 2N grows with k.  Each a_n, a polynomial in the r_pq, is
+converted to the rho_ab once (``_real_form``), and the conversion is exact:
+2^(p+q) r_pq is a linear form in the rho_ab with coefficients
+kappa (-i)^b, kappa an integer; a_n is real at real rho_ab and unchanged
+by r_pq <-> r_qp (the chain is symmetric in p and q), so it is the real
+part of the expansion of one monomial of each conjugate pair, counted
+twice, and (-i)^b enters every rho-monomial as the power (-i)^B of its
+v-weight B = sum b e, whose real part is (-1)^(B/2) or 0.  The expansion
+runs on integers, and the result is divided once by 4^n.
+
 The radial sum reads only the 2-jet of its radial function: the value
 S_n(f) = sum_k c_nk Delta^k(f^(k-n))(0), which ``_radial_sums`` gives, is
 a_n for every f = rho_0 (u^2 + v^2) + O(|(u, v)|^3), and another quadratic
@@ -63,7 +81,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 
 from .errors import IndexOutOfRange, OrderExhausted
-from .jets import STRIDE, Jet2D, _slot
+from .jets import STRIDE, Jet2D
 from .laplace import ConformalLaplacian, FrozenLaplacian
 from .record import Record
 from .rhopoly import RhoPoly, mono_degree
@@ -141,10 +159,13 @@ class _GatherChain:
     M_k[beta] = sum_gamma (1/rho)[gamma] L_k[beta + gamma] is a gather over
     output slots: for a term gamma = (p, q) of degree e, row d of M_k gains
     (1/rho)[gamma] times the slice q..q + d of row d + e of L_k.  A step
-    costs one gcd.
+    costs one gcd.  The chain stops at M_(top-2), so a read at k = top
+    applies Delta once.
     """
 
-    def __init__(self, inverse):
+    def __init__(self, lap: ConformalLaplacian, top):
+        self.band, self.stop = top // 2, top - 2
+        inverse = lap.inverse_factor(self.band)
         # the terms (q, numerator) of 1/rho by degree e, for e = 0..order
         self.inverse = [[] for _ in range(inverse.order + 1)]
         for k, c in inverse.num.items():
@@ -168,13 +189,13 @@ class _GatherChain:
         return -total, self.den * t.den
 
     @staticmethod
-    def total(reads):
+    def total(n, reads):
         """The sum of `reads`, over their lcm: one ``Fraction``."""
         den = lcm(*(d for _, d in reads))
         return Fraction(sum(p * (den // d) for p, d in reads), den)
 
-    def step(self, k, lo):
-        """M_k on the degrees lo..2k, from M_(k-1)."""
+    def step(self, k):
+        """M_k on the degrees 2k - band..2k, from M_(k-1)."""
         images = {}  # rows of L_k: -a(a-1) M[(a-2, b)] - b(b-1) M[(a, b-2)]
         for d, row in self.rows.items():
             d += 2
@@ -182,7 +203,7 @@ class _GatherChain:
                          for b, (x, y) in enumerate(zip(row + [0, 0],
                                                         [0, 0] + row))]
         rows = {}
-        for d in range(lo, 2 * k + 1):
+        for d in range(max(0, 2 * k - self.band), 2 * k + 1):
             row = None
             # L_k vanishes above degree 2k
             for e, terms in enumerate(self.inverse[:2 * k - d + 1]):
@@ -201,67 +222,155 @@ class _GatherChain:
         self.rows, self.den = rows, den // g
 
 
-class _DivisionChain:
-    """The functionals M_k = L_k o (1/rho) of a ``RhoPoly`` rho, by key.
+def _complex_forms(order):
+    """{(p, q): 2^s r_pq} for p + q = s <= order, as integer linear forms
+    in the rho_ab with each (-i)^b left out.
 
-    Transposing ``laplace._divided_laplacian``: x^beta = rho (x^beta / rho)
-    gives M_k[beta] = (1/rho_00)(L_k[beta] - sum_(gamma != 0) rho_gamma
-    M_k[beta + gamma]), solved from degree 2k down with one ``RhoPoly.dot``
-    per slot.  The two derivative pairs of L_k[beta], read from M_(k-1),
-    are folded into that dot, so L_k is formed only where a term is read.
+    With u = (z + zbar)/2 and v = (z - zbar)/(2i), the coefficient r_pq of
+    z^p zbar^q in rho = sum rho_ab u^a v^b is 2^(-s) sum_b kappa_(pq,b)
+    (-i)^b rho_(s-b,b), where kappa_(pq,b) = sum_x C(s-b, x) C(b, p-x)
+    (-1)^(b-p+x) is that coefficient in (z + zbar)^(s-b) (z - zbar)^b.
+    """
+    forms = {}
+    for s in range(order + 1):
+        for p in range(s + 1):
+            forms[(p, s - p)] = RhoPoly({
+                (((s - b, b), 1),): sum(
+                    comb(s - b, x) * comb(b, p - x) * (-1) ** (b - p + x)
+                    for x in range(max(0, p - b), min(s - b, p) + 1))
+                for b in range(s + 1)})
+    return forms
+
+
+def _real_form(poly: RhoPoly, forms, den) -> RhoPoly:
+    """poly / den in the rho_ab, for a poly in the r_pq of weight 2n that
+    is unchanged by r_pq <-> r_qp, with forms = ``_complex_forms`` and den a
+    multiple of 4^n.
+
+    At real rho_ab, r_qp is the conjugate of r_pq, so the monomials m and
+    conj(m) of such a poly sum to 2 Re m, and one of each pair is expanded,
+    with weight 2 unless m = conj(m).  The (-i)^b left out of the forms
+    multiply a rho-monomial of v-weight B = sum b e by (-i)^B, whose real
+    part is (-1)^(B/2) for even B and 0 for odd B.  Every monomial of
+    weight 2n carries 2^(-2n) from the forms, which leaves den / 4^n.
+    """
+    half = {}
+    for mono, c in poly.terms():
+        conj = tuple(sorted(((q, p), e) for (p, q), e in mono))
+        if mono <= conj:
+            half[mono] = c if mono == conj else 2 * c
+    expanded = RhoPoly(half, poly.den).substitute(forms)
+    real = {}
+    for mono, c in expanded.terms():
+        v = sum(b * e for (_, b), e in mono)
+        if v % 2 == 0:
+            real[mono] = Fraction(-c if v % 4 else c, den)
+    return RhoPoly(real, expanded.den)
+
+
+class _ComplexChain:
+    """The functionals M_k = L_k o (1/rho) of the generic factor of order
+    2N, in the complex coordinates z = u + iv and zbar = u - iv.
+
+    With rho = sum r_pq z^p zbar^q, the r_pq formal variables keyed as
+    ``RhoPoly.var(p, q)``, F[(p, q)] the value of a functional F at
+    z^p zbar^q, and Delta = -(4/rho) d_z d_zbar,
+
+        L_(k+1)[(p, q)] = -4pq M_k[(p-1, q-1)],
+        M_k[beta] = (1/r_00)(L_k[beta] - sum_(gamma != 0) r_gamma
+                    M_k[beta + gamma]),
+
+    solved from degree 2k down with one ``RhoPoly.dot`` per slot, into
+    which the one pair of L_k[beta] is folded.  Every term the chain reads
+    is w (u^2 + v^2)^j = w (z zbar)^j with j >= k - N, read as
+    L_k[(j, j)] = -4j^2 M_(k-1)[(j-1, j-1)], and every later slot that
+    feeds such a read lies on or above the diagonal one of a step.  So step
+    k keeps only the cone p, q >= k - N, p + q <= 2k, at most
+    (2N + 1)(2N + 2)/2 slots, and the last read needs M_(4N-1): the chain
+    applies Delta nowhere.
+
+    Each a_n, a polynomial in the r_pq, becomes one in the rho_ab in
+    ``total`` (``_real_form``).  A rho other than the generic factor gets
+    the generic factor's converted reads with its own coefficients put in
+    by ``RhoPoly.substitute``, one read at a time, since their weights
+    hold its coefficients.
     """
 
-    def __init__(self, inv0, tail):
-        self.inv0, self.tail = inv0, tail  # tail: (key, -rho_gamma / rho_00)
-        self.m = {0: inv0}  # M_0
-        self.scaled = {}    # w -> -w / rho_00
-
-    def _pairs(self, key, scale):
-        """(scale(w), M_(k-1)[beta]) for the derivative pairs of the slot
-        (a, b) of `key`: w = a(a - 1) at beta = (a - 2, b), b(b - 1) at
-        (a, b - 2)."""
-        a, b = _slot(key)
-        pairs = []
-        for w, j in ((a * (a - 1), key - 2 * STRIDE),
-                     (b * (b - 1), key - 2 * STRIDE - 2)):
-            if w:
-                v = self.m.get(j)
-                if v is not None:
-                    pairs.append((scale(w), v))
-        return pairs
+    def __init__(self, lap: ConformalLaplacian, top):
+        self.n, self.stop = top // 4, top - 1
+        band, rho = 2 * self.n, lap.rho
+        if rho.order < band:
+            raise OrderExhausted(
+                f"the table reads rho to order {band}, have {rho.order}")
+        coeffs = {(a, d - a): rho.coefficient(a, d - a)
+                  for d in range(band + 1) for a in range(d + 1)}
+        self.values = None if all(
+            c == RhoPoly.var(*slot) for slot, c in coeffs.items()) else {
+                slot: c if isinstance(c, RhoPoly) else RhoPoly.const(c)
+                for slot, c in coeffs.items()}
+        self.forms = _complex_forms(band)
+        self.inv0 = RhoPoly.var(0, 0).inverse()
+        # (gamma, -r_gamma / r_00) for gamma != 0, by degree
+        self.tail = [(slot, -RhoPoly.var(*slot) * self.inv0)
+                     for slot in coeffs if slot != (0, 0)]
+        self.scaled = {}  # w -> w / r_00
+        self.k, self.m = 0, {(0, 0): self.inv0}  # M_0
 
     def read(self, t):
-        """L_k(t) = M_(k-1)(-(t_uu + t_vv)), one ``RhoPoly.dot``."""
-        pairs = []
-        for key, c in t._values().items():
-            pairs += self._pairs(key, lambda w: -w * c)
-        return RhoPoly.dot(pairs)
+        """L_k(t) of t = w (u^2 + v^2)^j as the pair (-4 j^2 w,
+        M_(k-1)[(j-1, j-1)]), or None where it is zero."""
+        values = t._values()
+        if not values:
+            return None
+        j = t.valuation() // 2
+        w = values.get(2 * j * STRIDE)
+        if w is None or len(values) != j + 1 or any(
+                values.get(2 * j * STRIDE + 2 * i) != w * comb(j, i)
+                for i in range(1, j + 1)):
+            raise ValueError("the complex table reads only terms "
+                             "w (u^2 + v^2)^j")
+        if not j:
+            return None  # L_k(1) = 0 for k >= 1
+        if j <= self.k - self.n:
+            raise ValueError(f"a term of degree {2 * j} at k = {self.k + 1} "
+                             "lies below the table's cone")
+        x = self.m.get((j - 1, j - 1))
+        return None if x is None else (-4 * j * j * w, x)
 
-    total = staticmethod(RhoPoly.sum)
+    def total(self, n, reads):
+        """a_n in the rho_ab, from the reads of a_n."""
+        reads = [r for r in reads if r is not None]
+        if self.values is None:
+            return _real_form(RhoPoly.dot(reads), self.forms, 4 ** n)
+        return RhoPoly.dot(
+            (w, _real_form(x, self.forms, 4 ** n).substitute(self.values))
+            for w, x in reads)
 
-    def _scaled(self, w):
-        if w not in self.scaled:
-            self.scaled[w] = -w * self.inv0
-        return self.scaled[w]
-
-    def step(self, k, lo):
-        """M_k on the degrees lo..2k, from M_(k-1)."""
-        out = {}
-        for d in range(2 * k, lo - 1, -1):
-            reach = (2 * k - d + 1) * STRIDE  # tail keys of degree <= 2k - d
-            for key in range(d * STRIDE, d * STRIDE + d + 1):
-                pairs = self._pairs(key, self._scaled)
-                for kt, t in self.tail:
-                    if kt >= reach:
+    def step(self, k):
+        """M_k on the cone p, q >= k - N, p + q <= 2k, from M_(k-1)."""
+        lo, m, out = max(0, k - self.n), self.m, {}
+        for d in range(2 * k, 2 * lo - 1, -1):
+            reach = 2 * k - d  # M_k vanishes above degree 2k
+            for p in range(lo, d - lo + 1):
+                q = d - p
+                pairs = []
+                x = m.get((p - 1, q - 1))
+                if x is not None:
+                    w = -4 * p * q
+                    if w not in self.scaled:
+                        self.scaled[w] = self.inv0 * w
+                    pairs.append((self.scaled[w], x))
+                for (a, b), t in self.tail:
+                    if a + b > reach:
                         break
-                    v = out.get(key + kt)
-                    if v is not None:
-                        pairs.append((t, v))
+                    x = out.get((p + a, q + b))
+                    if x is not None:
+                        pairs.append((t, x))
                 if pairs:
                     value = RhoPoly.dot(pairs)
                     if value:
-                        out[key] = value
-        self.m = out
+                        out[(p, q)] = value
+        self.k, self.m = k, out
 
 
 def _image_table(lap: ConformalLaplacian, terms):
@@ -280,31 +389,28 @@ def _image_table(lap: ConformalLaplacian, terms):
     L_k vanishes above degree 2k, and with N the largest n every later read
     and step needs M_k only from degree 2(k - N) up: a band of 2N, the band
     of one Horner chain of a_N, so rho, or 1/rho, is read to degree 2N and
-    a request makes one Newton inverse.  At k = 4N only the one term T of
-    a_N is read, so the chain stops at M_(4N-2) and reads L_(4N)(T) as
-    L_(4N-1)(Delta T), with one application of ``lap``.  On concrete jets
-    that costs what M_(4N-1) would at the degrees of T_uu + T_vv alone, one
-    degree of its band for the homogeneous T of eq311 and eq310; on
-    ``RhoPoly`` jets it forms 9-15% more monomial products than the last
-    step would.  No M_k outlives the next step.  The kernel follows the ring
-    of rho that ``lap`` read when it was built.
+    a request makes one Newton inverse.  The kernel follows the ring of rho
+    that ``lap`` read when it was built: ``_GatherChain`` on concrete jets,
+    ``_ComplexChain`` on ``RhoPoly`` ones, whose terms must be radial,
+    T_k = w (u^2 + v^2)^(k-n), as those of eq311 and eq310 are.  A chain
+    steps to M_stop; a read past it applies ``lap`` once: the gather chain
+    stops at M_(4N-2) and reads L_(4N)(T) of the one term T of a_N as
+    L_(4N-1)(Delta T), which costs what M_(4N-1) would at the degrees of
+    T_uu + T_vv alone.  No M_k outlives the next step.
     """
     top = 4 * max(terms)
-    band = top // 2  # 2N
-    if lap.symbolic:
-        chain = _DivisionChain(lap.inv0, lap.division_tail())
-    else:
-        chain = _GatherChain(lap.inverse_factor(band))
+    chain = (_ComplexChain if lap.symbolic else _GatherChain)(lap, top)
     reads = {n: [] for n in sorted(terms)}
     for k in range(1, top + 1):
         for n in list(reads):
             t = terms[n][k]
             if t is not None:
-                reads[n].append(chain.read(lap.apply(t) if k == top else t))
+                reads[n].append(
+                    chain.read(lap.apply(t) if k > chain.stop + 1 else t))
             if k == 4 * n:
-                yield n, chain.total(reads.pop(n))
-        if k < top - 1:
-            chain.step(k, max(0, 2 * k - band))
+                yield n, chain.total(n, reads.pop(n))
+        if k <= chain.stop:
+            chain.step(k)
 
 
 def _radial_sums(lap: ConformalLaplacian, ns, scale, r2: Jet2D):

@@ -8,7 +8,9 @@ conformal factor).  The two rings meet only in the symbolic pipelines, where
 concrete jets are multiplied by ``RhoPoly`` values:
 
 * symbolic eq311 multiplies the concrete powers of u^2 + v^2 by the
-  ``RhoPoly`` scalar rho_0^j D c_nk (``heatinv._radial_terms``);
+  ``RhoPoly`` scalar rho_0^j D c_nk (``heatinv._radial_terms``), and the
+  table of ``heatinv`` reads each such term back as its weight on the one
+  complex monomial (z zbar)^j;
 * symbolic eq310 multiplies the frozen images of its concrete seed jets
   by 1/rho_00 (the frozen Laplacian) and by its ``RhoPoly`` weights.
 

@@ -32,11 +32,13 @@ Either way rho is read only to degree order(s) - valuation(s):
   the key of (a, b) minus the key of (p, q).
 
 The routes make no chain of applications: they read every a_n off the
-table of ``heatinv``, the transpose of such a chain, which applies Delta
-once, to the one term it reads last.  Its division by rho is the transpose
-of ``_divided_laplacian``, and ``ConformalLaplacian.apply`` is the
-reference the tests compare the table with.  The ring of rho is read once,
-when an operator is built.
+table of ``heatinv``, the transpose of such a chain.  On concrete jets it
+applies Delta once, to the one term it reads last.  On ``RhoPoly`` jets it
+applies Delta nowhere: it divides by rho in the complex coordinates z, zbar,
+where the flat part -4 d_z d_zbar moves each monomial to one monomial.
+``ConformalLaplacian.apply``, with ``_divided_laplacian`` on that ring, is
+the independent reference the tests compare the table with on both rings.
+The ring of rho is read once, when an operator is built.
 """
 
 from __future__ import annotations
@@ -44,15 +46,28 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import OrderExhausted
-from .jets import (STRIDE, Jet2D, _capped_product, _has_rhopoly,
+from .jets import (STRIDE, Jet2D, _capped_product, _has_rhopoly, _slot,
                    invert_coefficient)
 from .rhopoly import RhoPoly
 
 
 def flat_laplacian(f):
     """-(f_uu + f_vv), trusted to f.order - 2, in the ring of f: the flat
-    part of both Laplacians."""
-    return -(f.diff(2, 0) + f.diff(0, 2))
+    part of both Laplacians, formed in one pass over the slots of f, so a
+    concrete f pays one gcd.  The slot (a, b) of f gives -a(a-1) c to
+    (a - 2, b) and -b(b-1) c to (a, b - 2)."""
+    if f.order < 2:
+        raise OrderExhausted(
+            f"derivative of total order 2 exhausts jet order {f.order}")
+    num = {}
+    for k, c in f.num.items():
+        a, b = _slot(k)
+        for w, j in ((a * (a - 1), k - 2 * STRIDE),
+                     (b * (b - 1), k - 2 * STRIDE - 2)):
+            if w:
+                prev = num.get(j)
+                num[j] = -w * c if prev is None else prev - w * c
+    return Jet2D._form(f.den, num, f.order - 2)
 
 
 def _divided_laplacian(s, inv0, tail, known):

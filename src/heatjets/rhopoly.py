@@ -318,10 +318,16 @@ class RhoPoly:
         return out
 
     def substitute(self, values):
-        """Evaluate at concrete rational Taylor coefficients.
+        """Evaluate at given Taylor coefficients.
 
-        `values` maps (a, b) to a rational; unlisted variables are zero.
+        `values` maps (a, b) to a rational or a ``RhoPoly``; unlisted
+        variables are zero.  The value is a ``Fraction`` when every given
+        value is rational, and a ``RhoPoly`` otherwise; then the value of
+        rho_00 is inverted as ``inverse`` inverts, where the numerator's
+        rho_00 exponent is negative.
         """
+        if any(isinstance(v, RhoPoly) for v in values.values()):
+            return self._substitute_polys(values)
         rho00 = Fraction(values.get(VAR00, 0))
         if self.den and not rho00:
             raise NonInvertibleConstantTerm("substitution with rho_00 = 0")
@@ -333,6 +339,48 @@ class RhoPoly:
                 term *= values.get(var, 0) ** exp
             total += term
         return total
+
+    def _substitute_polys(self, values):
+        """``substitute`` on the ``RhoPoly`` ring: one fused ``dot``.
+
+        A monomial's variables are multiplied in field order, and the
+        product of all but the last is kept, so monomials that share those
+        variables share it; the last factor's power is multiplied into the
+        sum by the ``dot``, with the coefficient and the power of rho_00
+        folded into the kept product.
+        """
+        if self.den and not values.get(VAR00):
+            raise NonInvertibleConstantTerm("substitution with rho_00 = 0")
+        powers, prefixes = {}, {(): RhoPoly.one()}
+
+        def power(var, exp):
+            p = powers.get((var, exp))
+            if p is None:
+                base = RhoPoly._coerce(values[var])
+                p = powers[(var, exp)] = (base ** exp if exp > 0 else
+                                          base.inverse() ** -exp)
+            return p
+
+        def prefix(factors):
+            p = prefixes.get(factors)
+            if p is None:
+                p = prefixes[factors] = prefix(factors[:-1]) * power(
+                    *factors[-1])
+            return p
+
+        pairs = []
+        for key, c in self.num.items():
+            e, factors = _unpack(key)
+            if not all(values.get(var) for var, _ in factors) or (
+                    e and not values.get(VAR00)):
+                continue  # a variable that is zero
+            scale = power(VAR00, e) * c if e else c
+            if factors:
+                pairs.append((prefix(tuple(factors[:-1])) * scale,
+                              power(*factors[-1])))
+            else:
+                pairs.append((scale, 1))
+        return RhoPoly.dot(pairs)
 
     def weights(self):
         """Set of derivative-order weights over the numerator monomials."""

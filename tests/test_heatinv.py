@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heatjets.errors import IndexOutOfRange, OrderExhausted
-from heatjets.heatinv import (WEYL_A0, ClosedForm, PiScaled, _DivisionChain,
+from heatjets.heatinv import (WEYL_A0, ClosedForm, PiScaled, _ComplexChain,
                               _GatherChain, _radial_powers, _radial_sums,
                               _radial_terms, closed_form_to_json,
                               gamma_half_rational, generic_rho_jet,
@@ -443,12 +443,12 @@ def test_symbolic_a4_size():
 
 def test_symbolic_products_are_fused_and_integral(monkeypatch):
     # Inside a table step no RhoPoly is summed term by term (each slot is one
-    # fused RhoPoly.dot), and every coefficient of every M_k the generic
+    # fused RhoPoly.dot), and every coefficient of every slot the generic
     # factor's eq311 table keeps is an int.
     depth = [0]
     sums_inside = []
     coefficients = []
-    step, rho_sum = _DivisionChain.step, RhoPoly.sum.__func__
+    step, rho_sum = _ComplexChain.step, RhoPoly.sum.__func__
 
     def counted_step(self, *args):
         depth[0] += 1
@@ -464,7 +464,7 @@ def test_symbolic_products_are_fused_and_integral(monkeypatch):
             sums_inside.append(items)
         return rho_sum(cls, items)
 
-    monkeypatch.setattr(_DivisionChain, "step", counted_step)
+    monkeypatch.setattr(_ComplexChain, "step", counted_step)
     monkeypatch.setattr(RhoPoly, "sum", classmethod(counted_sum))
     assert symbolic_heat_invariant(2).form.poly == closed_form(2).poly
     assert not sums_inside
@@ -472,31 +472,53 @@ def test_symbolic_products_are_fused_and_integral(monkeypatch):
 
 
 def test_symbolic_routes_form_no_inverse(monkeypatch):
-    # The table of the generic factor divides by rho: neither route forms a
-    # Newton inverse, and a_n takes 4n - 2 division steps and one
-    # application of Delta, which divides too.
+    # The table of the generic factor divides by rho in complex coordinates:
+    # neither route forms a Newton inverse or applies Delta, a_n takes
+    # 4n - 1 steps, each keeping at most the (2n + 1)(2n + 2)/2 slots of its
+    # cone, and a_1..a_3 in one request form at most 5,000 monomial
+    # products in RhoPoly.dot, the chain and the conversion included.
     calls = Counter()
+    slots = []
+    products = [0]
 
     def counted(owner, name):
         original = getattr(owner, name)
 
         def wrapper(*args):
             calls[name] += 1
-            return original(*args)
+            result = original(*args)
+            if name == "step":
+                slots.append(len(args[0].m))
+            return result
         monkeypatch.setattr(owner, name, wrapper)
+
+    def dot(cls, pairs):
+        pairs = list(pairs)
+        for p, q in pairs:
+            products[0] += (len(p.num) if isinstance(p, RhoPoly) else 1) * (
+                len(q.num) if isinstance(q, RhoPoly) else 1)
+        return rho_dot(cls, pairs)
 
     counted(Jet2D, "inverse")
     counted(ConformalLaplacian, "inverse_factor")
     counted(ConformalLaplacian, "apply")
-    counted(_DivisionChain, "step")
+    counted(_ComplexChain, "step")
     for n in (1, 2, 3):
         calls.clear()
+        slots.clear()
         symbolic_heat_invariant(n)
-        assert calls == {"step": 4 * n - 2, "apply": 1}
+        assert calls == {"step": 4 * n - 1}
+        assert max(slots) <= (2 * n + 1) * (2 * n + 2) // 2
     for n in (1, 2):
         calls.clear()
         heat_invariant_via_frozen(n, generic_rho_jet(2 * n))
-        assert calls == {"step": 4 * n - 2, "apply": 1}
+        assert calls == {"step": 4 * n - 1}
+    rho_dot = RhoPoly.dot.__func__
+    monkeypatch.setattr(RhoPoly, "dot", classmethod(dot))
+    forms = dict(heat_invariants([1, 2, 3], generic_rho_jet(6)))
+    assert [form.poly for form in forms.values()] == [
+        closed_form(n).poly for n in (1, 2, 3)]
+    assert products[0] <= 5000
 
 
 def test_homogeneity_of_closed_forms():

@@ -117,6 +117,41 @@ def test_substitute_is_a_homomorphism(p, q, vals):
     assert (p * q).substitute(vals) == p.substitute(vals) * q.substitute(vals)
 
 
+@st.composite
+def poly_values(draw):
+    """Values of the variables of ``rho_polys``: rationals or RhoPoly
+    values, with rho_00 an invertible q or q * rho_00^d."""
+    vals = {VAR00: draw(rationals.filter(bool)) * RhoPoly.var(0, 0) ** draw(
+        st.integers(0, 2))}
+    for var in draw(st.lists(variables, max_size=6)):
+        if var != VAR00:
+            vals[var] = draw(rationals | rho_polys())
+    return vals
+
+
+@settings(max_examples=60)
+@given(rho_polys(), poly_values(), point_values())
+def test_substitute_of_polys_composes(p, vals, point):
+    # putting RhoPoly values in and then a point is putting in the values'
+    # own values at that point
+    got = p.substitute(vals)
+    assert isinstance(got, RhoPoly)
+    canonical(got)
+    assert got.substitute(point) == p.substitute(
+        {var: v.substitute(point) if isinstance(v, RhoPoly) else v
+         for var, v in vals.items()})
+
+
+def test_substitute_of_polys_needs_an_invertible_rho00():
+    p = RhoPoly({((VAR00, -1),): 1})
+    with pytest.raises(NonInvertibleConstantTerm):
+        p.substitute({(1, 0): RhoPoly.var(1, 0)})
+    with pytest.raises(NonInvertibleConstantTerm):
+        p.substitute({VAR00: RhoPoly.var(1, 0)})
+    assert p.substitute({VAR00: RhoPoly.var(0, 0) * 2}) == \
+        RhoPoly({((VAR00, -1),): Fraction(1, 2)})
+
+
 @settings(max_examples=60)
 @given(st.lists(st.tuples(st.one_of(rationals, rho_polys()),
                           st.one_of(rationals, rho_polys())), max_size=4))

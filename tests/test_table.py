@@ -3,6 +3,7 @@ transposes, the batch routes against their one-n calls, and the order in
 which a batch request is admitted."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -15,8 +16,9 @@ from heatjets.curvature import (_frame_and_coordinates,
                                 heat_invariants_curvature_form)
 from heatjets.errors import (DegenerateCurvatureCoordinates,
                              NonInvertibleConstantTerm, OrderExhausted)
-from heatjets.heatinv import (WEYL_A0, _frozen_terms, _image_table,
-                              _radial_powers, _radial_terms, generic_rho_jet,
+from heatjets.heatinv import (WEYL_A0, _complex_forms, _frozen_terms,
+                              _image_table, _radial_powers, _radial_terms,
+                              _real_form, generic_rho_jet,
                               heat_invariant, heat_invariant_via_frozen,
                               heat_invariants, heat_invariants_via_frozen,
                               required_order)
@@ -101,11 +103,93 @@ def rhopoly_jets(draw, order):
        data=st.data())
 @example(path="eq311", ns=[1], data=None)  # the generic factor's a_1
 def test_table_equals_horner_on_rhopoly_jets(path, ns, data):
-    # the transposed division equals the forward division it transposes;
-    # the curvature route takes concrete jets only
+    # the division chain in complex coordinates, converted to the rho_ab and
+    # with rho's own coefficients put in, equals the forward division by
+    # rho; the curvature route takes concrete jets only
     rho = (generic_rho_jet(2 * max(ns)) if data is None
            else data.draw(rhopoly_jets(2 * max(ns))))
     assert_table_is_horner(path, ns, rho)
+
+
+def test_table_equals_horner_on_explicit_rhopoly_jets():
+    # jets other than the generic factor: rho_00 an int or a rational
+    # multiple of its variable, beside zero, rational and variable slots
+    x = RhoPoly.var
+    tail = {(1, 0): x(1, 0), (0, 1): 0, (2, 0): Fraction(3, 2),
+            (1, 1): x(1, 1) * Fraction(-1, 3), (0, 2): x(0, 2), (3, 0): 0,
+            (2, 1): 2, (1, 2): x(1, 2), (0, 3): Fraction(-5, 7),
+            (4, 0): x(4, 0), (2, 2): Fraction(1, 4), (0, 4): x(0, 4) * 3}
+    for rho00 in (2, x(0, 0) * Fraction(5, 2)):
+        rho = Jet2D({(0, 0): rho00, **tail}, 4)
+        for path in ("eq311", "eq310"):
+            assert_table_is_horner(path, [1, 2], rho)
+
+
+def gaussian_taylor(rho):
+    """{(p, q): r_pq} of rho = sum rho_ab u^a v^b by its definition, with
+    u = (z + zbar)/2 and v = (z - zbar)/(2i), as Gaussian rationals
+    (real part, imaginary part) keyed by the powers of z and zbar."""
+    def times(f, g):
+        out = {}
+        for (p1, q1), (x1, y1) in f.items():
+            for (p2, q2), (x2, y2) in g.items():
+                x, y = out.get((p1 + p2, q1 + q2), (0, 0))
+                out[(p1 + p2, q1 + q2)] = (x + x1 * x2 - y1 * y2,
+                                           y + x1 * y2 + y1 * x2)
+        return out
+    half = Fraction(1, 2)
+    u = {(1, 0): (half, 0), (0, 1): (half, 0)}
+    v = {(1, 0): (0, -half), (0, 1): (0, half)}  # 1/(2i) = -i/2
+    r = {}
+    for (a, b), c in rho.items():
+        term = {(0, 0): (c, 0)}
+        for _ in range(a):
+            term = times(term, u)
+        for _ in range(b):
+            term = times(term, v)
+        for key, (x, y) in term.items():
+            x0, y0 = r.get(key, (0, 0))
+            r[key] = (x0 + x, y0 + y)
+    return r
+
+
+def test_real_form_matches_the_complex_value():
+    # a random polynomial of weight 2n in the r_pq, unchanged by
+    # r_pq <-> r_qp, evaluated at the r_pq of random rational rho_ab as
+    # Gaussian rationals, is real and equals its conversion to the rho_ab
+    # at the same rho_ab
+    rng = random.Random(32)
+    for n in (1, 2, 3, 4):
+        forms = _complex_forms(2 * n)
+        for _ in range(4):
+            rho = {(a, d - a): Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                   for d in range(2 * n + 1) for a in range(d + 1)}
+            rho[(0, 0)] = Fraction(rng.randint(1, 9), rng.randint(1, 5))
+            r = gaussian_taylor(rho)
+            num = {}
+            for _ in range(5):
+                mono, left = {}, 2 * n
+                while left:
+                    s = rng.randint(1, left)
+                    p = rng.randint(0, s)
+                    mono[(p, s - p)] = mono.get((p, s - p), 0) + 1
+                    left -= s
+                mono[(0, 0)] = rng.randint(0, 3)
+                c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                for m in (mono, {(q, p): e for (p, q), e in mono.items()}):
+                    key = tuple(sorted(m.items()))
+                    num[key] = num.get(key, 0) + c
+            poly = RhoPoly(num, rng.randint(0, 4))
+            x, y = Fraction(0), Fraction(0)
+            for mono, c in poly.terms():
+                tx, ty = c / rho[(0, 0)] ** poly.den, Fraction(0)
+                for (p, q), e in mono:
+                    for _ in range(e):
+                        rx, ry = r[(p, q)]
+                        tx, ty = tx * rx - ty * ry, tx * ry + ty * rx
+                x, y = x + tx, y + ty
+            assert y == 0
+            assert _real_form(poly, forms, 4 ** n).substitute(rho) == x
 
 
 @settings(max_examples=10, deadline=None)
