@@ -49,7 +49,12 @@ checkout's `src/`).  Every request below runs once per tree, each in a fresh
   10009, which stresses the content division of the integral jets: eq311,
   eq310 and the curvature route's a_1..a_3 in json, and its curvature
   frame;
-* the sphere of radius 7/5 at a_8 in json;
+* the sphere of radius 7/5 at a_8 and a_12 in json;
+* an asymmetric jet of order 12 (seeded numerators in [-9, 9] over
+  [1, 7], every coefficient of odd degree in v nonzero, so 1/rho has
+  complex coefficients in z, zbar): eq311 and eq310 a_5 and a_6, and the
+  batch `--n 1 --n 4`, whose table cuts the low slots of its cone, in json;
+* the flat metric's a_3 alone on eq311 and eq310 in json;
 * the input-error contract, each in plain and json (exit 2, the message on
   standard error or in the JSON report): an unknown metric kind, a sphere
   of radius 0, a jet whose coeffs[1][2] is not a rational (its error names
@@ -57,7 +62,7 @@ checkout's `src/`).  Every request below runs once per tree, each in a fresh
 
 The exit code, standard output and standard error must match byte for byte,
 except for the `wallTimeSeconds` lines of the JSON reports.  Prints
-`identical (87 requests)` and exits 0, or prints the first differing request
+`identical (96 requests)` and exits 0, or prints the first differing request
 and exits 1.
 """
 
@@ -103,6 +108,21 @@ def coprime_jet():
               for b in range(COPRIME_ORDER + 1 - a) if a + b]
     return {"kind": "jet", "order": COPRIME_ORDER,
             "coeffs": [[0, 0, "10009/10007"], *coeffs]}
+
+
+def asymmetric_jet():
+    """The jet document of order 12 with seeded numerators in [-9, 9] over
+    [1, 7], nonzero where the degree in v is odd, and rho(0) = 3/2."""
+    rng = random.Random("asymmetric")
+    coeffs = []
+    for a in range(INTEGER_ORDER + 1):
+        for b in range(INTEGER_ORDER + 1 - a):
+            if a + b:
+                c = rng.choice((-1, 1)) * rng.randint(1, 9) if b % 2 else \
+                    rng.randint(-9, 9)
+                coeffs.append([a, b, f"{c}/{rng.randint(1, 7)}"])
+    return {"kind": "jet", "order": INTEGER_ORDER,
+            "coeffs": [[0, 0, "3/2"], *coeffs]}
 
 
 #: name -> a metric document that `heatinv compute` refuses with exit 2
@@ -225,9 +245,23 @@ def requests(workloads, tmp: Path):
     yield "coprime jet frame", ["curvature", "--metric", str(metric)]
     metric = tmp / "sphere-7-5.json"
     metric.write_text(json.dumps({"kind": "sphereStereographic", "R": "7/5"}))
-    yield ("sphere R = 7/5 a_8 json",
-           ["compute", "--n", "8", "--metric", str(metric), "--format",
-            "json"])
+    for n in ("8", "12"):
+        yield (f"sphere R = 7/5 a_{n} json",
+               ["compute", "--n", n, "--metric", str(metric), "--format",
+                "json"])
+    metric = tmp / "asymmetric.json"
+    metric.write_text(json.dumps(asymmetric_jet()))
+    for path in ("eq311", "eq310"):
+        for ns in (("5",), ("6",), ("1", "4")):
+            yield (f"asymmetric jet {path} n={','.join(ns)} json",
+                   ["compute", *(a for n in ns for a in ("--n", n)),
+                    "--metric", str(metric), "--path", path, "--format",
+                    "json"])
+    metric = tmp / "flat.json"
+    for path in ("eq311", "eq310"):
+        yield (f"flat {path} a_3 json",
+               ["compute", "--n", "3", "--metric", str(metric), "--path",
+                path, "--format", "json"])
     for name, doc in BAD_METRICS.items():
         metric = tmp / f"{name.replace(' ', '-')}.json"
         metric.write_text(json.dumps(doc))

@@ -93,6 +93,11 @@ MUTANTS = (
      "enumerate(self.inverse[:2 * k - d + 1])",
      "enumerate(self.inverse[:2 * k - d])",
      ["tests/test_table.py::test_table_equals_horner_on_concrete_jets"]),
+    ("cone chain stores the conjugate half unconjugated", "heatinv.py",
+     "images[(d + 2) * STRIDE + d - q + 1] = w * re, -w * im",
+     "images[(d + 2) * STRIDE + d - q + 1] = w * re, w * im",
+     ["tests/test_table.py::test_cone_chain_batch_cuts_low_slots",
+      "tests/test_table.py::test_cone_chain_equals_horner_on_rational_jets"]),
     ("table division tail stops one degree early", "heatinv.py",
      "reach = 2 * k - d  # M_k vanishes above degree 2k",
      "reach = 2 * k - d - 1  # M_k vanishes above degree 2k",

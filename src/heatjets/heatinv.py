@@ -35,23 +35,36 @@ for any terms T_k.  A request whose largest index is N runs the chain
 once, to k = 4N, and reads every a_n off it as it passes k = n+1..4n, where
 one Horner chain per a_n would make sum_n 4n applications of Delta.
 
-On ``RhoPoly`` jets the chain runs in the complex coordinates z = u + iv
-and zbar = u - iv (``_ComplexChain``), on the generic factor's formal
-complex Taylor coefficients r_pq, rho = sum r_pq z^p zbar^q.  There
-Delta = -(4/rho) d_z d_zbar, whose flat part moves z^p zbar^q to the one
-monomial z^(p-1) zbar^(q-1), and u^2 + v^2 = z zbar is one monomial, so
-every term of eq311 and eq310, w (u^2 + v^2)^(k-n), is read off one slot
-on the diagonal.  Only the slots that feed those reads are kept: at step k
-the cone p, q >= k - N, p + q <= 2k, a fixed (2N + 1)(2N + 2)/2 slots, where
-the real band of 2N grows with k.  Each a_n, a polynomial in the r_pq, is
-converted to the rho_ab once (``_real_form``), and the conversion is exact:
-2^(p+q) r_pq is a linear form in the rho_ab with coefficients
-kappa (-i)^b, kappa an integer; a_n is real at real rho_ab and unchanged
-by r_pq <-> r_qp (the chain is symmetric in p and q), so it is the real
-part of the expansion of one monomial of each conjugate pair, counted
-twice, and (-i)^b enters every rho-monomial as the power (-i)^B of its
-v-weight B = sum b e, whose real part is (-1)^(B/2) or 0.  The expansion
-runs on integers, and the result is divided once by 4^n.
+The terms of eq311 and eq310, w (u^2 + v^2)^(k-n), are radial, and their
+tables run in the complex coordinates z = u + iv and zbar = u - iv on both
+rings.  There Delta = -(4/rho) d_z d_zbar, whose flat part moves
+z^p zbar^q to the one monomial z^(p-1) zbar^(q-1), and u^2 + v^2 = z zbar
+is one monomial, so every such term is read off one slot on the diagonal.
+Only the slots that feed those reads are kept: at step k the cone
+p, q >= k - N, p + q <= 2k, a fixed (2N + 1)(2N + 2)/2 slots, where the
+real band of 2N grows with k, and the chain applies Delta nowhere.  Both
+complex chains convert between u, v and z, zbar through one integer table
+(``_conversion_table``): 2^(p+q) r_pq, for rho = sum r_pq z^p zbar^q, is a
+linear form in the rho_ab with coefficients kappa (-i)^b, kappa an
+integer.
+
+On concrete jets (``_GaussianChain``) the coefficients of 1/rho in z, zbar
+are Gaussian rationals over the denominator of its one Newton inverse,
+the chain gathers over them, and M_k[(q, p)] is the conjugate of
+M_k[(p, q)], so half the cone is kept, as pairs of ints.  On ``RhoPoly``
+jets (``_ComplexChain``) the chain divides by rho on the generic factor's
+formal complex Taylor coefficients r_pq, and each a_n, a polynomial in the
+r_pq, is converted to the rho_ab once (``_real_form``).  The conversion is
+exact: a_n is real at real rho_ab and unchanged by r_pq <-> r_qp (the chain
+is symmetric in p and q), so it is the real part of the expansion of one
+monomial of each conjugate pair, counted twice, and (-i)^b enters every
+rho-monomial as the power (-i)^B of its v-weight B = sum b e, whose real
+part is (-1)^(B/2) or 0.  The expansion runs on integers, and the result
+is divided once by 4^n.
+
+The curvature route's terms, the powers of u^2 + v^2 pulled back to the
+curvature coordinates, are not radial; its table keeps the real band
+(``_GatherChain``) and applies Delta once, to the one term it reads last.
 
 The radial sum reads only the 2-jet of its radial function: the value
 S_n(f) = sum_k c_nk Delta^k(f^(k-n))(0), which ``_radial_sums`` gives, is
@@ -151,10 +164,19 @@ def _radial_terms(n: int, scale, powers):
     return d, terms
 
 
+def _fraction_total(n, reads):
+    """a_n from the (numerator, denominator) reads of a concrete table,
+    None meaning zero, over their lcm: one ``Fraction``."""
+    reads = [r for r in reads if r is not None]
+    den = lcm(*(d for _, d in reads))
+    return Fraction(sum(p * (den // d) for p, d in reads), den)
+
+
 class _GatherChain:
-    """The functionals M_k = L_k o (1/rho) of a concrete rho, on int
-    numerators over one denominator: one row per degree d, indexed by b of
-    the slot (d - b, b), where a row that is all zero is not kept.
+    """The functionals M_k = L_k o (1/rho) of a concrete rho for terms that
+    are not radial (the curvature route's), on int numerators over one
+    denominator: one row per degree d, indexed by b of the slot (d - b, b),
+    where a row that is all zero is not kept.
 
     M_k[beta] = sum_gamma (1/rho)[gamma] L_k[beta + gamma] is a gather over
     output slots: for a term gamma = (p, q) of degree e, row d of M_k gains
@@ -188,11 +210,7 @@ class _GatherChain:
                     total += b * (b - 1) * c * row[b - 2]
         return -total, self.den * t.den
 
-    @staticmethod
-    def total(n, reads):
-        """The sum of `reads`, over their lcm: one ``Fraction``."""
-        den = lcm(*(d for _, d in reads))
-        return Fraction(sum(p * (den // d) for p, d in reads), den)
+    total = staticmethod(_fraction_total)
 
     def step(self, k):
         """M_k on the degrees 2k - band..2k, from M_(k-1)."""
@@ -222,23 +240,35 @@ class _GatherChain:
         self.rows, self.den = rows, den // g
 
 
+def _conversion_table(order):
+    """kappa[s][b][p], the coefficient of z^p zbar^(s-p) in
+    (z + zbar)^(s-b) (z - zbar)^b, for b, p = 0..s and s <= order: one
+    integer table, by Pascal's rule, from which both complex chains convert
+    between u, v and z, zbar.  Row b of s is row b of s - 1 times z + zbar,
+    and row s is row s - 1 of s - 1 times z - zbar."""
+    table = [[[1]]]
+    for _ in range(order):
+        rows = table[-1]
+        last = rows[-1]
+        table.append([[x + y for x, y in zip([0] + row, row + [0])]
+                      for row in rows]
+                     + [[x - y for x, y in zip([0] + last, last + [0])]])
+    return table
+
+
 def _complex_forms(order):
     """{(p, q): 2^s r_pq} for p + q = s <= order, as integer linear forms
     in the rho_ab with each (-i)^b left out.
 
     With u = (z + zbar)/2 and v = (z - zbar)/(2i), the coefficient r_pq of
     z^p zbar^q in rho = sum rho_ab u^a v^b is 2^(-s) sum_b kappa_(pq,b)
-    (-i)^b rho_(s-b,b), where kappa_(pq,b) = sum_x C(s-b, x) C(b, p-x)
-    (-1)^(b-p+x) is that coefficient in (z + zbar)^(s-b) (z - zbar)^b.
+    (-i)^b rho_(s-b,b), with kappa_(pq,b) from ``_conversion_table``.
     """
     forms = {}
-    for s in range(order + 1):
+    for s, rows in enumerate(_conversion_table(order)):
         for p in range(s + 1):
-            forms[(p, s - p)] = RhoPoly({
-                (((s - b, b), 1),): sum(
-                    comb(s - b, x) * comb(b, p - x) * (-1) ** (b - p + x)
-                    for x in range(max(0, p - b), min(s - b, p) + 1))
-                for b in range(s + 1)})
+            forms[(p, s - p)] = RhoPoly({(((s - b, b), 1),): row[p]
+                                         for b, row in enumerate(rows)})
     return forms
 
 
@@ -268,9 +298,140 @@ def _real_form(poly: RhoPoly, forms, den) -> RhoPoly:
     return RhoPoly(real, expanded.den)
 
 
-class _ComplexChain:
+class _Cone:
+    """What the two complex chains share: the cone they keep and their one
+    read.  Every term they read is w (u^2 + v^2)^j = w (z zbar)^j with
+    j >= k - N, read off the one diagonal slot (j - 1, j - 1) of M_(k-1),
+    and every later slot that feeds such a read lies on or above the
+    diagonal one of a step.  So step k keeps only the cone p, q >= k - N,
+    p + q <= 2k, at most (2N + 1)(2N + 2)/2 slots, and the last read needs
+    M_(4N-1): the chains apply Delta nowhere."""
+
+    def __init__(self, top):
+        self.n, self.stop, self.k = top // 4, top - 1, 0
+
+    def diagonal(self, t):
+        """(j, w, M_(k-1)[(j-1, j-1)]) for t = w (u^2 + v^2)^j, w as
+        ``t.num`` holds it (a numerator over ``t.den`` on concrete jets),
+        or None where L_k(t) is zero; any other t raises ``ValueError``."""
+        num = t.num
+        if not num:
+            return None
+        j = t.valuation() // 2
+        key = 2 * j * STRIDE
+        w = num.get(key)
+        if w is None or len(num) != j + 1 or any(
+                num.get(key + 2 * i) != w * comb(j, i)
+                for i in range(1, j + 1)):
+            raise ValueError("the complex tables read only terms "
+                             "w (u^2 + v^2)^j")
+        if not j:
+            return None  # L_k(1) = 0 for k >= 1
+        if j <= self.k - self.n:
+            raise ValueError(f"a term of degree {2 * j} at k = {self.k + 1} "
+                             "lies below the table's cone")
+        x = self.m.get(self.slot(j - 1))
+        return None if x is None else (j, w, x)
+
+    @staticmethod
+    def slot(p):
+        """The key of the diagonal slot (p, p) in ``m``."""
+        return p, p
+
+
+class _GaussianChain(_Cone):
+    """The functionals M_k = L_k o (1/rho) of a concrete rho on the cone of
+    ``_Cone``, for radial terms, in Z = z/2 and Zbar = zbar/2.
+
+    There u = Z + Zbar, v = -i(Z - Zbar), u^2 + v^2 = 4 Z Zbar and
+    Delta = -(1/rho) d_Z d_Zbar.  With F[(p, q)] the value of a functional
+    F at Z^p Zbar^q and s_xy the coefficient of Z^x Zbar^y in 1/rho,
+
+        L_k[(p, q)] = -pq M_(k-1)[(p-1, q-1)],
+        M_k[(p, q)] = sum_(x, y) s_xy L_k[(p+x, q+y)],
+
+    a gather over the nonzero s_xy, where L_k vanishes above degree 2k.
+    The s_xy are Gaussian integers over the denominator of the one Newton
+    inverse of rho, to order 2N: s_xy = sum_b kappa_(xy,b) (-i)^b
+    (1/rho)_(x+y-b,b), with kappa from ``_conversion_table`` and no power
+    of 2.  Since rho is real, M_k[(q, p)] is the conjugate of M_k[(p, q)],
+    so only p <= q is kept, as (re, im) int pairs over one denominator with
+    their content divided out: a step costs one gcd and builds no
+    ``Fraction``.  Slots are keyed as jets key theirs, (p, q) as
+    (p + q) * STRIDE + q.  A read of w (u^2 + v^2)^j = 4^j w (Z Zbar)^j is
+    -4^j j^2 w M_(k-1)[(j-1, j-1)], a real value.
+    """
+
+    def __init__(self, lap: ConformalLaplacian, top):
+        super().__init__(top)
+        inverse = lap.inverse_factor(2 * self.n)
+        num, terms = inverse.num, []
+        # upto[e]: (key of (x, y), re s_xy, im s_xy) of the nonzero s_xy
+        # with x + y <= e
+        self.upto = []
+        for d, rows in enumerate(_conversion_table(2 * self.n)):
+            for x in range(d + 1):
+                re = im = 0
+                for b, row in enumerate(rows):
+                    c = num.get(d * STRIDE + b, 0) * row[x]
+                    if b % 2:
+                        im += c if b % 4 == 3 else -c  # (-i)^b = -i, i
+                    else:
+                        re += -c if b % 4 else c  # (-i)^b = 1, -1
+                if re or im:
+                    terms.append((d * STRIDE + d - x, re, im))
+            self.upto.append(list(terms))
+        self.inverse_den = self.den = inverse.den
+        self.m = {0: (num[0], 0)}  # M_0
+
+    def read(self, t):
+        """L_k(t) of t = w (u^2 + v^2)^j as (numerator, denominator), or
+        None where it is zero."""
+        found = self.diagonal(t)
+        if found is None:
+            return None
+        j, w, (re, _) = found
+        return -(4 ** j) * j * j * w * re, self.den * t.den
+
+    @staticmethod
+    def slot(p):
+        return 2 * p * STRIDE + p
+
+    total = staticmethod(_fraction_total)
+
+    def step(self, k):
+        """M_k on the cone p, q >= k - N, p + q <= 2k, from M_(k-1)."""
+        lo, out = max(0, k - self.n), {}
+        images = {}  # L_k on both halves of the cone
+        for key, (re, im) in self.m.items():
+            d, q = divmod(key, STRIDE)
+            w = -(d - q + 1) * (q + 1)
+            images[key + 2 * STRIDE + 1] = w * re, w * im
+            images[(d + 2) * STRIDE + d - q + 1] = w * re, -w * im
+        get = images.get
+        for d in range(2 * lo, 2 * k + 1):
+            terms = self.upto[2 * k - d]  # L_k vanishes above degree 2k
+            for q in range(d - lo, (d - 1) // 2, -1):
+                key, re, im = d * STRIDE + q, 0, 0
+                for o, sr, si in terms:
+                    v = get(key + o)
+                    if v is not None:
+                        lr, li = v
+                        re += sr * lr - si * li
+                        im += sr * li + si * lr
+                if re or im:
+                    out[key] = re, im
+        den = self.den * self.inverse_den
+        g = gcd(den, *(c for v in out.values() for c in v))
+        if g > 1:
+            out = {key: (re // g, im // g) for key, (re, im) in out.items()}
+        self.k, self.m, self.den = k, out, den // g
+
+
+class _ComplexChain(_Cone):
     """The functionals M_k = L_k o (1/rho) of the generic factor of order
-    2N, in the complex coordinates z = u + iv and zbar = u - iv.
+    2N, in the complex coordinates z = u + iv and zbar = u - iv, on the
+    cone of ``_Cone``.
 
     With rho = sum r_pq z^p zbar^q, the r_pq formal variables keyed as
     ``RhoPoly.var(p, q)``, F[(p, q)] the value of a functional F at
@@ -281,13 +442,8 @@ class _ComplexChain:
                     M_k[beta + gamma]),
 
     solved from degree 2k down with one ``RhoPoly.dot`` per slot, into
-    which the one pair of L_k[beta] is folded.  Every term the chain reads
-    is w (u^2 + v^2)^j = w (z zbar)^j with j >= k - N, read as
-    L_k[(j, j)] = -4j^2 M_(k-1)[(j-1, j-1)], and every later slot that
-    feeds such a read lies on or above the diagonal one of a step.  So step
-    k keeps only the cone p, q >= k - N, p + q <= 2k, at most
-    (2N + 1)(2N + 2)/2 slots, and the last read needs M_(4N-1): the chain
-    applies Delta nowhere.
+    which the one pair of L_k[beta] is folded.  A term w (z zbar)^j is read
+    as L_k[(j, j)] = -4j^2 M_(k-1)[(j-1, j-1)].
 
     Each a_n, a polynomial in the r_pq, becomes one in the rho_ab in
     ``total`` (``_real_form``).  A rho other than the generic factor gets
@@ -297,7 +453,7 @@ class _ComplexChain:
     """
 
     def __init__(self, lap: ConformalLaplacian, top):
-        self.n, self.stop = top // 4, top - 1
+        super().__init__(top)
         band, rho = 2 * self.n, lap.rho
         if rho.order < band:
             raise OrderExhausted(
@@ -314,28 +470,18 @@ class _ComplexChain:
         self.tail = [(slot, -RhoPoly.var(*slot) * self.inv0)
                      for slot in coeffs if slot != (0, 0)]
         self.scaled = {}  # w -> w / r_00
-        self.k, self.m = 0, {(0, 0): self.inv0}  # M_0
+        self.m = {(0, 0): self.inv0}  # M_0
 
     def read(self, t):
         """L_k(t) of t = w (u^2 + v^2)^j as the pair (-4 j^2 w,
         M_(k-1)[(j-1, j-1)]), or None where it is zero."""
-        values = t._values()
-        if not values:
+        found = self.diagonal(t)
+        if found is None:
             return None
-        j = t.valuation() // 2
-        w = values.get(2 * j * STRIDE)
-        if w is None or len(values) != j + 1 or any(
-                values.get(2 * j * STRIDE + 2 * i) != w * comb(j, i)
-                for i in range(1, j + 1)):
-            raise ValueError("the complex table reads only terms "
-                             "w (u^2 + v^2)^j")
-        if not j:
-            return None  # L_k(1) = 0 for k >= 1
-        if j <= self.k - self.n:
-            raise ValueError(f"a term of degree {2 * j} at k = {self.k + 1} "
-                             "lies below the table's cone")
-        x = self.m.get((j - 1, j - 1))
-        return None if x is None else (-4 * j * j * w, x)
+        j, w, x = found
+        if t.den is not None:  # a concrete term, as at an int rho_00
+            w = Fraction(w, t.den)
+        return -4 * j * j * w, x
 
     def total(self, n, reads):
         """a_n in the rho_ab, from the reads of a_n."""
@@ -373,33 +519,40 @@ class _ComplexChain:
         self.k, self.m = k, out
 
 
-def _image_table(lap: ConformalLaplacian, terms):
+def _image_table(lap: ConformalLaplacian, terms, radial):
     """Yield (n, sum_k (Delta^k T_k)(0)) for each n of `terms`, in
     increasing n, as the table passes k = 4n.
 
     `terms` maps n to its terms T_0..T_4n (None meaning zero), where T_k
-    has order 2k and no term below degree 2(k - n).  With F[beta] the value
-    of a functional F at the monomial u^a v^b, beta = (a, b), the table
-    keeps M_k = L_k o (1/rho), from which L_(k+1) = M_k o -(d_uu + d_vv)
-    needs no product:
+    has order 2k and no term below degree 2(k - n), and `radial` says that
+    every T_k is w (u^2 + v^2)^(k-n), as on eq311 and eq310.  The table
+    keeps M_k = L_k o (1/rho), from which L_(k+1) needs no product; L_k
+    vanishes above degree 2k, and with N the largest n, rho, or 1/rho, is
+    read to degree 2N, so a request makes at most one Newton inverse.  The
+    kernel follows the ring of rho that ``lap`` read when it was built and
+    the shape of the terms, which the route knows:
 
-        L_k(T) = M_(k-1)(-(T_uu + T_vv)),
-        L_(k+1)[(a, b)] = -a(a-1) M_k[(a-2, b)] - b(b-1) M_k[(a, b-2)].
+    * radial terms: ``_GaussianChain`` on concrete jets, ``_ComplexChain``
+      on ``RhoPoly`` ones, whose terms must be radial.  Both keep the cone
+      of ``_Cone``, make 4N - 1 steps and apply Delta nowhere;
+    * other terms, on concrete jets: ``_GatherChain``.  With F[beta] the
+      value of a functional F at u^a v^b, beta = (a, b),
 
-    L_k vanishes above degree 2k, and with N the largest n every later read
-    and step needs M_k only from degree 2(k - N) up: a band of 2N, the band
-    of one Horner chain of a_N, so rho, or 1/rho, is read to degree 2N and
-    a request makes one Newton inverse.  The kernel follows the ring of rho
-    that ``lap`` read when it was built: ``_GatherChain`` on concrete jets,
-    ``_ComplexChain`` on ``RhoPoly`` ones, whose terms must be radial,
-    T_k = w (u^2 + v^2)^(k-n), as those of eq311 and eq310 are.  A chain
-    steps to M_stop; a read past it applies ``lap`` once: the gather chain
-    stops at M_(4N-2) and reads L_(4N)(T) of the one term T of a_N as
-    L_(4N-1)(Delta T), which costs what M_(4N-1) would at the degrees of
-    T_uu + T_vv alone.  No M_k outlives the next step.
+          L_k(T) = M_(k-1)(-(T_uu + T_vv)),
+          L_(k+1)[(a, b)] = -a(a-1) M_k[(a-2, b)] - b(b-1) M_k[(a, b-2)],
+
+      and every later read and step needs M_k only from degree 2(k - N)
+      up: a band of 2N, the band of one Horner chain of a_N.  It stops at
+      M_(4N-2) and reads L_(4N)(T) of the one term T of a_N as
+      L_(4N-1)(Delta T), which costs what M_(4N-1) would at the degrees of
+      T_uu + T_vv alone.
+
+    A chain steps to M_stop, and a read past it applies ``lap``.  No M_k
+    outlives the next step.
     """
     top = 4 * max(terms)
-    chain = (_ComplexChain if lap.symbolic else _GatherChain)(lap, top)
+    chain = (_ComplexChain if lap.symbolic else
+             _GaussianChain if radial else _GatherChain)(lap, top)
     reads = {n: [] for n in sorted(terms)}
     for k in range(1, top + 1):
         for n in list(reads):
@@ -413,15 +566,19 @@ def _image_table(lap: ConformalLaplacian, terms):
             chain.step(k)
 
 
-def _radial_sums(lap: ConformalLaplacian, ns, scale, r2: Jet2D):
+def _radial_sums(lap: ConformalLaplacian, ns, scale, r2: Jet2D = None):
     """Yield (n, S_n) for the sorted n of `ns`, read off one table, where
     S_n = sum_k c_nk Delta^k((scale r2)^(k-n))(0) reads r2 to order
-    2n + 2.  The powers of r2 are formed once, for the largest n."""
+    2n + 2.  The powers of r2 are formed once, for the largest n.  r2 None
+    is u^2 + v^2 itself, whose terms the table reads on its cone."""
+    radial = r2 is None
+    if radial:
+        r2 = Jet2D({(2, 0): 1, (0, 2): 1}, 2 * max(ns) + 2)
     powers = _radial_powers(r2, max(ns))
     d, terms = {}, {}
     for n in ns:
         d[n], terms[n] = _radial_terms(n, scale, powers)
-    for n, total in _image_table(lap, terms):
+    for n, total in _image_table(lap, terms, radial):
         yield n, total * Fraction(1, d[n])
 
 
@@ -530,9 +687,7 @@ def _one(batch, n: int, rho: Jet2D, path: str) -> HeatInvariantResult:
 
 def _eq311_sums(rho: Jet2D, ns):
     """eq311's sums, built when read: radial, of scale rho_0 and u^2 + v^2."""
-    r2 = Jet2D({(2, 0): 1, (0, 2): 1}, 2 * ns[-1] + 2)
-    yield from _radial_sums(ConformalLaplacian(rho), ns, rho.constant_term(),
-                            r2)
+    yield from _radial_sums(ConformalLaplacian(rho), ns, rho.constant_term())
 
 
 def heat_invariants(ns, rho: Jet2D):
@@ -575,7 +730,8 @@ def _eq310_sums(rho: Jet2D, ns):
     """eq310's sums, built when read: its frozen terms read off the table."""
     frozen, rho0 = FrozenLaplacian(rho), rho.constant_term()
     yield from _image_table(ConformalLaplacian(rho),
-                            {n: _frozen_terms(n, frozen, rho0) for n in ns})
+                            {n: _frozen_terms(n, frozen, rho0) for n in ns},
+                            True)
 
 
 def heat_invariants_via_frozen(ns, rho: Jet2D):

@@ -32,13 +32,17 @@ Either way rho is read only to degree order(s) - valuation(s):
   the key of (a, b) minus the key of (p, q).
 
 The routes make no chain of applications: they read every a_n off the
-table of ``heatinv``, the transpose of such a chain.  On concrete jets it
-applies Delta once, to the one term it reads last.  On ``RhoPoly`` jets it
-applies Delta nowhere: it divides by rho in the complex coordinates z, zbar,
-where the flat part -4 d_z d_zbar moves each monomial to one monomial.
-``ConformalLaplacian.apply``, with ``_divided_laplacian`` on that ring, is
-the independent reference the tests compare the table with on both rings.
-The ring of rho is read once, when an operator is built.
+table of ``heatinv``, the transpose of such a chain.  On the radial terms
+of eq311 and eq310 it applies Delta nowhere, on either ring: it runs in the
+complex coordinates z, zbar, where the flat part -4 d_z d_zbar moves each
+monomial to one monomial, and gathers over the complex coefficients of
+1/rho on concrete jets or divides by rho on ``RhoPoly`` ones.  Only the
+curvature route, whose terms are not radial, keeps the gather over real
+rows, and it applies Delta once, to the one term it reads last.
+``ConformalLaplacian.apply``, with ``_divided_laplacian`` on the
+``RhoPoly`` ring, is the independent reference the tests compare the table
+with on both rings.  The ring of rho is read once, when an operator is
+built.
 """
 
 from __future__ import annotations

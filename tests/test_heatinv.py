@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from heatjets.errors import IndexOutOfRange, OrderExhausted
 from heatjets.heatinv import (WEYL_A0, ClosedForm, PiScaled, _ComplexChain,
-                              _GatherChain, _radial_powers, _radial_sums,
+                              _GatherChain, _GaussianChain, _radial_powers,
+                              _radial_sums,
                               _radial_terms, closed_form_to_json,
                               gamma_half_rational, generic_rho_jet,
                               heat_constant, heat_invariant,
@@ -22,7 +23,7 @@ from heatjets.heatinv import (WEYL_A0, ClosedForm, PiScaled, _ComplexChain,
                               parse_closed_form_json, render_closed_form,
                               render_pi_scaled, required_order,
                               symbolic_heat_invariant)
-from heatjets.jets import Jet2D
+from heatjets.jets import STRIDE, Jet2D
 from heatjets.laplace import ConformalLaplacian, FrozenLaplacian
 from heatjets.oracle import sphere_heat_coefficients
 from heatjets.rhopoly import RhoPoly, mono_degree
@@ -266,11 +267,28 @@ def test_cross_path_equality_random_jets():
             heat_invariant_via_frozen(n, rho).form
 
 
+def test_cone_chain_on_the_sphere():
+    # rho of the sphere is radial, so 1/rho has real coefficients on the
+    # diagonal x = y of Z^x Zbar^y alone; a_1..a_10 of one request on both
+    # routes are the spectrum's q_n / (pi R^(2n))
+    q = sphere_heat_coefficients(10)
+    for radius in (Fraction(1), Fraction(7, 5)):
+        rho = sphere_rho(radius, 20)
+        chain = _GaussianChain(ConformalLaplacian(rho), 40)
+        assert all(key // STRIDE == 2 * (key % STRIDE) and not im
+                   for key, _, im in chain.upto[-1])
+        expected = {n: PiScaled(q[n] / radius ** (2 * n))
+                    for n in range(1, 11)}
+        assert dict(heat_invariants(range(1, 11), rho)) == expected
+        assert dict(heat_invariants_via_frozen(range(1, 7), rho)) == {
+            n: expected[n] for n in range(1, 7)}
+
+
 def test_one_inverse_and_4n_table_steps_per_request(monkeypatch):
-    # A request reads every a_n off one table: M_0 = 1/rho_00 and 4N - 2
-    # steps, N its largest n, with one Newton inverse of rho, to order 2N,
-    # and one application of Delta, to the one term read at k = 4N; eq310
-    # also applies Delta_0 m times to each seed f_m, m = n+1..4n, of every n
+    # A request reads every a_n off one table: M_0 = 1/rho_00 and 4N - 1
+    # steps of the cone chain, N its largest n, with one Newton inverse of
+    # rho, to order 2N, and no application of Delta; eq310 also applies
+    # Delta_0 m times to each seed f_m, m = n+1..4n, of every n
     calls = Counter()
     inverse_orders = []
 
@@ -282,6 +300,7 @@ def test_one_inverse_and_4n_table_steps_per_request(monkeypatch):
             return original(*args)
         monkeypatch.setattr(cls, name, counted)
 
+    count(_GaussianChain, "step")
     count(_GatherChain, "step")
     count(ConformalLaplacian, "apply")
     count(FrozenLaplacian, "apply")
@@ -297,27 +316,25 @@ def test_one_inverse_and_4n_table_steps_per_request(monkeypatch):
         calls.clear()
         inverse_orders.clear()
         list(heat_invariants(ns, rho))
-        assert calls == {"_GatherChain.step": 4 * top - 2,
-                         "ConformalLaplacian.apply": 1}
+        assert calls == {"_GaussianChain.step": 4 * top - 1}
         assert inverse_orders == [2 * top]
         calls.clear()
         inverse_orders.clear()
         list(heat_invariants_via_frozen(ns, rho))
-        assert calls == {"_GatherChain.step": 4 * top - 2,
-                         "ConformalLaplacian.apply": 1,
+        assert calls == {"_GaussianChain.step": 4 * top - 1,
                          "FrozenLaplacian.apply": sum(
                              m for n in set(ns) for m in range(n + 1, 4 * n + 1))}
         assert inverse_orders == [2 * top]
 
 
 def test_concrete_chain_stays_integral(monkeypatch):
-    # Every M_k the table keeps on a dense rational jet is int numerators
-    # over an int denominator with their content divided out, and no
-    # Fraction is built inside a step or a read: the table builds one per
-    # a_n, when it sums that a_n's reads.
+    # Every M_k the cone chain keeps on a dense rational jet is (re, im)
+    # int pairs over an int denominator with their content divided out, and
+    # no Fraction is built inside a step or a read: the table builds one
+    # per a_n, when it sums that a_n's reads.
     states, built, values = [], [], []
     inside = [0]
-    step, read = _GatherChain.step, _GatherChain.read
+    step, read = _GaussianChain.step, _GaussianChain.read
     fraction_new = Fraction.__dict__["__new__"]
 
     def counted_step(self, *args):
@@ -326,8 +343,7 @@ def test_concrete_chain_stays_integral(monkeypatch):
             step(self, *args)
         finally:
             inside[0] -= 1
-        states.append((self.den, [v for row in self.rows.values()
-                                  for v in row]))
+        states.append((self.den, list(self.m.values())))
 
     def counted_read(self, t):
         inside[0] += 1
@@ -341,8 +357,8 @@ def test_concrete_chain_stays_integral(monkeypatch):
             built.append(args)
         return fraction_new.__func__(cls, *args, **kwargs)
 
-    monkeypatch.setattr(_GatherChain, "step", counted_step)
-    monkeypatch.setattr(_GatherChain, "read", counted_read)
+    monkeypatch.setattr(_GaussianChain, "step", counted_step)
+    monkeypatch.setattr(_GaussianChain, "read", counted_read)
     rng = random.Random(19)
     rhos = [random_metric_jet(rng, order=2 * n) for n in (1, 2, 3)]
     Fraction.__new__ = staticmethod(counted_new)
@@ -350,10 +366,13 @@ def test_concrete_chain_stays_integral(monkeypatch):
         for n, rho in enumerate(rhos, 1):
             states.clear()
             values.append(heat_invariant(n, rho).form)
-            assert len(states) == 4 * n - 2
-            assert all(type(den) is int and den > 0 and gcd(den, *nums) == 1
-                       and all(type(v) is int for v in nums)
-                       for den, nums in states)
+            assert len(states) == 4 * n - 1
+            for den, slots in states:
+                nums = [c for slot in slots for c in slot]
+                assert type(den) is int and den > 0 and gcd(den, *nums) == 1
+                assert all(len(slot) == 2 for slot in slots)
+                assert all(type(c) is int for c in nums)
+            assert any(im for _, slots in states for _, im in slots)
     finally:
         Fraction.__new__ = fraction_new
     assert not built

@@ -16,13 +16,14 @@ from heatjets.curvature import (_frame_and_coordinates,
                                 heat_invariants_curvature_form)
 from heatjets.errors import (DegenerateCurvatureCoordinates,
                              NonInvertibleConstantTerm, OrderExhausted)
-from heatjets.heatinv import (WEYL_A0, _complex_forms, _frozen_terms,
-                              _image_table, _radial_powers, _radial_terms,
-                              _real_form, generic_rho_jet,
+from heatjets.heatinv import (WEYL_A0, _ComplexChain, _GaussianChain,
+                              _complex_forms, _frozen_terms, _image_table,
+                              _radial_powers, _radial_terms, _real_form,
+                              generic_rho_jet,
                               heat_invariant, heat_invariant_via_frozen,
                               heat_invariants, heat_invariants_via_frozen,
                               required_order)
-from heatjets.jets import Jet2D
+from heatjets.jets import STRIDE, Jet2D
 from heatjets.laplace import ConformalLaplacian, FrozenLaplacian
 from heatjets.rhopoly import RhoPoly
 
@@ -42,7 +43,8 @@ def horner_sum(lap, terms):
 
 
 def route_terms(path, ns, rho):
-    """(Laplacian, {n: T_0..T_4n}) that route `path` reads off its table."""
+    """(Laplacian, {n: T_0..T_4n}, radial) that route `path` reads off its
+    table, radial telling whether every term is w (u^2 + v^2)^j."""
     rho = rho.truncate(max(required_order(n, path) for n in ns))
     if path == "curvature":
         frame, lap, z, w = _frame_and_coordinates(rho)
@@ -50,21 +52,22 @@ def route_terms(path, ns, rho):
         x = z * frame.f - w * frame.e
         r2 = z * z + x * x * (1 / (frame.e * frame.g - frame.f ** 2))
         powers = _radial_powers(r2, max(ns))
-        return lap, {n: _radial_terms(n, 1 / frame.e, powers)[1] for n in ns}
+        return lap, {n: _radial_terms(n, 1 / frame.e, powers)[1]
+                     for n in ns}, False
     lap = ConformalLaplacian(rho)
     if path == "eq310":
         frozen = FrozenLaplacian(rho)
         return lap, {n: _frozen_terms(n, frozen, rho.constant_term())
-                     for n in ns}
+                     for n in ns}, True
     powers = _radial_powers(Jet2D({(2, 0): 1, (0, 2): 1}, 2 * max(ns) + 2),
                             max(ns))
     return lap, {n: _radial_terms(n, rho.constant_term(), powers)[1]
-                 for n in ns}
+                 for n in ns}, True
 
 
 def assert_table_is_horner(path, ns, rho):
-    lap, terms = route_terms(path, ns, rho)
-    got = list(_image_table(lap, terms))
+    lap, terms, radial = route_terms(path, ns, rho)
+    got = list(_image_table(lap, terms, radial))
     assert [n for n, _ in got] == sorted(terms)
     for n, total in got:
         assert total == horner_sum(lap, terms[n]), (path, n)
@@ -81,6 +84,62 @@ def test_table_equals_horner_on_concrete_jets(path, ns, seed):
     # its own terms, on dense rational jets for all three routes
     rho = random_metric_jet(random.Random(seed), order=11)
     assert_table_is_horner(path, ns, rho)
+
+
+@st.composite
+def odd_v_jets(draw, order):
+    """A rational jet of the given order with rho_00 > 0 and a nonzero
+    coefficient of odd degree in v, so that the coefficients of 1/rho in
+    z, zbar have imaginary parts."""
+    coeffs = {(a, d - a): draw(st.just(0) | rationals)
+              for d in range(1, order + 1) for a in range(d + 1)}
+    coeffs[(0, 0)] = draw(rationals.filter(lambda c: c > 0))
+    b = draw(st.integers(0, (order - 1) // 2)) * 2 + 1
+    a = draw(st.integers(0, order - b))
+    coeffs[(a, b)] = draw(rationals.filter(bool))
+    return Jet2D(coeffs, order)
+
+
+@settings(max_examples=25, deadline=None)
+@given(path=st.sampled_from(("eq311", "eq310")),
+       ns=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       data=st.data())
+def test_cone_chain_equals_horner_on_rational_jets(path, ns, data):
+    # the cone chain on Gaussian integers, on jets whose 1/rho has complex
+    # coefficients in z, zbar, equals the forward Horner sum exactly
+    rho = data.draw(odd_v_jets(2 * max(ns)))
+    lap = ConformalLaplacian(rho)
+    assert any(im for _, _, im in _GaussianChain(lap, 4 * max(ns)).upto[-1])
+    assert_table_is_horner(path, ns, rho)
+
+
+def test_cone_chain_batch_cuts_low_slots():
+    # in the batch [1, 4] the cone's lower bound k - 4 cuts the low slots
+    # from k = 5 on, while a_1 is read off the slots near the origin up to
+    # k = 4
+    rho = random_metric_jet(random.Random(14), order=8)
+    for path in ("eq311", "eq310"):
+        assert_table_is_horner(path, [1, 4], rho)
+    chain = _GaussianChain(ConformalLaplacian(rho), 16)
+    for k in range(1, 9):
+        chain.step(k)
+    assert min(key // STRIDE - key % STRIDE for key in chain.m) >= 8 - 4
+
+
+def test_complex_tables_read_only_radial_terms():
+    # both complex chains read a term only as w (u^2 + v^2)^j, by one check
+    rho = random_metric_jet(random.Random(5), order=4)
+    chains = (_GaussianChain(ConformalLaplacian(rho), 8),
+              _ComplexChain(ConformalLaplacian(generic_rho_jet(4)), 8))
+    for chain in chains:
+        for t in (Jet2D({(1, 1): 1}, 4), Jet2D({(2, 0): 1, (0, 2): 2}, 4),
+                  Jet2D({(2, 0): 1, (0, 2): 1, (3, 0): 1}, 4),
+                  Jet2D({(1, 0): 1}, 4)):
+            with pytest.raises(ValueError, match="read only terms"):
+                chain.read(t)
+        assert chain.read(Jet2D({(2, 0): 3, (0, 2): 3}, 4)) is not None
+        assert chain.read(Jet2D.constant(5, 4)) is None
+        assert chain.read(Jet2D.zero(4)) is None
 
 
 @st.composite
