@@ -98,6 +98,14 @@ MUTANTS = (
      "images[(d + 2) * STRIDE + d - q + 1] = w * re, w * im",
      ["tests/test_table.py::test_cone_chain_batch_cuts_low_slots",
       "tests/test_table.py::test_cone_chain_equals_horner_on_rational_jets"]),
+    ("Gaussian read drops the weight's denominator", "heatinv.py",
+     "self.den * w.denominator",
+     "self.den",
+     ["tests/test_table.py::test_cone_chain_equals_horner_on_rational_jets"]),
+    ("zero-skip folds (-i)^2 as +1", "heatinv.py",
+     "-c if b % 4 in (1, 2) else c",
+     "-c if b % 4 == 1 else c",
+     ["tests/test_table.py::test_cone_chain_equals_horner_on_rational_jets"]),
     ("table division tail stops one degree early", "heatinv.py",
      "reach = 2 * k - d  # M_k vanishes above degree 2k",
      "reach = 2 * k - d - 1  # M_k vanishes above degree 2k",

@@ -39,7 +39,10 @@ The terms of eq311 and eq310, w (u^2 + v^2)^(k-n), are radial, and their
 tables run in the complex coordinates z = u + iv and zbar = u - iv on both
 rings.  There Delta = -(4/rho) d_z d_zbar, whose flat part moves
 z^p zbar^q to the one monomial z^(p-1) zbar^(q-1), and u^2 + v^2 = z zbar
-is one monomial, so every such term is read off one slot on the diagonal.
+is one monomial, so every such term is read off one slot on the diagonal,
+and the table takes it as its weight (j, w), j = k - n: eq311 builds
+(j, D c_nk rho_0^j) and no jet, and eq310 turns each of its frozen jets
+into one (``_radial_weight``).
 Only the slots that feed those reads are kept: at step k the cone
 p, q >= k - N, p + q <= 2k, a fixed (2N + 1)(2N + 2)/2 slots, where the
 real band of 2N grows with k, and the chain applies Delta nowhere.  Both
@@ -140,27 +143,34 @@ def _radial_powers(r2: Jet2D, top: int):
     return powers
 
 
+def _heat_weights(n: int):
+    """(D, [D c_nk for k = n+1..4n]), on ints: D = lcm_k den(c_nk) puts
+    every c_nk over one common denominator, so each D c_nk is an integer
+    and the tables stay integral wherever the scale and r2 are; multiplying
+    by an integer commutes with Delta, so a sum is divided by D once at the
+    end."""
+    c = []  # c_nk with j = k - n, as (numerator, denominator) in lowest terms
+    for j in range(1, 3 * n + 1):
+        p = comb(3 * n + 1, j + 1)
+        q = 4 ** (j + 1) * factorial(j + n) * factorial(j)
+        g = gcd(p, q)
+        c.append(((-1) ** n * (p // g), q // g))
+    d = lcm(*(q for _, q in c))
+    return d, [p * (d // q) for p, q in c]
+
+
 def _radial_terms(n: int, scale, powers):
     """(D, T): T_k = D P_k = D c_nk scale^(k-n) r2^(k-n) to order 2k for
     k = n+1..4n, and T_k = None (zero) for k = 0..n, from the powers
-    r2^1..r2^(3N) of ``_radial_powers`` for some N >= n.
-
-    D = lcm_k den(c_nk) puts every c_nk over one common denominator, so each
-    D c_nk is an integer and the pipelines stay integral wherever scale and
-    r2 are; multiplying by an integer commutes with Delta, so the sum is
-    divided by D once at the end.  eq311 passes scale = rho_0 and
-    r2 = u^2 + v^2, the curvature route 1/E and the pull-back of u^2 + v^2.
-    r2^j truncated to 2n + 2j = 2k is the j-th power of r2 truncated to
-    2n + 2, since r2 has valuation 2.
+    r2^1..r2^(3N) of ``_radial_powers`` for some N >= n, with D and the
+    D c_nk of ``_heat_weights``.  The curvature route passes scale = 1/E
+    and the pull-back of u^2 + v^2.  r2^j truncated to 2n + 2j = 2k is the
+    j-th power of r2 truncated to 2n + 2, since r2 has valuation 2.
     """
-    c = [Fraction((-1) ** n * comb(3 * n + 1, j + 1),
-                  4 ** (j + 1) * factorial(j + n) * factorial(j))
-         for j in range(1, 3 * n + 1)]  # c_nk with j = k - n
-    d = lcm(*(q.denominator for q in c))
+    d, weights = _heat_weights(n)
     terms = [None] * (n + 1)
-    for j, c_nk in enumerate(c, 1):
-        terms.append(powers[j - 1].truncate(2 * n + 2 * j)
-                     * (scale ** j * int(c_nk * d)))
+    for j, w in enumerate(weights, 1):
+        terms.append(powers[j - 1].truncate(2 * n + 2 * j) * (scale ** j * w))
     return d, terms
 
 
@@ -298,40 +308,47 @@ def _real_form(poly: RhoPoly, forms, den) -> RhoPoly:
     return RhoPoly(real, expanded.den)
 
 
+def _radial_weight(t: Jet2D):
+    """(j, w) for a jet t = w (u^2 + v^2)^j with j >= 1, w a coefficient of
+    t (a rational on concrete jets), or None where t is a constant, whose
+    L_k vanish for k >= 1: the form in which the complex tables read a
+    term.  Any other t raises ``ValueError``."""
+    num = t.num
+    if not num:
+        return None
+    j = t.valuation() // 2
+    key = 2 * j * STRIDE
+    w = num.get(key)
+    if w is None or len(num) != j + 1 or any(
+            num.get(key + 2 * i) != w * comb(j, i) for i in range(1, j + 1)):
+        raise ValueError("the complex tables read only terms "
+                         "w (u^2 + v^2)^j")
+    if not j:
+        return None
+    return j, w if t.den is None else Fraction(w, t.den)
+
+
 class _Cone:
     """What the two complex chains share: the cone they keep and their one
     read.  Every term they read is w (u^2 + v^2)^j = w (z zbar)^j with
-    j >= k - N, read off the one diagonal slot (j - 1, j - 1) of M_(k-1),
-    and every later slot that feeds such a read lies on or above the
-    diagonal one of a step.  So step k keeps only the cone p, q >= k - N,
-    p + q <= 2k, at most (2N + 1)(2N + 2)/2 slots, and the last read needs
-    M_(4N-1): the chains apply Delta nowhere."""
+    j >= k - N, handed over as its weight (j, w) (``_radial_weight``) and
+    read off the one diagonal slot (j - 1, j - 1) of M_(k-1), and every
+    later slot that feeds such a read lies on or above the diagonal one of
+    a step.  So step k keeps only the cone p, q >= k - N, p + q <= 2k, at
+    most (2N + 1)(2N + 2)/2 slots, and the last read needs M_(4N-1): the
+    chains apply Delta nowhere."""
 
     def __init__(self, top):
         self.n, self.stop, self.k = top // 4, top - 1, 0
 
-    def diagonal(self, t):
-        """(j, w, M_(k-1)[(j-1, j-1)]) for t = w (u^2 + v^2)^j, w as
-        ``t.num`` holds it (a numerator over ``t.den`` on concrete jets),
-        or None where L_k(t) is zero; any other t raises ``ValueError``."""
-        num = t.num
-        if not num:
-            return None
-        j = t.valuation() // 2
-        key = 2 * j * STRIDE
-        w = num.get(key)
-        if w is None or len(num) != j + 1 or any(
-                num.get(key + 2 * i) != w * comb(j, i)
-                for i in range(1, j + 1)):
-            raise ValueError("the complex tables read only terms "
-                             "w (u^2 + v^2)^j")
-        if not j:
-            return None  # L_k(1) = 0 for k >= 1
+    def diagonal(self, j):
+        """M_(k-1)[(j-1, j-1)] for a term w (u^2 + v^2)^j read at
+        k = self.k + 1, or None where it is zero; a j at or below
+        k - 1 - N, off the cone, raises ``ValueError``."""
         if j <= self.k - self.n:
             raise ValueError(f"a term of degree {2 * j} at k = {self.k + 1} "
                              "lies below the table's cone")
-        x = self.m.get(self.slot(j - 1))
-        return None if x is None else (j, w, x)
+        return self.m.get(self.slot(j - 1))
 
     @staticmethod
     def slot(p):
@@ -354,44 +371,47 @@ class _GaussianChain(_Cone):
     The s_xy are Gaussian integers over the denominator of the one Newton
     inverse of rho, to order 2N: s_xy = sum_b kappa_(xy,b) (-i)^b
     (1/rho)_(x+y-b,b), with kappa from ``_conversion_table`` and no power
-    of 2.  Since rho is real, M_k[(q, p)] is the conjugate of M_k[(p, q)],
-    so only p <= q is kept, as (re, im) int pairs over one denominator with
-    their content divided out: a step costs one gcd and builds no
-    ``Fraction``.  Slots are keyed as jets key theirs, (p, q) as
-    (p + q) * STRIDE + q.  A read of w (u^2 + v^2)^j = 4^j w (Z Zbar)^j is
-    -4^j j^2 w M_(k-1)[(j-1, j-1)], a real value.
+    of 2, summed over the nonzero (1/rho)_(x+y-b,b) alone, so a degree of
+    1/rho with none (the odd ones of an even rho) gives none.  Since rho is
+    real, M_k[(q, p)] is the conjugate of M_k[(p, q)], so only p <= q is
+    kept, as (re, im) int pairs over one denominator with their content
+    divided out: a step costs one gcd and builds no ``Fraction``.  Slots
+    are keyed as jets key theirs, (p, q) as (p + q) * STRIDE + q.  A read
+    of w (u^2 + v^2)^j = 4^j w (Z Zbar)^j is -4^j j^2 w
+    M_(k-1)[(j-1, j-1)], a real value.
     """
 
     def __init__(self, lap: ConformalLaplacian, top):
         super().__init__(top)
         inverse = lap.inverse_factor(2 * self.n)
-        num, terms = inverse.num, []
+        # by degree d, (b, (-i)^b (1/rho)_(d-b, b) without its i) of the
+        # nonzero coefficients: (-i)^b = 1, -i, -1, i for b = 0, 1, 2, 3 mod 4
+        parts = [[] for _ in range(2 * self.n + 1)]
+        for key, c in inverse.num.items():
+            d, b = divmod(key, STRIDE)
+            parts[d].append((b, -c if b % 4 in (1, 2) else c))
         # upto[e]: (key of (x, y), re s_xy, im s_xy) of the nonzero s_xy
         # with x + y <= e
-        self.upto = []
+        terms, self.upto = [], []
         for d, rows in enumerate(_conversion_table(2 * self.n)):
-            for x in range(d + 1):
-                re = im = 0
-                for b, row in enumerate(rows):
-                    c = num.get(d * STRIDE + b, 0) * row[x]
-                    if b % 2:
-                        im += c if b % 4 == 3 else -c  # (-i)^b = -i, i
-                    else:
-                        re += -c if b % 4 else c  # (-i)^b = 1, -1
-                if re or im:
-                    terms.append((d * STRIDE + d - x, re, im))
+            for x in range(d + 1 if parts[d] else 0):
+                s = [0, 0]  # re, im: an odd b gives an imaginary part
+                for b, c in parts[d]:
+                    s[b % 2] += c * rows[b][x]
+                if any(s):
+                    terms.append((d * STRIDE + d - x, *s))
             self.upto.append(list(terms))
         self.inverse_den = self.den = inverse.den
-        self.m = {0: (num[0], 0)}  # M_0
+        self.m = {0: (inverse.num[0], 0)}  # M_0
 
-    def read(self, t):
-        """L_k(t) of t = w (u^2 + v^2)^j as (numerator, denominator), or
-        None where it is zero."""
-        found = self.diagonal(t)
-        if found is None:
+    def read(self, term):
+        """L_k(w (u^2 + v^2)^j) of the weight term = (j, w), w rational, as
+        (numerator, denominator), or None where it is zero."""
+        j, w = term
+        x = self.diagonal(j)
+        if x is None:
             return None
-        j, w, (re, _) = found
-        return -(4 ** j) * j * j * w * re, self.den * t.den
+        return -(4 ** j) * j * j * w.numerator * x[0], self.den * w.denominator
 
     @staticmethod
     def slot(p):
@@ -472,16 +492,12 @@ class _ComplexChain(_Cone):
         self.scaled = {}  # w -> w / r_00
         self.m = {(0, 0): self.inv0}  # M_0
 
-    def read(self, t):
-        """L_k(t) of t = w (u^2 + v^2)^j as the pair (-4 j^2 w,
-        M_(k-1)[(j-1, j-1)]), or None where it is zero."""
-        found = self.diagonal(t)
-        if found is None:
-            return None
-        j, w, x = found
-        if t.den is not None:  # a concrete term, as at an int rho_00
-            w = Fraction(w, t.den)
-        return -4 * j * j * w, x
+    def read(self, term):
+        """L_k(w (u^2 + v^2)^j) of the weight term = (j, w) as the pair
+        (-4 j^2 w, M_(k-1)[(j-1, j-1)]), or None where it is zero."""
+        j, w = term
+        x = self.diagonal(j)
+        return None if x is None else (-4 * j * j * w, x)
 
     def total(self, n, reads):
         """a_n in the rho_ab, from the reads of a_n."""
@@ -525,7 +541,8 @@ def _image_table(lap: ConformalLaplacian, terms, radial):
 
     `terms` maps n to its terms T_0..T_4n (None meaning zero), where T_k
     has order 2k and no term below degree 2(k - n), and `radial` says that
-    every T_k is w (u^2 + v^2)^(k-n), as on eq311 and eq310.  The table
+    every T_k is w (u^2 + v^2)^(k-n), as on eq311 and eq310, and is given
+    as its weight (k - n, w), not as a jet.  The table
     keeps M_k = L_k o (1/rho), from which L_(k+1) needs no product; L_k
     vanishes above degree 2k, and with N the largest n, rho, or 1/rho, is
     read to degree 2N, so a request makes at most one Newton inverse.  The
@@ -534,7 +551,8 @@ def _image_table(lap: ConformalLaplacian, terms, radial):
 
     * radial terms: ``_GaussianChain`` on concrete jets, ``_ComplexChain``
       on ``RhoPoly`` ones, whose terms must be radial.  Both keep the cone
-      of ``_Cone``, make 4N - 1 steps and apply Delta nowhere;
+      of ``_Cone``, make 4N - 1 steps, read each weight (j, w) off one
+      diagonal slot and apply Delta nowhere;
     * other terms, on concrete jets: ``_GatherChain``.  With F[beta] the
       value of a functional F at u^a v^b, beta = (a, b),
 
@@ -569,16 +587,21 @@ def _image_table(lap: ConformalLaplacian, terms, radial):
 def _radial_sums(lap: ConformalLaplacian, ns, scale, r2: Jet2D = None):
     """Yield (n, S_n) for the sorted n of `ns`, read off one table, where
     S_n = sum_k c_nk Delta^k((scale r2)^(k-n))(0) reads r2 to order
-    2n + 2.  The powers of r2 are formed once, for the largest n.  r2 None
-    is u^2 + v^2 itself, whose terms the table reads on its cone."""
-    radial = r2 is None
-    if radial:
-        r2 = Jet2D({(2, 0): 1, (0, 2): 1}, 2 * max(ns) + 2)
-    powers = _radial_powers(r2, max(ns))
+    2n + 2.  r2 None is u^2 + v^2 itself (eq311): the term of k is then
+    handed to the table as its weight (k - n, D c_nk scale^(k-n)), and no
+    jet is built.  Another r2 is the curvature route's, whose powers are
+    formed once, for the largest n (``_radial_terms``)."""
     d, terms = {}, {}
-    for n in ns:
-        d[n], terms[n] = _radial_terms(n, scale, powers)
-    for n, total in _image_table(lap, terms, radial):
+    if r2 is None:
+        for n in ns:
+            d[n], weights = _heat_weights(n)
+            terms[n] = [None] * (n + 1) + [(j, scale ** j * w) for j, w
+                                           in enumerate(weights, 1)]
+    else:
+        powers = _radial_powers(r2, max(ns))
+        for n in ns:
+            d[n], terms[n] = _radial_terms(n, scale, powers)
+    for n, total in _image_table(lap, terms, r2 is None):
         yield n, total * Fraction(1, d[n])
 
 
@@ -727,11 +750,13 @@ def _frozen_terms(n: int, frozen: FrozenLaplacian, rho0):
 
 
 def _eq310_sums(rho: Jet2D, ns):
-    """eq310's sums, built when read: its frozen terms read off the table."""
+    """eq310's sums, built when read: its frozen terms read off the table
+    as their weights."""
     frozen, rho0 = FrozenLaplacian(rho), rho.constant_term()
-    yield from _image_table(ConformalLaplacian(rho),
-                            {n: _frozen_terms(n, frozen, rho0) for n in ns},
-                            True)
+    yield from _image_table(
+        ConformalLaplacian(rho),
+        {n: [_radial_weight(t) for t in _frozen_terms(n, frozen, rho0)]
+         for n in ns}, True)
 
 
 def heat_invariants_via_frozen(ns, rho: Jet2D):

@@ -4,15 +4,12 @@ A ``Jet2D`` of order N represents a function of (u, v) near the origin known
 modulo O(|(u, v)|^(N+1)): coefficients are stored sparsely for total degree
 a + b <= N and every higher coefficient is unknown, not zero.  Coefficients
 may be ``int``/``Fraction`` (concrete metrics) or ``RhoPoly`` (the generic
-conformal factor).  The two rings meet only in the symbolic pipelines, where
-concrete jets are multiplied by ``RhoPoly`` values:
-
-* symbolic eq311 multiplies the concrete powers of u^2 + v^2 by the
-  ``RhoPoly`` scalar rho_0^j D c_nk (``heatinv._radial_terms``), and the
-  table of ``heatinv`` reads each such term back as its weight on the one
-  complex monomial (z zbar)^j;
-* symbolic eq310 multiplies the frozen images of its concrete seed jets
-  by 1/rho_00 (the frozen Laplacian) and by its ``RhoPoly`` weights.
+conformal factor).  The two rings meet in one pipeline, symbolic eq310,
+which multiplies the frozen images of its concrete seed jets by 1/rho_00
+(the frozen Laplacian) and by its ``RhoPoly`` weights.  Symbolic eq311
+multiplies no jets: it hands the table of ``heatinv`` each term
+w (u^2 + v^2)^j as its weight (j, w), w = D c_nk rho_0^j a ``RhoPoly``
+scalar, read off the one complex monomial (z zbar)^j.
 
 A product of a ``RhoPoly`` and an int or ``Fraction`` is a ``RhoPoly``, so a
 jet that has met the generic factor stays in the ``RhoPoly`` ring.

@@ -11,11 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import heatjets.heatinv as heatinv
+import heatjets.jets as jets
+from heatjets.curvature import heat_invariants_curvature_form
 from heatjets.errors import IndexOutOfRange, OrderExhausted
 from heatjets.heatinv import (WEYL_A0, ClosedForm, PiScaled, _ComplexChain,
                               _GatherChain, _GaussianChain, _radial_powers,
-                              _radial_sums,
-                              _radial_terms, closed_form_to_json,
+                              _radial_sums, _radial_terms, _radial_weight,
+                              closed_form_to_json,
                               gamma_half_rational, generic_rho_jet,
                               heat_constant, heat_invariant,
                               heat_invariant_via_frozen, heat_invariants,
@@ -94,11 +97,13 @@ def test_heat_constant_range_checks():
             heat_constant(*bad)
 
 
-def test_radial_terms_are_the_summed_heat_constants():
+def test_radial_terms_are_the_summed_heat_constants(monkeypatch):
     # The paper's Gamma sums C_nksm, summed over m, are the closed-form
     # weights of P_k = c_nk scale^(k-n) (u^2 + v^2)^(k-n): exact, n = 1..8.
     # The helper returns the terms T_0..T_4n of the nested sum: None for
     # k <= n and D P_k above, with the common denominator D of the c_nk.
+    # eq311 hands its table the weights (k - n, w) of these jets instead,
+    # on both rings.
     scale = Fraction(3, 2)
     for n in range(1, 9):
         r2 = Jet2D({(2, 0): 1, (0, 2): 1}, 8 * n)
@@ -114,6 +119,20 @@ def test_radial_terms_are_the_summed_heat_constants():
         _, unit = _radial_terms(n, 1, _radial_powers(r2, n))
         assert all(type(c) is int for t in unit[n + 1:]
                    for c in t.coeffs.values())
+    handed = {}
+
+    def image_table(lap, terms, radial):
+        handed.update(terms)
+        return iter(())
+    monkeypatch.setattr(heatinv, "_image_table", image_table)
+    r2 = Jet2D({(2, 0): 1, (0, 2): 1}, 10)
+    for scale in (Fraction(3, 2), RhoPoly.var(0, 0) * Fraction(-2, 5)):
+        handed.clear()
+        list(_radial_sums(None, [1, 2, 3, 4], scale))
+        for n in range(1, 5):
+            _, terms = _radial_terms(n, scale, _radial_powers(r2, 4))
+            assert handed[n] == [None if t is None else _radial_weight(t)
+                                 for t in terms], (scale, n)
 
 
 @st.composite
@@ -325,6 +344,48 @@ def test_one_inverse_and_4n_table_steps_per_request(monkeypatch):
                          "FrozenLaplacian.apply": sum(
                              m for n in set(ns) for m in range(n + 1, 4 * n + 1))}
         assert inverse_orders == [2 * top]
+
+
+def test_eq311_builds_no_radial_jets(monkeypatch):
+    # eq311 hands its table the weights of its terms: a request on the
+    # sphere or on a dense jet builds no power of u^2 + v^2 and makes no jet
+    # product outside its one Newton inverse, while the curvature route
+    # still builds its pulled-back powers through both helpers
+    calls = Counter()
+    inside = [False]  # within Jet2D.inverse
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls[name, inside[0]] += 1
+            return original(*args)
+        monkeypatch.setattr(owner, name, counted)
+
+    def inverse(self, order=None):
+        calls["inverse"] += 1
+        inside[0] = True
+        try:
+            return jet_inverse(self, order)
+        finally:
+            inside[0] = False
+
+    rhos = [sphere_rho(Fraction(7, 5), 10),
+            random_metric_jet(random.Random(4), order=10)]
+    for name in ("_radial_powers", "_radial_terms"):
+        count(heatinv, name)
+    count(jets, "_capped_product")
+    jet_inverse = Jet2D.inverse
+    monkeypatch.setattr(Jet2D, "inverse", inverse)
+    for rho in rhos:
+        calls.clear()
+        list(heat_invariants([1, 3, 2], rho))
+        assert calls["inverse"] == 1
+        assert set(calls) == {"inverse", ("_capped_product", True)}
+    calls.clear()
+    list(heat_invariants_curvature_form([1, 2], rhos[1]))
+    assert calls["_radial_powers", False] == 1
+    assert calls["_radial_terms", False] == 2
 
 
 def test_concrete_chain_stays_integral(monkeypatch):

@@ -18,7 +18,8 @@ from heatjets.errors import (DegenerateCurvatureCoordinates,
                              NonInvertibleConstantTerm, OrderExhausted)
 from heatjets.heatinv import (WEYL_A0, _ComplexChain, _GaussianChain,
                               _complex_forms, _frozen_terms, _image_table,
-                              _radial_powers, _radial_terms, _real_form,
+                              _radial_powers, _radial_terms, _radial_weight,
+                              _real_form,
                               generic_rho_jet,
                               heat_invariant, heat_invariant_via_frozen,
                               heat_invariants, heat_invariants_via_frozen,
@@ -43,8 +44,8 @@ def horner_sum(lap, terms):
 
 
 def route_terms(path, ns, rho):
-    """(Laplacian, {n: T_0..T_4n}, radial) that route `path` reads off its
-    table, radial telling whether every term is w (u^2 + v^2)^j."""
+    """(Laplacian, {n: T_0..T_4n}, radial) that route `path` sums, the T_k
+    as jets, radial telling whether every term is w (u^2 + v^2)^j."""
     rho = rho.truncate(max(required_order(n, path) for n in ns))
     if path == "curvature":
         frame, lap, z, w = _frame_and_coordinates(rho)
@@ -66,8 +67,12 @@ def route_terms(path, ns, rho):
 
 
 def assert_table_is_horner(path, ns, rho):
+    # the table reads radial terms as their weights (j, w), Horner the jets
     lap, terms, radial = route_terms(path, ns, rho)
-    got = list(_image_table(lap, terms, radial))
+    read = terms if not radial else {
+        n: [None if t is None else _radial_weight(t) for t in ts]
+        for n, ts in terms.items()}
+    got = list(_image_table(lap, read, radial))
     assert [n for n, _ in got] == sorted(terms)
     for n, total in got:
         assert total == horner_sum(lap, terms[n]), (path, n)
@@ -100,14 +105,22 @@ def odd_v_jets(draw, order):
     return Jet2D(coeffs, order)
 
 
+#: Even, not radial, with rho_11 != 0: its 1/rho has no term of odd degree,
+#: and its s_xy are imaginary where they come from (1/rho)_(a, b), b odd.
+EVEN_JET = Jet2D({(0, 0): Fraction(3, 2), (2, 0): 1, (1, 1): Fraction(1, 2),
+                  (0, 2): -2, (4, 0): Fraction(1, 3), (3, 1): -1,
+                  (2, 2): 2, (0, 4): Fraction(-5, 4)}, 4)
+
+
 @settings(max_examples=25, deadline=None)
 @given(path=st.sampled_from(("eq311", "eq310")),
        ns=st.lists(st.integers(1, 4), min_size=1, max_size=3),
        data=st.data())
+@example(path="eq311", ns=[1, 2], data=None)  # EVEN_JET
 def test_cone_chain_equals_horner_on_rational_jets(path, ns, data):
     # the cone chain on Gaussian integers, on jets whose 1/rho has complex
     # coefficients in z, zbar, equals the forward Horner sum exactly
-    rho = data.draw(odd_v_jets(2 * max(ns)))
+    rho = EVEN_JET if data is None else data.draw(odd_v_jets(2 * max(ns)))
     lap = ConformalLaplacian(rho)
     assert any(im for _, _, im in _GaussianChain(lap, 4 * max(ns)).upto[-1])
     assert_table_is_horner(path, ns, rho)
@@ -127,19 +140,33 @@ def test_cone_chain_batch_cuts_low_slots():
 
 
 def test_complex_tables_read_only_radial_terms():
-    # both complex chains read a term only as w (u^2 + v^2)^j, by one check
+    # both complex chains read a term only as its weight (j, w), and a jet
+    # becomes one by one check: w (u^2 + v^2)^j, or a constant, read as
+    # zero; a weight below the cone is refused
+    for t in (Jet2D({(1, 1): 1}, 4), Jet2D({(2, 0): 1, (0, 2): 2}, 4),
+              Jet2D({(2, 0): 1, (0, 2): 1, (3, 0): 1}, 4),
+              Jet2D({(1, 0): 1}, 4)):
+        with pytest.raises(ValueError, match="read only terms"):
+            _radial_weight(t)
+    assert _radial_weight(Jet2D({(2, 0): 3, (0, 2): 3}, 4)) == (1, 3)
+    assert _radial_weight(Jet2D({(4, 0): Fraction(1, 2), (2, 2): 1,
+                                 (0, 4): Fraction(1, 2)}, 4)) == (
+                                     2, Fraction(1, 2))
+    x = RhoPoly.var(1, 1)
+    assert _radial_weight(Jet2D({(2, 0): x, (0, 2): x}, 4)) == (1, x)
+    assert _radial_weight(Jet2D.constant(5, 4)) is None
+    assert _radial_weight(Jet2D.zero(4)) is None
     rho = random_metric_jet(random.Random(5), order=4)
     chains = (_GaussianChain(ConformalLaplacian(rho), 8),
               _ComplexChain(ConformalLaplacian(generic_rho_jet(4)), 8))
     for chain in chains:
-        for t in (Jet2D({(1, 1): 1}, 4), Jet2D({(2, 0): 1, (0, 2): 2}, 4),
-                  Jet2D({(2, 0): 1, (0, 2): 1, (3, 0): 1}, 4),
-                  Jet2D({(1, 0): 1}, 4)):
-            with pytest.raises(ValueError, match="read only terms"):
-                chain.read(t)
-        assert chain.read(Jet2D({(2, 0): 3, (0, 2): 3}, 4)) is not None
-        assert chain.read(Jet2D.constant(5, 4)) is None
-        assert chain.read(Jet2D.zero(4)) is None
+        assert chain.read((1, 3)) is not None
+        for k in (1, 2, 3, 4):
+            chain.step(k)
+        # M_4 feeds the reads at k = 5, where j >= 5 - 2 = 3
+        assert chain.read((3, 3)) is not None
+        with pytest.raises(ValueError, match="below the table's cone"):
+            chain.read((2, 3))
 
 
 @st.composite
